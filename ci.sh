@@ -17,6 +17,14 @@ cargo build --release
 echo "== cargo test (workspace)"
 cargo test -q --workspace
 
+echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all five workloads)"
+# benchmark/ is a Cargo workspace of its own that reaches the simulator only
+# through the crates' public items, so nothing above builds it: a crate API
+# change could break it silently. run.sh also checks every digest and that
+# what it printed is what BENCHMARK.json declares.
+cargo test -q --manifest-path benchmark/Cargo.toml --offline
+bash benchmark/run.sh --smoke
+
 echo "== CCA conformance kit (golden step-response fixtures)"
 cargo run --release -p gsrepro-bench --bin conformance
 

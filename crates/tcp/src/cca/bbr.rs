@@ -23,6 +23,7 @@
 
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
+use super::filter::WindowedExtremum;
 use super::{AckInfo, CongestionControl, INITIAL_WINDOW_SEGMENTS};
 
 /// STARTUP/DRAIN gain: 2/ln2.
@@ -51,12 +52,12 @@ pub struct Bbr {
     mss: u64,
     mode: Mode,
 
-    /// Max-filter samples: (round, rate).
-    bw_samples: Vec<(u64, BitRate)>,
+    /// Windowed-max filter for btl_bw, keyed by round.
+    bw_filter: WindowedExtremum<u64, BitRate>,
     btl_bw: BitRate,
 
-    /// Windowed-min filter for rt_prop: a monotonic deque of (time, rtt)
-    /// candidates over the last [`RTPROP_WINDOW`]. Using a *windowed* min
+    /// Windowed-min filter for rt_prop, keyed by ack time, over the last
+    /// [`RTPROP_WINDOW`]. Using a *windowed* min
     /// (per the BBR paper) rather than a sticky lifetime min matters
     /// enormously in competition: when another flow holds a standing queue
     /// that never drains, the windowed min *inflates* to include that
@@ -64,7 +65,7 @@ pub struct Bbr {
     /// queue — the standing-queue/RTT-inflation behaviour Hock et al.
     /// measured for real BBRv1 and the reason the paper's game systems
     /// lose capacity to BBR.
-    rt_samples: std::collections::VecDeque<(SimTime, SimDuration)>,
+    rt_filter: WindowedExtremum<SimTime, SimDuration>,
     rt_prop: SimDuration,
     /// Lifetime minimum RTT — the "true" propagation floor.
     true_min: SimDuration,
@@ -108,9 +109,9 @@ impl Bbr {
             probe_bw_cwnd_gain,
             mss,
             mode: Mode::Startup,
-            bw_samples: Vec::new(),
+            bw_filter: WindowedExtremum::max(),
             btl_bw: BitRate::ZERO,
-            rt_samples: std::collections::VecDeque::new(),
+            rt_filter: WindowedExtremum::min(),
             rt_prop: SimDuration::MAX,
             true_min: SimDuration::MAX,
             last_near_min: SimTime::ZERO,
@@ -164,18 +165,12 @@ impl Bbr {
         if let Some(rate) = ack.delivery_rate {
             // App-limited samples can only raise the estimate.
             if !ack.app_limited || rate > self.btl_bw {
-                self.bw_samples.push((ack.round, rate));
+                self.bw_filter.push(ack.round, rate);
             }
         }
-        // Evict samples older than the window and recompute the max.
-        let min_round = ack.round.saturating_sub(BW_WINDOW_ROUNDS);
-        self.bw_samples.retain(|&(r, _)| r >= min_round);
-        self.btl_bw = self
-            .bw_samples
-            .iter()
-            .map(|&(_, r)| r)
-            .max()
-            .unwrap_or(BitRate::ZERO);
+        self.bw_filter
+            .evict_below(ack.round.saturating_sub(BW_WINDOW_ROUNDS));
+        self.btl_bw = self.bw_filter.best().unwrap_or(BitRate::ZERO);
     }
 
     fn check_full_pipe(&mut self, ack: &AckInfo) {
@@ -231,8 +226,8 @@ impl Bbr {
                     if self.probe_min < SimDuration::MAX {
                         self.rt_prop = self.probe_min;
                         self.true_min = self.true_min.min(self.probe_min);
-                        self.rt_samples.clear();
-                        self.rt_samples.push_back((ack.now, self.probe_min));
+                        self.rt_filter.clear();
+                        self.rt_filter.push(ack.now, self.probe_min);
                     }
                     // Whatever we measured counts as a fresh floor probe.
                     self.last_near_min = ack.now;
@@ -265,20 +260,10 @@ impl Bbr {
 impl CongestionControl for Bbr {
     fn on_ack(&mut self, ack: &AckInfo) {
         let was_probe_rtt = self.mode == Mode::ProbeRtt;
-        // rt_prop windowed-min filter (monotonic deque, O(1) amortized).
         if let Some(rtt) = ack.rtt {
-            while self.rt_samples.back().is_some_and(|&(_, r)| r >= rtt) {
-                self.rt_samples.pop_back();
-            }
-            self.rt_samples.push_back((ack.now, rtt));
-            while self
-                .rt_samples
-                .front()
-                .is_some_and(|&(t, _)| ack.now.saturating_since(t) > RTPROP_WINDOW)
-            {
-                self.rt_samples.pop_front();
-            }
-            self.rt_prop = self.rt_samples.front().map(|&(_, r)| r).unwrap_or(rtt);
+            self.rt_filter.push(ack.now, rtt);
+            self.rt_filter.evict_below(ack.now - RTPROP_WINDOW);
+            self.rt_prop = self.rt_filter.best().unwrap_or(rtt);
             if rtt < self.true_min {
                 self.true_min = rtt;
             }

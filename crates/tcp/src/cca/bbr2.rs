@@ -30,6 +30,7 @@
 
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
+use super::filter::WindowedExtremum;
 use super::{AckInfo, CongestionControl, INITIAL_WINDOW_SEGMENTS};
 
 /// STARTUP gain: 2/ln2, as in v1.
@@ -88,12 +89,12 @@ pub struct Bbr2 {
     mss: u64,
     mode: Mode,
 
-    /// Max-filter samples: (round, rate).
-    bw_samples: Vec<(u64, BitRate)>,
+    /// Windowed-max filter for btl_bw, keyed by round.
+    bw_filter: WindowedExtremum<u64, BitRate>,
     btl_bw: BitRate,
 
     /// Windowed-min rt_prop filter (monotonic deque), as in v1.
-    rt_samples: std::collections::VecDeque<(SimTime, SimDuration)>,
+    rt_filter: WindowedExtremum<SimTime, SimDuration>,
     rt_prop: SimDuration,
     true_min: SimDuration,
     last_near_min: SimTime,
@@ -143,9 +144,9 @@ impl Bbr2 {
         Bbr2 {
             mss,
             mode: Mode::Startup,
-            bw_samples: Vec::new(),
+            bw_filter: WindowedExtremum::max(),
             btl_bw: BitRate::ZERO,
-            rt_samples: std::collections::VecDeque::new(),
+            rt_filter: WindowedExtremum::min(),
             rt_prop: SimDuration::MAX,
             true_min: SimDuration::MAX,
             last_near_min: SimTime::ZERO,
@@ -253,17 +254,12 @@ impl Bbr2 {
     fn update_btl_bw(&mut self, ack: &AckInfo) {
         if let Some(rate) = ack.delivery_rate {
             if !ack.app_limited || rate > self.btl_bw {
-                self.bw_samples.push((ack.round, rate));
+                self.bw_filter.push(ack.round, rate);
             }
         }
-        let min_round = ack.round.saturating_sub(BW_WINDOW_ROUNDS);
-        self.bw_samples.retain(|&(r, _)| r >= min_round);
-        self.btl_bw = self
-            .bw_samples
-            .iter()
-            .map(|&(_, r)| r)
-            .max()
-            .unwrap_or(BitRate::ZERO);
+        self.bw_filter
+            .evict_below(ack.round.saturating_sub(BW_WINDOW_ROUNDS));
+        self.btl_bw = self.bw_filter.best().unwrap_or(BitRate::ZERO);
     }
 
     fn check_full_pipe(&mut self, ack: &AckInfo) {
@@ -352,8 +348,8 @@ impl Bbr2 {
                     if self.probe_min < SimDuration::MAX {
                         self.rt_prop = self.probe_min;
                         self.true_min = self.true_min.min(self.probe_min);
-                        self.rt_samples.clear();
-                        self.rt_samples.push_back((ack.now, self.probe_min));
+                        self.rt_filter.clear();
+                        self.rt_filter.push(ack.now, self.probe_min);
                     }
                     self.last_near_min = ack.now;
                     self.cwnd = self.prior_cwnd.max(self.min_cwnd());
@@ -381,18 +377,9 @@ impl CongestionControl for Bbr2 {
     fn on_ack(&mut self, ack: &AckInfo) {
         let was_probe_rtt = self.mode == Mode::ProbeRtt;
         if let Some(rtt) = ack.rtt {
-            while self.rt_samples.back().is_some_and(|&(_, r)| r >= rtt) {
-                self.rt_samples.pop_back();
-            }
-            self.rt_samples.push_back((ack.now, rtt));
-            while self
-                .rt_samples
-                .front()
-                .is_some_and(|&(t, _)| ack.now.saturating_since(t) > RTPROP_WINDOW)
-            {
-                self.rt_samples.pop_front();
-            }
-            self.rt_prop = self.rt_samples.front().map(|&(_, r)| r).unwrap_or(rtt);
+            self.rt_filter.push(ack.now, rtt);
+            self.rt_filter.evict_below(ack.now - RTPROP_WINDOW);
+            self.rt_prop = self.rt_filter.best().unwrap_or(rtt);
             if rtt < self.true_min {
                 self.true_min = rtt;
             }

@@ -10,6 +10,7 @@
 pub mod bbr;
 pub mod bbr2;
 pub mod cubic;
+mod filter;
 pub mod reno;
 pub mod vegas;
 

@@ -10,7 +10,7 @@
 //! Segment sizes on the wire are payload + [`TCP_HEADER`]; pure acks carry
 //! [`ACK_SIZE`] bytes (header + timestamp/SACK options).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use gsrepro_netsim::net::{Agent, AgentId, Ctx, NodeId, PacketSpec};
 use gsrepro_netsim::wire::{Ecn, FlowId, Packet, Payload, TcpSegment, TCP_HEADER, TCP_MSS};
@@ -90,7 +90,6 @@ struct SentSeg {
     len: u64,
     sent_at: SimTime,
     delivered_at_send: u64,
-    delivered_time_at_send: SimTime,
     lost: bool,
     retx: u32,
 }
@@ -109,6 +108,16 @@ pub struct TcpSender {
     snd_una: u64,
     segs: Vec<SentSeg>,
     lost_count: usize,
+    /// Bytes in flight: the summed `len` of tracked segments not marked
+    /// lost, maintained wherever a segment is added, removed, marked lost
+    /// or retransmitted instead of being re-summed on every ack.
+    pipe: u64,
+    /// The `sent_at` of every tracked segment as a run-length multiset,
+    /// `(instant, segments)` ascending by instant — `sent_at` is only ever
+    /// assigned `now`, so insertion is a push at the back. The front is the
+    /// oldest outstanding transmission, which anchors the RTO. A run
+    /// emptied from the middle stays as a zero until it reaches the front.
+    sent_times: VecDeque<(SimTime, u32)>,
 
     delivered: u64,
     next_round_delivered: u64,
@@ -172,6 +181,8 @@ impl TcpSender {
             snd_una: 0,
             segs: Vec::new(),
             lost_count: 0,
+            pipe: 0,
+            sent_times: VecDeque::new(),
             delivered: 0,
             next_round_delivered: 0,
             round: 0,
@@ -291,7 +302,51 @@ impl TcpSender {
     }
 
     fn pipe(&self) -> u64 {
-        self.segs.iter().filter(|s| !s.lost).map(|s| s.len).sum()
+        debug_assert_eq!(
+            self.pipe,
+            self.segs
+                .iter()
+                .filter(|s| !s.lost)
+                .map(|s| s.len)
+                .sum::<u64>(),
+            "pipe counter drifted from the scoreboard"
+        );
+        self.pipe
+    }
+
+    /// Record one transmission at `now` in the `sent_at` multiset.
+    fn note_sent(&mut self, now: SimTime) {
+        match self.sent_times.back_mut() {
+            Some((t, n)) if *t == now => *n += 1,
+            _ => self.sent_times.push_back((now, 1)),
+        }
+    }
+
+    /// Remove one transmission made at `sent_at` from the multiset.
+    fn forget_sent(&mut self, sent_at: SimTime) {
+        let i = match self.sent_times.front() {
+            Some(&(t, _)) if t == sent_at => 0,
+            _ => self
+                .sent_times
+                .binary_search_by_key(&sent_at, |&(t, _)| t)
+                .expect("every tracked sent_at is in the multiset"),
+        };
+        self.sent_times[i].1 -= 1;
+        while self.sent_times.front().is_some_and(|&(_, n)| n == 0) {
+            self.sent_times.pop_front();
+        }
+    }
+
+    /// Drop `segs[i]` from tracking (cumulatively acked or SACKed).
+    fn untrack(&mut self, i: usize) -> SentSeg {
+        let s = self.segs.swap_remove(i);
+        if s.lost {
+            self.lost_count -= 1;
+        } else {
+            self.pipe -= s.len;
+        }
+        self.forget_sent(s.sent_at);
+        s
     }
 
     fn in_recovery(&self) -> bool {
@@ -341,7 +396,12 @@ impl TcpSender {
     /// about one RTO after its last (re)transmission, no matter how much
     /// later data is being SACKed around it.
     fn rearm_rto_from_oldest(&mut self, ctx: &mut Ctx) {
-        let oldest = self.segs.iter().map(|s| s.sent_at).min();
+        let oldest = self.sent_times.front().map(|&(t, _)| t);
+        debug_assert_eq!(
+            oldest,
+            self.segs.iter().map(|s| s.sent_at).min(),
+            "sent_at multiset drifted from the scoreboard"
+        );
         match oldest {
             Some(t) => {
                 // Floor at the last expiry: a timeout restarts the
@@ -382,7 +442,6 @@ impl TcpSender {
         let now = ctx.now();
         let cwnd = self.cca.cwnd();
         let pacing = self.cca.pacing_rate();
-        let mut pipe = self.pipe();
         let mut quantum_left = PACE_QUANTUM;
 
         loop {
@@ -405,16 +464,19 @@ impl TcpSender {
             if self.lost_count > 0 {
                 if let Some(i) = self.segs.iter().position(|s| s.lost) {
                     let len = self.segs[i].len;
-                    if pipe + len > cwnd {
+                    if self.pipe() + len > cwnd {
                         break;
                     }
                     let seq = self.segs[i].seq;
+                    let prev_sent_at = self.segs[i].sent_at;
                     self.segs[i].lost = false;
                     self.segs[i].retx += 1;
                     self.segs[i].sent_at = now;
                     self.segs[i].delivered_at_send = self.delivered;
-                    self.segs[i].delivered_time_at_send = now;
                     self.lost_count -= 1;
+                    self.pipe += len;
+                    self.forget_sent(prev_sent_at);
+                    self.note_sent(now);
                     self.send_segment(ctx, seq, len, true);
                     sent_len = Some(len);
                 }
@@ -436,7 +498,7 @@ impl TcpSender {
                         budget.min(self.mss())
                     }
                 };
-                if pipe + len > cwnd {
+                if self.pipe() + len > cwnd {
                     break;
                 }
                 if let Some(b) = self.app_budget.as_mut() {
@@ -449,16 +511,16 @@ impl TcpSender {
                     len,
                     sent_at: now,
                     delivered_at_send: self.delivered,
-                    delivered_time_at_send: now,
                     lost: false,
                     retx: 0,
                 });
+                self.pipe += len;
+                self.note_sent(now);
                 self.send_segment(ctx, seq, len, false);
                 sent_len = Some(len);
             }
 
             let len = sent_len.expect("a segment was sent on this path");
-            pipe += len;
             if let Some(rate) = pacing {
                 let gap = rate.tx_time(Bytes(len) + TCP_HEADER);
                 self.pace_next = self.pace_next.max(now) + gap;
@@ -466,7 +528,6 @@ impl TcpSender {
             }
         }
 
-        let _ = now;
         self.rearm_rto_from_oldest(ctx);
     }
 
@@ -475,7 +536,7 @@ impl TcpSender {
         let mut newly_delivered: u64 = 0;
         let mut rtt_sample: Option<SimDuration> = None;
         // Rate-sample bookkeeping from the newest acked segment:
-        // (delivered_at_send, delivered_time_at_send, was_retransmitted).
+        // (delivered_at_send, sent_at, was_retransmitted).
         // Samples off retransmitted segments are discarded (Karn's rule
         // applied to rate sampling): when a long-standing hole fills, one
         // cumulative ack can cover megabytes, and dividing that by the
@@ -497,18 +558,14 @@ impl TcpSender {
             while i < self.segs.len() {
                 let s = &self.segs[i];
                 if s.seq + s.len <= seg.ack {
+                    let s = self.untrack(i);
                     newly_delivered += s.len;
-                    if s.lost {
-                        self.lost_count -= 1;
-                    }
                     if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                        newest_acked =
-                            Some((s.delivered_at_send, s.delivered_time_at_send, s.retx > 0));
+                        newest_acked = Some((s.delivered_at_send, s.sent_at, s.retx > 0));
                     }
                     if s.delivered_at_send >= self.next_round_delivered {
                         round_start = true;
                     }
-                    self.segs.swap_remove(i);
                 } else {
                     i += 1;
                 }
@@ -518,36 +575,35 @@ impl TcpSender {
         // SACK blocks: account the newly delivered segments and drop them
         // from tracking (see the `SentSeg` note — receivers never renege).
         // Because sacked segments are removed at once, re-advertised blocks
-        // on later acks find nothing and cost nothing.
-        self.highest_sacked = seg
-            .sack
-            .iter()
-            .flatten()
-            .map(|&(_, end)| end)
-            .fold(self.highest_sacked, u64::max);
-        let mut i = 0;
-        while i < self.segs.len() {
-            let s = &self.segs[i];
-            let covered = seg
+        // on later acks find nothing and cost nothing — and an ack without
+        // any block, the steady state, skips the scan altogether.
+        if seg.sack.iter().any(Option::is_some) {
+            self.highest_sacked = seg
                 .sack
                 .iter()
                 .flatten()
-                .any(|&(start, end)| s.seq >= start && s.seq + s.len <= end);
-            if covered {
-                if s.lost {
-                    self.lost_count -= 1;
+                .map(|&(_, end)| end)
+                .fold(self.highest_sacked, u64::max);
+            let mut i = 0;
+            while i < self.segs.len() {
+                let s = &self.segs[i];
+                let covered = seg
+                    .sack
+                    .iter()
+                    .flatten()
+                    .any(|&(start, end)| s.seq >= start && s.seq + s.len <= end);
+                if covered {
+                    let s = self.untrack(i);
+                    newly_delivered += s.len;
+                    if s.delivered_at_send >= self.next_round_delivered {
+                        round_start = true;
+                    }
+                    if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
+                        newest_acked = Some((s.delivered_at_send, s.sent_at, s.retx > 0));
+                    }
+                } else {
+                    i += 1;
                 }
-                newly_delivered += s.len;
-                if s.delivered_at_send >= self.next_round_delivered {
-                    round_start = true;
-                }
-                if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                    newest_acked =
-                        Some((s.delivered_at_send, s.delivered_time_at_send, s.retx > 0));
-                }
-                self.segs.swap_remove(i);
-            } else {
-                i += 1;
             }
         }
 
@@ -568,21 +624,29 @@ impl TcpSender {
         // since that retransmission (a RACK-style reordering window) —
         // otherwise the stale SACK hole above it would re-mark it on every
         // ack and the sender would spray duplicates of the same segment.
+        //
+        // Every tracked segment ends above `snd_una`, so neither trigger
+        // can hold for any of them — and the scan is skipped — unless three
+        // dupacks are in or a SACK reaches `2 * mss` past `snd_una`.
         let mss = self.mss();
-        let rtt_gate = self.srtt.unwrap_or(INITIAL_RTO);
         let highest_sacked = self.highest_sacked;
         let mut newly_lost = false;
-        for s in self.segs.iter_mut() {
-            if s.lost {
-                continue;
-            }
-            let sack_hole = highest_sacked >= s.seq + s.len + 2 * mss;
-            let dup_trigger = self.dupacks >= 3 && s.seq == self.snd_una;
-            let gate_open = s.retx == 0 || now.saturating_since(s.sent_at) >= rtt_gate;
-            if (sack_hole || dup_trigger) && gate_open {
-                s.lost = true;
-                self.lost_count += 1;
-                newly_lost = true;
+        debug_assert!(self.segs.iter().all(|s| s.seq + s.len > self.snd_una));
+        if self.dupacks >= 3 || highest_sacked > self.snd_una + 2 * mss {
+            let rtt_gate = self.srtt.unwrap_or(INITIAL_RTO);
+            for s in self.segs.iter_mut() {
+                if s.lost {
+                    continue;
+                }
+                let sack_hole = highest_sacked >= s.seq + s.len + 2 * mss;
+                let dup_trigger = self.dupacks >= 3 && s.seq == self.snd_una;
+                let gate_open = s.retx == 0 || now.saturating_since(s.sent_at) >= rtt_gate;
+                if (sack_hole || dup_trigger) && gate_open {
+                    s.lost = true;
+                    self.lost_count += 1;
+                    self.pipe -= s.len;
+                    newly_lost = true;
+                }
             }
         }
         if newly_lost && !self.in_recovery() {
@@ -713,6 +777,7 @@ impl TcpSender {
                 self.lost_count += 1;
             }
         }
+        self.pipe = 0;
         self.dupacks = 0;
         self.recovery_point = self.next_seq;
         self.rto_backoff += 1;
@@ -851,15 +916,12 @@ impl TcpReceiver {
                 self.ooo.remove(&ps);
             }
         }
-        // Merge with successors.
-        let succs: Vec<u64> = self
-            .ooo
-            .range(start..)
-            .take_while(|&(&s, _)| s <= end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in succs {
-            let e = self.ooo.remove(&s).expect("key just observed");
+        // Merge with successors that overlap or touch.
+        while let Some((&s, &e)) = self.ooo.range(start..).next() {
+            if s > end {
+                break;
+            }
+            self.ooo.remove(&s);
             end = end.max(e);
         }
         self.ooo.insert(start, end);
@@ -1314,6 +1376,16 @@ mod tests {
         r.insert_ooo(500, 1500);
         assert_eq!(r.ooo.len(), 1);
         assert_eq!(r.ooo.get(&500), Some(&4000));
+        // One insert swallows several successors, stops at the first one
+        // it neither overlaps nor touches, and keeps the furthest end.
+        r.insert_ooo(5000, 6000);
+        r.insert_ooo(7000, 9000);
+        r.insert_ooo(9500, 9600);
+        r.insert_ooo(4500, 7500);
+        assert_eq!(
+            r.ooo.iter().map(|(&s, &e)| (s, e)).collect::<Vec<_>>(),
+            [(500, 4000), (4500, 9000), (9500, 9600)]
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use gsrepro_netsim::link::LinkSpec;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
 use gsrepro_netsim::queue::QueueSpec;
 use gsrepro_netsim::wire::FlowId;
-use gsrepro_netsim::Shaper;
+use gsrepro_netsim::{ScenarioSpec, Shaper};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 use gsrepro_tcp::{Bbr, CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
 use proptest::prelude::*;
@@ -291,4 +291,67 @@ fn two_bbr_flows_converge_to_fair_share() {
     let jfi = (g1 + g2).powi(2) / (2.0 * (g1 * g1 + g2 * g2));
     assert!(jfi > 0.9, "BBR intra-fairness JFI {jfi} ({g1} vs {g2})");
     assert!(g1 + g2 > 20.0, "utilization {g1}+{g2}");
+}
+
+#[test]
+fn every_recovery_path_delivers_an_app_limited_budget_exactly() {
+    // One run through everything that mutates the sender's scoreboard:
+    // slow-start overflow of a small queue (burst loss, SACK recovery), a
+    // heavy loss window (holes that outlive several acks, lost
+    // retransmissions), a duplication window (old and duplicate acks), an
+    // outage that also empties the queue (RTO blackout, everything marked
+    // lost, go-back retransmission), and an application budget that runs
+    // dry (final runt, idle sender). Under the test profile every step
+    // cross-checks the maintained `pipe` counter and oldest-`sent_at`
+    // multiset against a scan of the scoreboard; the assertions below say
+    // each path was really taken. Cubic is ack-clocked, BBR adds the pace
+    // timer.
+    const BUDGET: u64 = 6_000_000 + 700; // not a whole number of segments
+    for cca in [CcaKind::Cubic, CcaKind::Bbr] {
+        let mut b = NetworkBuilder::new(63);
+        let s = b.add_node("server");
+        let c = b.add_node("client");
+        let fwd = b.link(
+            s,
+            c,
+            LinkSpec::bottleneck(
+                BitRate::from_mbps(10),
+                Bytes(30_000),
+                SimDuration::from_millis(10),
+            ),
+        );
+        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(10)));
+        let data = b.flow("d");
+        let acks = b.flow("a");
+        let cfg = TcpSenderConfig::new(data, c, AgentId(1), cca);
+        let mut sender = TcpSender::new(cfg);
+        sender.set_app_limited();
+        sender.queue_app_bytes(BUDGET);
+        let sender = b.add_agent(s, Box::new(sender));
+        let recv = b.add_agent(c, Box::new(TcpReceiver::new(acks, s, sender)));
+        let mut sim = b.build();
+        let ms = SimTime::from_millis;
+        sim.apply_scenario(
+            &ScenarioSpec::new()
+                .loss_window(ms(1_000), ms(1_500), fwd, 0.3)
+                .duplication_window(ms(2_000), ms(2_500), fwd, 0.5)
+                .outage(ms(3_000), ms(4_500), fwd)
+                .queue_limit(ms(3_050), fwd, Bytes(0))
+                .queue_limit(ms(4_500), fwd, Bytes(30_000)),
+        );
+        sim.run_until(SimTime::from_secs(30));
+
+        let s: &TcpSender = sim.net.agent(sender);
+        let r: &TcpReceiver = sim.net.agent(recv);
+        assert_eq!(s.delivered_bytes(), BUDGET, "{cca:?}");
+        assert_eq!(r.bytes_received(), BUDGET, "{cca:?}");
+        assert_eq!(s.app_budget(), 0, "{cca:?}");
+        assert_eq!(s.tracked_segments(), 0, "{cca:?}: scoreboard must drain");
+        assert!(
+            s.fast_retransmit_events() > 0,
+            "{cca:?}: no SACK/dupack recovery"
+        );
+        assert!(s.rto_events() > 0, "{cca:?}: the outage must time out");
+        assert!(s.retransmissions() > 0, "{cca:?}");
+    }
 }
