@@ -38,7 +38,6 @@ pub mod monitor;
 pub mod net;
 pub mod queue;
 pub mod scenario;
-pub mod trace;
 pub mod wire;
 
 pub use link::{LinkId, LinkSpec, Shaper};
@@ -46,5 +45,4 @@ pub use monitor::{FlowStats, Monitor};
 pub use net::{Agent, AgentId, Ctx, Network, NetworkBuilder, NodeId, PacketSpec, Sim};
 pub use queue::{CoDelQueue, Discipline, DropTailQueue, FqCoDelQueue, Queue, QueueSpec};
 pub use scenario::{LinkProfile, ScenarioAction, ScenarioGen, ScenarioSpec, ScenarioStep};
-pub use trace::{Trace, TraceEvent, TraceKind};
 pub use wire::{FlowId, MediaChunk, Packet, Payload, PingEcho, StreamFeedback, TcpSegment};

@@ -43,7 +43,6 @@ use crate::link::{Link, LinkId, LinkSpec};
 use crate::monitor::{DropKind, Monitor};
 use crate::queue::QueuedPkt;
 use crate::scenario::{ScenarioAction, ScenarioSpec};
-use crate::trace::{proto_tag, Trace, TraceEvent, TraceKind};
 use crate::wire::{Ecn, FlowId, Packet, PacketPool, Payload, PktRef};
 
 /// Identifies a node (host or router).
@@ -198,7 +197,6 @@ pub struct Network {
     agents: Vec<Option<Box<dyn Agent>>>,
     agent_node: Vec<NodeId>,
     monitor: Monitor,
-    trace: Option<Trace>,
     telemetry: Recorder,
     checks: Checks,
     rng: SimRng,
@@ -222,25 +220,6 @@ impl Network {
     /// Per-flow statistics.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// The packet trace, if enabled via
-    /// [`NetworkBuilder::trace_capacity`].
-    pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
-    }
-
-    fn record_trace(&mut self, at: SimTime, kind: TraceKind, pkt: &Packet) {
-        if let Some(trace) = self.trace.as_mut() {
-            trace.record(TraceEvent {
-                at,
-                kind,
-                packet: pkt.id,
-                flow: pkt.flow,
-                size: pkt.size,
-                proto: proto_tag(&pkt.payload),
-            });
-        }
     }
 
     /// The telemetry recorder (disabled unless enabled via
@@ -386,12 +365,7 @@ impl Network {
                     .link_drop(at, item.flow.0, link.0 as u64, item.size.as_u64())
             }
         }
-        let pkt = self.pool.take(item.pkt);
-        let trace_kind = match kind {
-            DropKind::Queue => TraceKind::QueueDrop,
-            DropKind::Link => TraceKind::LinkDrop,
-        };
-        self.record_trace(at, trace_kind, &pkt);
+        self.pool.take(item.pkt);
     }
 
     fn send_from(&mut self, src: NodeId, spec: PacketSpec, sched: &mut Scheduler<NetEvent>) {
@@ -408,7 +382,6 @@ impl Network {
         };
         self.next_pkt_id += 1;
         self.monitor.on_sent(pkt.flow, pkt.size, sched.now());
-        self.record_trace(sched.now(), TraceKind::Send, &pkt);
         let dst = pkt.dst;
         let pkt = self.pool.insert(pkt);
         if dst == src {
@@ -664,7 +637,6 @@ impl World for Network {
                     let owd = pkt.age(sched.now());
                     self.monitor
                         .on_delivered(pkt.flow, pkt.size, owd, sched.now());
-                    self.record_trace(sched.now(), TraceKind::Deliver, &pkt);
                     let agent = pkt.dst_agent;
                     self.call_agent(agent, sched, |a, ctx| a.on_packet(pkt, ctx));
                 } else {
@@ -683,7 +655,6 @@ pub struct NetworkBuilder {
     agents: Vec<(NodeId, Box<dyn Agent>)>,
     flow_labels: Vec<String>,
     bin: SimDuration,
-    trace_capacity: usize,
     telemetry: Option<TelemetryConfig>,
     checks: bool,
 }
@@ -698,7 +669,6 @@ impl NetworkBuilder {
             agents: Vec::new(),
             flow_labels: Vec::new(),
             bin: SimDuration::from_millis(500),
-            trace_capacity: 0,
             telemetry: None,
             checks: false,
         }
@@ -708,14 +678,6 @@ impl NetworkBuilder {
     /// paper).
     pub fn bin_width(mut self, bin: SimDuration) -> Self {
         self.bin = bin;
-        self
-    }
-
-    /// Enable packet tracing, retaining the most recent `capacity` events
-    /// (0 = disabled, the default — tracing every packet of a 9-minute run
-    /// is for debugging, not for the measurement harness).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
         self
     }
 
@@ -833,11 +795,6 @@ impl NetworkBuilder {
             agents,
             agent_node,
             monitor,
-            trace: if self.trace_capacity > 0 {
-                Some(Trace::new(self.trace_capacity))
-            } else {
-                None
-            },
             telemetry: match self.telemetry {
                 Some(cfg) => Recorder::enabled(cfg),
                 None => Recorder::disabled(),
@@ -919,7 +876,7 @@ impl Sim {
         self.engine.past_schedules()
     }
 
-    /// Scheduler occupancy counters for this run (lane/cur/wheel/overflow
+    /// Scheduler occupancy counters for this run (lane/cur/wheel
     /// placement, cascades, cancels, slab high-watermark).
     pub fn sched_stats(&self) -> gsrepro_simcore::SchedStats {
         self.engine.sched_stats()
@@ -1314,7 +1271,7 @@ mod tests {
     fn delay_step_spares_in_flight_packets() {
         // A delay step must not touch packets already propagating: their
         // arrivals were scheduled with the delay in force at send time.
-        let mut b = NetworkBuilder::new(27).trace_capacity(100_000);
+        let mut b = NetworkBuilder::new(27).bin_width(SimDuration::from_millis(5));
         let s = b.add_node("s");
         let c = b.add_node("c");
         let l = b.link(s, c, LinkSpec::lan(SimDuration::from_millis(50)));
@@ -1340,25 +1297,15 @@ mod tests {
             SimTime::from_secs(1),
         );
         sim.run_until(SimTime::from_secs(3));
-        let trace = sim.net.trace().unwrap();
-        let deliveries: Vec<SimTime> = trace
-            .events()
-            .filter(|e| e.kind == TraceKind::Deliver)
-            .map(|e| e.at)
-            .collect();
+        // 5 ms delivery bins: bin i covers [5i, 5i + 5) ms.
+        let delivered = &sim.net.monitor().stats(f).delivered_bins;
         // Packets sent before 1 s keep the 50 ms delay (last arrives at
         // ~1.04 s); the first post-step send (t = 1.0 s) lands at 1.2 s.
         // Nothing arrives inside the gap.
-        let gap = deliveries
-            .iter()
-            .filter(|t| **t > SimTime::from_millis(1045) && **t < SimTime::from_millis(1195))
-            .count();
-        assert_eq!(gap, 0, "no arrivals between the two delay regimes");
-        let pre = deliveries
-            .iter()
-            .filter(|t| **t > SimTime::from_secs(1) && **t <= SimTime::from_millis(1045))
-            .count();
-        assert!(pre > 0, "in-flight packets still arrive at the old delay");
+        let gap: f64 = (209..239).map(|i| delivered.bin_or_zero(i)).sum();
+        assert_eq!(gap, 0.0, "no arrivals between the two delay regimes");
+        let pre: f64 = (200..209).map(|i| delivered.bin_or_zero(i)).sum();
+        assert!(pre > 0.0, "in-flight packets still arrive at the old delay");
     }
 
     #[test]
@@ -1440,41 +1387,6 @@ mod tests {
         let ratio = st.delivered_pkts as f64 / st.sent_pkts as f64;
         assert!((ratio - 1.25).abs() < 0.03, "duplication ratio {ratio}");
         assert_eq!(st.dropped_pkts(), 0);
-    }
-
-    #[test]
-    fn trace_records_send_and_delivery() {
-        let mut b = NetworkBuilder::new(31).trace_capacity(1000);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        b.duplex(s, c, LinkSpec::lan(SimDuration::from_millis(1)));
-        let f = b.flow("x");
-        let sink = b.add_agent(c, Box::new(SinkAgent::new()));
-        b.add_agent(
-            s,
-            Box::new(CbrSource::new(
-                f,
-                c,
-                sink,
-                BitRate::from_kbps(800),
-                Bytes(1000),
-            )),
-        );
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(1));
-        let trace = sim.net.trace().expect("tracing enabled");
-        let sends = trace
-            .events()
-            .filter(|e| e.kind == crate::trace::TraceKind::Send)
-            .count();
-        let delivers = trace
-            .events()
-            .filter(|e| e.kind == crate::trace::TraceKind::Deliver)
-            .count();
-        assert!((99..=101).contains(&sends), "sends {sends}");
-        // Last packet may still be in flight at the cut-off.
-        assert!(delivers >= sends - 1, "delivers {delivers} sends {sends}");
-        assert!(trace.to_csv().contains("raw"));
     }
 
     #[test]
@@ -1631,15 +1543,6 @@ mod tests {
         let now = sim.now();
         sim.net.audit(now);
         assert_eq!(sim.net.checks().performed(), 0);
-    }
-
-    #[test]
-    fn trace_disabled_by_default() {
-        let mut b = NetworkBuilder::new(32);
-        let s = b.add_node("s");
-        b.add_agent(s, Box::new(SinkAgent::new()));
-        let sim = b.build();
-        assert!(sim.net.trace().is_none());
     }
 
     #[test]

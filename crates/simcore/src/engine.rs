@@ -23,20 +23,18 @@
 //! binary heap:
 //!
 //! * Time is bucketed into ticks of `2^TICK_SHIFT` ns (1.024 µs). Each wheel
-//!   level has 64 slots covering 64x the span of the level below, so
-//!   [`LEVELS`] levels span `64^LEVELS` ticks (~19.5 hours). A per-level
-//!   `u64` occupancy bitmap makes "find the next non-empty slot" one
-//!   `trailing_zeros` instruction.
-//! * Scheduling an in-horizon event is O(1): compute the level from the
-//!   highest differing bit between the event's tick and the wheel cursor,
-//!   then chain the slab entry onto that slot's intrusive list, set the bit.
-//!   Slots are bare `u32` chain heads (the whole wheel is 1.5 kB and stays
+//!   level has 64 slots covering 64x the span of the level below, and
+//!   [`LEVELS`] levels span every tick a [`SimTime`] can hold — including
+//!   `SimTime::MAX` "armed but never firing" timers, which park in the top
+//!   level. A per-level `u64` occupancy bitmap makes "find the next
+//!   non-empty slot" one `trailing_zeros` instruction.
+//! * Scheduling an event is O(1): compute the level from the highest
+//!   differing bit between the event's tick and the wheel cursor, then
+//!   chain the slab entry onto that slot's intrusive list, set the bit.
+//!   Slots are bare `u32` chain heads (the whole wheel is 2 kB and stays
 //!   L1-resident) and the chain links live in the slab entry that was just
 //!   written — placement touches no cold memory. This is the layout Linux
 //!   kernel timers use, for the same reason.
-//! * Events beyond the horizon (including `SimTime::MAX` "armed but never
-//!   firing" timers) go to a small overflow binary heap and are folded back
-//!   into the wheel as the cursor approaches them.
 //! * Keys whose tick has been reached move to a tiny *current heap* that
 //!   yields exact `(time, seq)` order within the tick. In paper-scale runs
 //!   this heap holds a handful of entries, so its sifts are trivial — the
@@ -57,15 +55,13 @@
 //! [`Scheduler::cancel`] removes the event in O(1). A wheel-chained timer is
 //! unlinked from its slot's doubly-linked chain and its slab entry freed on
 //! the spot (the dominant pattern — RTO timers re-armed on every ack — never
-//! accumulates garbage). A timer whose key currently rides `cur` or the
-//! overflow heap is tombstoned instead and reclaimed when the key surfaces;
-//! its slab slot is not reused until then, so a key in those structures
-//! always refers to its own entry.
+//! accumulates garbage). A timer whose key currently rides `cur` is
+//! tombstoned instead and reclaimed when the key surfaces; its slab slot is
+//! not reused until then, so a key in `cur` always refers to its own entry.
 
 use crate::time::{SimDuration, SimTime};
 use crate::watchdog::{SimError, Watchdog};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// The complete mutable state of a simulation.
 pub trait World {
@@ -89,9 +85,11 @@ const TICK_SHIFT: u32 = 16;
 const LEVEL_BITS: u32 = 6;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels. `64^6` ticks x 65.5 µs/tick ≈ 52 days of horizon; anything
-/// further out (notably `SimTime::MAX` sentinels) waits in the overflow heap.
-const LEVELS: usize = 6;
+/// Wheel levels. A tick is the top `64 - TICK_SHIFT` = 48 bits of a
+/// [`SimTime`], and 8 levels x 6 bits cover all 48: every representable
+/// timestamp has a wheel slot, so there is no beyond-the-horizon tier.
+const LEVELS: usize = 8;
+const _: () = assert!(LEVELS as u32 * LEVEL_BITS + TICK_SHIFT >= u64::BITS);
 
 #[inline]
 const fn tick_of(t: SimTime) -> u64 {
@@ -126,15 +124,15 @@ impl Ord for Key {
 
 /// Chain-link sentinel: no next/prev entry, or an empty slot head.
 const NIL: u32 = u32::MAX;
-/// `Entry::bucket` value while the entry's key rides `cur` or the overflow
-/// heap (no wheel chain to unlink from).
+/// `Entry::bucket` value while the entry's key rides `cur` (no wheel chain
+/// to unlink from).
 const NOT_CHAINED: u32 = u32::MAX;
 /// `Entry::bucket` value for a vacated slab slot (on the free list).
 const FREE: u32 = u32::MAX - 1;
 
 /// One slab slot: the event payload plus everything the wheel needs to
 /// chain, identify, and re-file it. Keys carry `(time, seq)` too, purely so
-/// `cur`/overflow ordering never touches the slab.
+/// `cur` ordering never touches the slab.
 struct Entry<E> {
     seq: u64,
     time: SimTime,
@@ -146,8 +144,8 @@ struct Entry<E> {
     /// Wheel bucket (`level * SLOTS + slot`) this entry is chained in, or
     /// [`NOT_CHAINED`] / [`FREE`].
     bucket: u32,
-    /// `None` = tombstone: cancelled while riding `cur`/overflow, reclaimed
-    /// when the key surfaces.
+    /// `None` = tombstone: cancelled while riding `cur`, reclaimed when the
+    /// key surfaces.
     event: Option<E>,
 }
 
@@ -162,7 +160,7 @@ pub struct TimerHandle {
 
 /// Where scheduled events landed and how the slab behaved — the scheduler's
 /// occupancy counters, surfaced per run so fleet-scale memory flatness and
-/// wheel-vs-overflow hit rates are observable.
+/// lane-vs-wheel hit rates are observable.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Events that rode the same-instant fast lane.
@@ -171,7 +169,8 @@ pub struct SchedStats {
     pub cur_scheduled: u64,
     /// Events placed into a wheel slot (the O(1) fast path).
     pub wheel_scheduled: u64,
-    /// Events beyond the wheel horizon, parked in the overflow heap.
+    /// Always zero: the wheel spans every [`SimTime`], so nothing lands
+    /// beyond its horizon. Kept because the repo benchmark reads the field.
     pub overflow_scheduled: u64,
     /// Keys moved during cascades (slot redistribution as the cursor jumps).
     pub cascaded: u64,
@@ -203,8 +202,6 @@ pub struct Scheduler<E> {
     /// Per-level occupancy bitmap: bit `s` set iff the chain at
     /// `heads[level*SLOTS+s]` is non-empty.
     occupied: [u64; LEVELS],
-    /// Keys beyond the wheel horizon, ordered by `(time, seq)`.
-    overflow: BinaryHeap<Reverse<Key>>,
     /// Slab backing the queue: keys and chains index into here. Free slots
     /// are marked [`FREE`] and listed in `free`; trailing free entries are
     /// truncated so bursts don't pin memory.
@@ -230,7 +227,6 @@ impl<E> Scheduler<E> {
             cur: Vec::new(),
             heads: vec![NIL; LEVELS * SLOTS],
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
             slab: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -358,7 +354,7 @@ impl<E> Scheduler<E> {
     /// Cancel a pending timer, returning its event. Returns `None` if the
     /// timer already fired or was already cancelled. O(1): a wheel-chained
     /// timer is unlinked and its slot freed immediately; one riding
-    /// `cur`/overflow is tombstoned and reclaimed when its key surfaces.
+    /// `cur` is tombstoned and reclaimed when its key surfaces.
     pub fn cancel(&mut self, handle: TimerHandle) -> Option<E> {
         let entry = self.slab.get_mut(handle.slot as usize)?;
         if entry.seq != handle.seq || entry.event.is_none() {
@@ -480,31 +476,11 @@ impl<E> Scheduler<E> {
     }
 
     /// Jump the wheel cursor to the earliest pending tick and move that
-    /// tick's keys into `cur`. Returns `false` iff wheel and overflow are
-    /// both empty. May deposit cancelled keys into `cur`; `prepare` filters.
+    /// tick's keys into `cur`. Returns `false` iff the wheel is empty.
     fn advance(&mut self) -> bool {
         loop {
             let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
-                // Wheel empty: jump straight to the overflow's earliest tick
-                // and collect every overflow key sharing it.
-                let Some(&Reverse(first)) = self.overflow.peek() else {
-                    return false;
-                };
-                let t = tick_of(first.time);
-                self.cur_tick = t;
-                while let Some(&Reverse(k)) = self.overflow.peek() {
-                    if tick_of(k.time) != t {
-                        break;
-                    }
-                    let Reverse(k) = self.overflow.pop().unwrap();
-                    if self.slab[k.slot as usize].event.is_none() {
-                        // Tombstone (cancelled while in overflow): reclaim.
-                        self.release_slot(k.slot);
-                    } else {
-                        Self::cur_push(&mut self.cur, k);
-                    }
-                }
-                return true;
+                return false;
             };
             let shift = level as u32 * LEVEL_BITS;
             let pos = ((self.cur_tick >> shift) & (SLOTS as u64 - 1)) as u32;
@@ -517,20 +493,6 @@ impl<E> Scheduler<E> {
             // `level`, zero below.
             let base = (self.cur_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
-            // An overflow key may precede the wheel's candidate when the
-            // cursor has moved close enough for it to fit in the horizon;
-            // fold it in first and re-run the search.
-            if let Some(&Reverse(k)) = self.overflow.peek() {
-                if tick_of(k.time) <= base {
-                    let Reverse(k) = self.overflow.pop().unwrap();
-                    if self.slab[k.slot as usize].event.is_none() {
-                        self.release_slot(k.slot); // tombstone
-                    } else {
-                        self.place(k);
-                    }
-                    continue;
-                }
-            }
             self.occupied[level] &= !(1u64 << slot);
             self.cur_tick = base;
             let idx = level * SLOTS + slot as usize;
@@ -589,8 +551,8 @@ impl<E> Scheduler<E> {
     }
 
     /// File a key by its tick relative to the cursor: reached ticks go to
-    /// `cur`, in-horizon ticks onto the chain of the level of the highest
-    /// differing digit, the rest to overflow.
+    /// `cur`, later ticks onto the chain of the level of the highest
+    /// differing digit.
     #[inline]
     fn place(&mut self, k: Key) -> Placed {
         let t = tick_of(k.time);
@@ -601,11 +563,6 @@ impl<E> Scheduler<E> {
         }
         let diff = t ^ self.cur_tick;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            self.slab[k.slot as usize].bucket = NOT_CHAINED;
-            self.overflow.push(Reverse(k));
-            return Placed::Overflow;
-        }
         let slot = ((t >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
         let idx = level * SLOTS + slot;
         let head = self.heads[idx];
@@ -647,7 +604,6 @@ impl<E> Scheduler<E> {
         match self.place(k) {
             Placed::Cur => self.stats.cur_scheduled += 1,
             Placed::Wheel => self.stats.wheel_scheduled += 1,
-            Placed::Overflow => self.stats.overflow_scheduled += 1,
         }
     }
 
@@ -701,7 +657,6 @@ impl<E> Scheduler<E> {
 enum Placed {
     Cur,
     Wheel,
-    Overflow,
 }
 
 /// Drives a [`World`] through simulated time.
@@ -1084,10 +1039,10 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_ride_the_overflow_heap() {
+    fn far_future_events_ride_the_wheel() {
         let mut w = Recorder { log: vec![] };
         let mut eng = Engine::new();
-        // Beyond the ~52-day wheel horizon (2^52 ns ≈ 4.5e6 s).
+        // Past 2^52 ns ≈ 4.5e6 s, i.e. in the top two wheel levels.
         eng.scheduler()
             .schedule_at(SimTime::from_secs(5_000_000), Ev::Tag(2));
         eng.scheduler()
@@ -1095,8 +1050,8 @@ mod tests {
         eng.scheduler()
             .schedule_at(SimTime::from_secs(1), Ev::Tag(1));
         let stats = eng.scheduler().stats();
-        assert_eq!(stats.overflow_scheduled, 2);
-        assert_eq!(stats.wheel_scheduled, 1);
+        assert_eq!(stats.overflow_scheduled, 0);
+        assert_eq!(stats.wheel_scheduled, 3);
         eng.run_to_completion(&mut w);
         let tags: Vec<u32> = w.log.iter().map(|&(_, n)| n).collect();
         assert_eq!(tags, vec![1, 2, 3]);

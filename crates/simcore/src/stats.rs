@@ -105,7 +105,7 @@ pub fn t_crit_95(df: u64) -> f64 {
 ///
 /// The checked sibling of the old ad-hoc `sorted[n/2 - 1]` benchmarks
 /// helper, whose even branch underflowed on an empty slice. Shared by the
-/// bench binaries (via `gsrepro-bench`) and the fleet sketches.
+/// repo benchmark and the fleet sketches.
 pub fn median_sorted(sorted: &[f64]) -> Option<f64> {
     percentile_sorted(sorted, 0.5)
 }

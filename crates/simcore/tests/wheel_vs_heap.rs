@@ -2,16 +2,16 @@
 //! naive `BinaryHeap` reference model.
 //!
 //! The wheel trades a single ordered heap for per-level slot chains, a
-//! sorted `cur` bucket, a same-instant fast lane, and an overflow heap —
-//! four containers whose hand-offs (cascades, overflow folds, lane/bucket
-//! ordering at equal times) are exactly where ordering bugs hide. The
+//! sorted `cur` bucket and a same-instant fast lane — three containers
+//! whose hand-offs (cascades, lane/bucket ordering at equal times) are
+//! exactly where ordering bugs hide. The
 //! reference model has none of those moving parts: one heap ordered by
 //! `(time, seq)`, lazy cancellation. Any workload must produce the same
 //! pop sequence and the same cancel results on both.
 //!
 //! Workloads are random op streams mixing:
 //! * plain and cancellable schedules at delays spanning every wheel level
-//!   plus the overflow horizon (beyond 2^52 ns),
+//!   (the top two start at 2^52 ns),
 //! * same-instant bursts (`schedule_now` and zero delays),
 //! * past timestamps (which clamp to `now`),
 //! * cancels of live, already-fired, and already-cancelled handles,
@@ -101,8 +101,8 @@ enum Op {
     Pop,
 }
 
-/// Spread a raw draw over delays that exercise every wheel level, the
-/// same-instant lane, and the overflow heap (the wheel horizon is 2^52 ns).
+/// Spread a raw draw over delays that exercise the same-instant lane and
+/// every wheel level (the top two start at 2^52 ns).
 fn decode_delay(raw: u64) -> u64 {
     let v = raw >> 3;
     match raw % 6 {
@@ -111,7 +111,7 @@ fn decode_delay(raw: u64) -> u64 {
         2 => 1_000 + v % 999_000,                // µs — low levels
         3 => 1_000_000 + v % 999_000_000,        // ms — mid levels
         4 => 1_000_000_000 + v % 59_000_000_000, // seconds — high levels
-        _ => (1u64 << 51) + v % (1u64 << 52),    // straddles the horizon
+        _ => (1u64 << 51) + v % (1u64 << 52),    // straddles 2^52 ns
     }
 }
 

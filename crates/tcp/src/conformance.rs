@@ -32,7 +32,7 @@
 //! check *fails*.
 //!
 //! Regenerate fixtures with `GSREPRO_BLESS=1 cargo test -p gsrepro-tcp`,
-//! or `conformance --bless` (the bench binary), then review the diff like
+//! or `gsrepro conformance --bless`, then review the diff like
 //! any other code change.
 
 use std::fmt::Write as _;

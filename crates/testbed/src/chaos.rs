@@ -23,7 +23,7 @@
 //! The campaign validates *itself* with perturbation knobs
 //! ([`Perturbation`]): each knob plants one bug class (a seed skew, a
 //! config skew, a starved budget) and the campaign must catch it and
-//! shrink it to a minimal repro. `cargo run -p gsrepro-bench --bin chaos`
+//! shrink it to a minimal repro. `cargo run --release -- chaos`
 //! drives all of this from the command line.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -67,7 +67,7 @@ impl ExperimentOpts {
         }
     }
 
-    /// A medium configuration for the bench binaries' default mode.
+    /// A medium configuration: the `gsrepro` CLI's default mode.
     pub fn quick() -> Self {
         ExperimentOpts {
             iterations: 5,

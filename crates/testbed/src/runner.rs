@@ -64,7 +64,7 @@ pub struct RunResult {
     /// Events scheduled in the past and clamped to "now" by the engine.
     pub past_clamps: u64,
     /// Scheduler occupancy counters (deterministic per seed): where events
-    /// landed (lane/cur/wheel/overflow), cascade volume, cancels, and the
+    /// landed (lane/cur/wheel), cascade volume, cancels, and the
     /// event-slab high-watermark.
     pub sched: SchedStats,
     /// Invariant-oracle evaluations performed (0 when checks are off). A
@@ -261,40 +261,18 @@ impl TraceSpec {
     }
 }
 
-/// Run a single iteration of a condition to completion.
+/// Run a single iteration of a condition to completion: the plain form
+/// of [`run_condition_with`] (no tracing, no oracles, everything cloned
+/// into a [`RunResult`]).
 pub fn run_condition(cond: &Condition, iter: u32) -> RunResult {
-    run_condition_traced(cond, iter, None)
-}
-
-/// [`run_condition`] with optional flight-recorder tracing. The recorder
-/// only observes — results are bit-identical to an untraced run — and the
-/// per-flow rings are flushed to `<trace.dir>/<label>-i<iter>.{csv,jsonl}`
-/// before returning.
-pub fn run_condition_traced(cond: &Condition, iter: u32, trace: Option<&TraceSpec>) -> RunResult {
-    run_condition_full(cond, iter, trace, false)
-}
-
-/// [`run_condition_traced`], optionally with runtime invariant oracles.
-/// With `checks` on, the network audits packet/token conservation, queue
-/// bounds and telemetry agreement throughout the run, and the runner adds
-/// a testbed-level oracle on top: every encoder rate the streaming server
-/// ever targeted must lie within the system profile's advertised band. A
-/// violated oracle panics with a structured report; checked runs are
-/// otherwise bit-identical to unchecked ones.
-pub fn run_condition_full(
-    cond: &Condition,
-    iter: u32,
-    trace: Option<&TraceSpec>,
-    checks: bool,
-) -> RunResult {
-    run_condition_with(cond, iter, trace, checks, |view| view.to_result())
+    run_condition_with(cond, iter, None, false, |view| view.to_result())
 }
 
 /// Borrowed view over a finished run: everything a metrics consumer needs,
 /// still inside the live testbed, with **no per-bin vector cloned**.
 ///
-/// [`run_condition_full`] materializes a full [`RunResult`] from it (and
-/// pays the clones); the fleet campaign layer ([`crate::campaign`])
+/// [`run_condition`] materializes a full [`RunResult`] from it (and pays
+/// the clones); the fleet campaign layer ([`crate::campaign`])
 /// instead reduces the view to a handful of per-session scalars and lets
 /// the whole simulation drop — that is what keeps a 100k-session sweep
 /// memory-flat.
@@ -428,9 +406,19 @@ impl RunView<'_> {
 /// Run one iteration of a condition and reduce it through `sink` while the
 /// testbed is still alive. The sink receives a [`RunView`] borrowing the
 /// simulation state; whatever it returns is the run's only retained
-/// output. This is the primitive both [`run_condition_full`] (sink =
-/// "clone everything into a [`RunResult`]") and the fleet campaign layer
-/// (sink = "stream a few scalars into bounded sketches") build on.
+/// output. This is the primitive both [`run_condition`] (sink = "clone
+/// everything into a [`RunResult`]") and the fleet campaign layer (sink =
+/// "stream a few scalars into bounded sketches") build on.
+///
+/// With `trace` set, the flight recorder observes the run and its per-flow
+/// rings are flushed to `<trace.dir>/<label>-i<iter>.{csv,jsonl}` before
+/// returning. With `checks` on, the network audits packet/token
+/// conservation, queue bounds and telemetry agreement throughout the run,
+/// and the runner adds a testbed-level oracle on top: every encoder rate
+/// the streaming server ever targeted must lie within the system profile's
+/// advertised band. A violated oracle panics with a structured report.
+/// Neither perturbs the simulation: traced and checked runs are
+/// bit-identical to plain ones.
 pub fn run_condition_with<R>(
     cond: &Condition,
     iter: u32,
@@ -606,22 +594,12 @@ pub fn grid_perf(results: &[ConditionResult], grid_wall_secs: f64) -> GridPerf {
 /// time) is logged to stderr; use [`grid_perf`] to recompute it from the
 /// returned results.
 pub fn run_many(conditions: &[Condition], iterations: u32, threads: usize) -> Vec<ConditionResult> {
-    run_many_traced(conditions, iterations, threads, None)
+    run_many_full(conditions, iterations, threads, None, false)
 }
 
-/// [`run_many`] with optional flight-recorder tracing: every run exports
-/// its per-flow trace into `trace.dir` (created if missing).
-pub fn run_many_traced(
-    conditions: &[Condition],
-    iterations: u32,
-    threads: usize,
-    trace: Option<&TraceSpec>,
-) -> Vec<ConditionResult> {
-    run_many_full(conditions, iterations, threads, trace, false)
-}
-
-/// [`run_many_traced`], optionally with runtime invariant oracles enabled
-/// in every run (see [`run_condition_full`]).
+/// [`run_many`] with optional flight-recorder tracing (every run exports
+/// its per-flow trace into `trace.dir`, created if missing) and optional
+/// runtime invariant oracles in every run (see [`run_condition_with`]).
 ///
 /// A run that panics (an oracle violation, an internal bug) no longer
 /// takes the whole grid down opaquely: every job runs under
@@ -648,7 +626,7 @@ pub fn run_many_full(
         threads,
         |j| {
             let (c, i) = jobs[j];
-            run_condition_full(&conditions[c], i, trace, checks)
+            run_condition_with(&conditions[c], i, trace, checks, |view| view.to_result())
         },
         |j| {
             let (c, i) = jobs[j];
@@ -695,7 +673,7 @@ pub fn run_many_full(
 
 /// Whether [`run_many_full`] logs its aggregate throughput line. Off by
 /// default so `cargo test -q` output and fleet campaigns (thousands of
-/// grids) stay clean; the bench binaries switch it on.
+/// grids) stay clean; the `gsrepro` CLI switches it on.
 static GRID_LOG: AtomicBool = AtomicBool::new(false);
 
 /// Enable or disable the per-grid stderr throughput line.
@@ -926,7 +904,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gsrepro-trace-test-{}", std::process::id()));
         let spec = TraceSpec::new(&dir);
         let traced = {
-            let out = run_many_traced(std::slice::from_ref(&cond), 1, 1, Some(&spec));
+            let out = run_many_full(std::slice::from_ref(&cond), 1, 1, Some(&spec), false);
             out.into_iter().next().unwrap().runs.remove(0)
         };
 
@@ -970,7 +948,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gsrepro-ecn-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::new(&dir);
-        let traced = run_condition_traced(&cond, 0, Some(&spec));
+        let traced = run_condition_with(&cond, 0, Some(&spec), false, |v| v.to_result());
 
         // The recorder observes marks; it must not change them (or any
         // other deterministic output of the run).
@@ -1030,7 +1008,7 @@ mod tests {
             std::env::temp_dir().join(format!("gsrepro-scenario-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let spec = TraceSpec::new(&dir);
-        let traced = run_condition_traced(&cond, 0, Some(&spec));
+        let traced = run_condition_with(&cond, 0, Some(&spec), false, |v| v.to_result());
         assert_eq!(plain.game_bins_mbps, traced.game_bins_mbps);
         assert_eq!(plain.rtt, traced.rtt);
         assert_eq!(plain.events_processed, traced.events_processed);

@@ -68,23 +68,12 @@ pub const WAN_GAME_LINK: LinkId = LinkId(0);
 /// duplexes = links 0–3, then the bottleneck; asserted in [`build_full`]).
 pub const BOTTLENECK_LINK: LinkId = LinkId(4);
 
-/// Build the testbed network for `cond`, seeded for iteration `iter`.
-pub fn build(cond: &Condition, iter: u32) -> Testbed {
-    build_with(cond, iter, None)
-}
-
-/// [`build`], optionally with an enabled telemetry recorder. Tracing must
-/// not perturb the simulation: the recorder only observes, so a traced and
-/// an untraced run of the same seed produce identical results.
-pub fn build_with(cond: &Condition, iter: u32, telemetry: Option<TelemetryConfig>) -> Testbed {
-    build_full(cond, iter, telemetry, false)
-}
-
-/// [`build_with`], optionally with runtime invariant oracles enabled. Like
-/// tracing, the oracles only observe (they consume no randomness and
-/// schedule nothing), so a checked run is bit-identical to an unchecked
-/// one — it just panics with a structured report if a conservation law
-/// breaks mid-run.
+/// Build the testbed network for `cond`, seeded for iteration `iter`,
+/// optionally with an enabled telemetry recorder and runtime invariant
+/// oracles. Both only observe (they consume no randomness and schedule
+/// nothing), so a traced or checked run is bit-identical to a plain one —
+/// a checked run just panics with a structured report if a conservation
+/// law breaks mid-run.
 pub fn build_full(
     cond: &Condition,
     iter: u32,
@@ -265,7 +254,7 @@ mod tests {
         // Solo run: ping should report ~16.5 ms when the queue is empty.
         let cond = super::super::config::Condition::new(SystemKind::Luna, None, 35, 2.0)
             .with_timeline(Timeline::scaled(0.05));
-        let mut tb = build(&cond, 0);
+        let mut tb = build_full(&cond, 0, None, false);
         tb.sim.run_until(SimTime::from_secs(10));
         let ping: &PingAgent = tb.sim.net.agent(tb.ping);
         let mean = ping.rtt_samples().mean();
@@ -279,7 +268,7 @@ mod tests {
     fn solo_condition_has_no_tcp_agents() {
         let cond = super::super::config::Condition::new(SystemKind::Stadia, None, 25, 2.0)
             .with_timeline(Timeline::scaled(0.05));
-        let tb = build(&cond, 0);
+        let tb = build_full(&cond, 0, None, false);
         assert!(tb.tcp_sender.is_none());
         assert!(tb.iperf_flow.is_none());
     }
@@ -289,7 +278,7 @@ mod tests {
         let cond =
             super::super::config::Condition::new(SystemKind::Stadia, Some(CcaKind::Cubic), 25, 2.0)
                 .with_timeline(Timeline::scaled(0.05));
-        let tb = build(&cond, 0);
+        let tb = build_full(&cond, 0, None, false);
         assert!(tb.tcp_sender.is_some());
         assert!(tb.iperf_flow.is_some());
     }
@@ -298,7 +287,7 @@ mod tests {
     fn game_stream_flows_end_to_end() {
         let cond = super::super::config::Condition::new(SystemKind::GeForce, None, 35, 2.0)
             .with_timeline(Timeline::scaled(0.05));
-        let mut tb = build(&cond, 0);
+        let mut tb = build_full(&cond, 0, None, false);
         tb.sim.run_until(SimTime::from_secs(5));
         let st = tb.sim.net.monitor().stats(tb.game_flow);
         let gp = st.mean_goodput_mbps(SimTime::from_secs(2), SimTime::from_secs(5));

@@ -10,7 +10,7 @@ use gsrepro_simcore::{BitRate, SimTime};
 use gsrepro_tcp::CcaKind;
 use gsrepro_testbed::config::{Condition, PathScenario, Timeline};
 use gsrepro_testbed::runner::{
-    run_condition, run_condition_full, run_many, run_many_full, RunResult,
+    run_condition, run_condition_with, run_many, run_many_full, RunResult,
 };
 
 fn quick_cond(system: SystemKind, cca: CcaKind) -> Condition {
@@ -109,8 +109,8 @@ fn checks_and_threads_never_change_results() {
         quick_cond(SystemKind::Luna, CcaKind::Cubic),
         scenario_cond(),
     ] {
-        let plain = run_condition_full(&cond, 0, None, false);
-        let checked = run_condition_full(&cond, 0, None, true);
+        let plain = run_condition_with(&cond, 0, None, false, |v| v.to_result());
+        let checked = run_condition_with(&cond, 0, None, true, |v| v.to_result());
         let what = format!("{} checks on/off", cond.label());
         assert_runs_identical(&plain, &checked, &what);
         assert_eq!(

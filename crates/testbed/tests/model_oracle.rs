@@ -5,7 +5,7 @@
 //! Cells here use 15 Mb/s / 33 ms — the cheapest condition that clears
 //! both the deep-queue and the fluid-timescale preconditions — so the
 //! suite stays debug-runnable; the full grid runs in release via the
-//! `model_oracle` bench binary and the snapshot test.
+//! `model_oracle` subcommand and the snapshot test.
 
 use gsrepro_simcore::SimDuration;
 use gsrepro_testbed::model::{

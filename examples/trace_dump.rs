@@ -1,6 +1,6 @@
-//! Packet-level tracing — the simulator's `tcpdump`. Runs a few seconds of
-//! a Stadia-vs-Cubic contest with tracing enabled and prints the last
-//! packet events around the bottleneck, plus a per-flow breakdown.
+//! The flight recorder up close. Runs a few seconds of a Stadia-vs-Cubic
+//! contest with telemetry enabled and prints the last events around the
+//! bottleneck, plus a per-flow breakdown and the CSV export.
 //!
 //! ```sh
 //! cargo run --release --example trace_dump
@@ -11,8 +11,9 @@ use gsrepro_gamestream::server::StreamServer;
 use gsrepro_gamestream::SystemKind;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder};
 use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper, TraceKind};
+use gsrepro_netsim::{LinkSpec, Shaper};
 use gsrepro_simcore::rng::stream_id;
+use gsrepro_simcore::telemetry::{EventKind, TelemetryConfig};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
 
@@ -20,7 +21,7 @@ fn main() {
     let capacity = BitRate::from_mbps(25);
     let queue = capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(0.5);
 
-    let mut b = NetworkBuilder::new(7).trace_capacity(50_000);
+    let mut b = NetworkBuilder::new(7).telemetry(TelemetryConfig::default());
     let servers = b.add_node("servers");
     let client = b.add_node("client");
     b.link(
@@ -78,11 +79,12 @@ fn main() {
     let mut sim = b.build();
     sim.run_until(SimTime::from_secs(10));
 
-    let trace = sim.net.trace().expect("tracing enabled");
+    let trace = sim.net.telemetry().telemetry().expect("telemetry enabled");
+    let counters = trace.counters();
+    let events = trace.events();
     println!(
-        "captured {} events (retaining last {})",
-        trace.total_recorded(),
-        trace.len()
+        "captured {} events ({} more throttled by the sample interval)",
+        counters.recorded, counters.throttled
     );
 
     println!("\nper-flow event counts:");
@@ -91,26 +93,26 @@ fn main() {
         (tcp_data, "cubic"),
         (feedback, "feedback"),
     ] {
-        let evs = trace.for_flow(flow);
-        let drops = evs
+        let drops = events
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::QueueDrop | TraceKind::LinkDrop))
+            .filter(|e| e.flow == flow.0)
+            .filter(|e| matches!(e.kind, EventKind::QueueDrop | EventKind::LinkDrop))
             .count();
         println!(
-            "  {label:<14} {:>6} events, {:>4} drops in window",
-            evs.len(),
+            "  {label:<14} {:>6} events, {:>4} drops",
+            trace.flow_len(flow.0),
             drops
         );
     }
 
-    println!("\nlast 20 packet events:");
-    let total = trace.len();
-    for e in trace.events().skip(total.saturating_sub(20)) {
-        println!("  {e}");
-    }
-
+    let csv = trace.to_csv();
+    let lines: Vec<&str> = csv.lines().collect();
     println!("\nfirst CSV lines:");
-    for line in trace.to_csv().lines().take(5) {
+    for line in &lines[..lines.len().min(5)] {
+        println!("  {line}");
+    }
+    println!("\nlast 20 events:");
+    for line in &lines[lines.len().saturating_sub(20)..] {
         println!("  {line}");
     }
 }

@@ -4,7 +4,7 @@
 //! bit-identity rerun as a determinism oracle. Failures are shrunk to
 //! minimal repro files that `--replay` re-executes deterministically.
 //!
-//! Usage: `cargo run --release -p gsrepro-bench --bin chaos --
+//! Usage: `cargo run --release -- chaos
 //!   [--trials N] [--seed N] [--threads N] [--scale F] [--max-steps N]
 //!   [--perturb KNOB] [--shrink-limit N] [--emit-repro PATH]
 //!   [--replay FILE]`
@@ -20,14 +20,7 @@
 use gsrepro_testbed::chaos::{run_trial, ChaosSpec, ChaosVerdict, Perturbation, Trial};
 use gsrepro_testbed::runner::default_threads;
 
-const FLAGS: &str = "flags: --trials N | --seed N | --threads N | --scale F | --max-steps N | \
-                     --perturb KNOB | --shrink-limit N | --emit-repro PATH | --replay FILE";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{FLAGS}");
-    std::process::exit(2);
-}
+use crate::cli::Args;
 
 fn describe(v: &ChaosVerdict) -> String {
     match v {
@@ -48,69 +41,23 @@ fn describe(v: &ChaosVerdict) -> String {
     }
 }
 
-fn main() {
-    let mut spec = ChaosSpec {
-        threads: default_threads(),
-        ..ChaosSpec::default()
+pub fn chaos(args: Args) {
+    let d = ChaosSpec::default();
+    let spec = ChaosSpec {
+        trials: args.positive("--trials").unwrap_or(d.trials),
+        seed: args.value("--seed").unwrap_or(d.seed),
+        threads: args.value("--threads").unwrap_or_else(default_threads),
+        scale: args.scale("--scale").unwrap_or(d.scale),
+        max_disturbances: args.positive("--max-steps").unwrap_or(d.max_disturbances),
+        perturb: match args.value::<String>("--perturb") {
+            Some(knob) => Perturbation::parse(&knob).unwrap_or_else(|e| args.usage_error(e)),
+            None => d.perturb,
+        },
+        shrink_limit: args.value("--shrink-limit").unwrap_or(d.shrink_limit),
+        ..d
     };
-    let mut emit_repro: Option<String> = None;
-    let mut replay: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--trials" => {
-                spec.trials = next(&mut args, "--trials")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--trials must be a positive integer"));
-                if spec.trials == 0 {
-                    usage_error("--trials must be ≥ 1");
-                }
-            }
-            "--seed" => {
-                spec.seed = next(&mut args, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--seed must be an integer"));
-            }
-            "--threads" => {
-                spec.threads = next(&mut args, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threads must be a positive integer"));
-            }
-            "--scale" => {
-                spec.scale = next(&mut args, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale must be a float"));
-                if !(spec.scale > 0.0 && spec.scale <= 1.0) {
-                    usage_error("--scale must be in (0, 1]");
-                }
-            }
-            "--max-steps" => {
-                spec.max_disturbances = next(&mut args, "--max-steps")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--max-steps must be a positive integer"));
-                if spec.max_disturbances == 0 {
-                    usage_error("--max-steps must be ≥ 1");
-                }
-            }
-            "--perturb" => {
-                spec.perturb = Perturbation::parse(&next(&mut args, "--perturb"))
-                    .unwrap_or_else(|e| usage_error(&e));
-            }
-            "--shrink-limit" => {
-                spec.shrink_limit = next(&mut args, "--shrink-limit")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--shrink-limit must be an integer"));
-            }
-            "--emit-repro" => emit_repro = Some(next(&mut args, "--emit-repro")),
-            "--replay" => replay = Some(next(&mut args, "--replay")),
-            other => usage_error(&format!("unknown flag {other}")),
-        }
-    }
+    let emit_repro: Option<String> = args.value("--emit-repro");
+    let replay: Option<String> = args.value("--replay");
 
     // Oracle violations panic by design and are caught + classified per
     // leg; keep their backtrace spew out of campaign output. Anything

@@ -1,6 +1,6 @@
 //! Settling-time report for dynamic-path scenarios: how fast each system's
 //! encoder rate, RTT, and frame rate re-settle after a bottleneck rate
-//! step. The paper measures steady paths; this binary drives the scenario
+//! step. The paper measures steady paths; this command drives the scenario
 //! engine the same way its testbed scripts would have reconfigured `tbf`
 //! mid-run.
 //!
@@ -11,17 +11,18 @@
 //! 5 s-smoothed value first reaches the stable tail of that segment
 //! (see `metrics::settle_after`).
 //!
-//! Usage: `cargo run --release -p gsrepro-bench --bin dynamic_paths
-//! [--smoke] [--iters N] [--csv PATH] [--trace DIR]`.
+//! Usage: `cargo run --release -- dynamic_paths [--smoke] [--iters N]
+//! [--csv PATH] [--trace DIR]`.
 
-use gsrepro_bench::{maybe_write_csv, parse_args};
 use gsrepro_gamestream::SystemKind;
 use gsrepro_simcore::stats::Samples;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_testbed::config::{Condition, PathScenario};
 use gsrepro_testbed::metrics::{settle_after, SettleTime};
 use gsrepro_testbed::report::{Csv, TextTable};
-use gsrepro_testbed::runner::{run_many_traced, RunResult};
+use gsrepro_testbed::runner::{run_many_full, RunResult};
+
+use crate::cli::{experiment_opts, write_csv, Args};
 
 /// RTT samples arrive every 200 ms; rebin to a uniform 1 s series so the
 /// settling scan can treat it like the bitrate bins. Empty bins inherit
@@ -75,8 +76,8 @@ fn run_settles(run: &RunResult, from: SimTime, to: SimTime) -> [SettleTime; 3] {
     ]
 }
 
-fn main() {
-    let (opts, csv) = parse_args();
+pub fn dynamic_paths(args: Args) {
+    let (opts, csv) = experiment_opts(args);
     let end = opts.timeline.end;
     // The paper timeline is 540 s; place the step at the 100 s / 200 s
     // marks and scale them with `--smoke`'s shorter timeline.
@@ -97,11 +98,12 @@ fn main() {
                 .with_scenario(scenario)
         })
         .collect();
-    let results = run_many_traced(
+    let results = run_many_full(
         &conditions,
         opts.iterations,
         opts.threads,
         opts.trace.as_ref(),
+        opts.checks,
     );
 
     // Disturbance windows: each scan runs to the next disturbance (or the
@@ -178,5 +180,5 @@ fn main() {
         step_up.as_secs_f64()
     );
     println!("{}", table.render());
-    maybe_write_csv(&csv, &out.finish());
+    write_csv(&csv, &out.finish());
 }

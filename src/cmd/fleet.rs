@@ -1,4 +1,4 @@
-//! Fleet-scale campaign bench: sweep ≥ 100k seeded streaming sessions
+//! Fleet-scale campaign: sweep ≥ 100k seeded streaming sessions
 //! through the simulator with flat memory, streaming every session into
 //! bounded per-condition percentile sketches, and checkpointing shard
 //! progress to a resumable manifest.
@@ -13,7 +13,7 @@
 //! gate tracks, and prints an `aggregate digest` line the resume gate
 //! compares across kill/resume splits.
 //!
-//! Usage: `cargo run --release -p gsrepro-bench --bin fleet --
+//! Usage: `cargo run --release -- fleet
 //!   [--sessions N] [--smoke] [--scale F] [--shard-size N] [--threads N]
 //!   [--manifest PATH] [--halt-after-shards K] [--checks] [--csv PATH]`
 //!
@@ -25,108 +25,50 @@
 
 use std::path::PathBuf;
 
-use gsrepro_bench::maybe_write_csv;
 use gsrepro_gamestream::SystemKind;
 use gsrepro_tcp::CcaKind;
 use gsrepro_testbed::campaign::{run_campaign, CampaignSpec, CondAggregate, METRICS};
 use gsrepro_testbed::config::{Condition, Timeline};
 use gsrepro_testbed::report::percentile_table;
 
+use crate::cli::{write_csv, Args};
+
 /// Bump when the JSON layout changes shape (consumers: ci.sh).
 const SCHEMA: u32 = 1;
 
-const FLAGS: &str = "flags: --sessions N | --smoke | --scale F | --shard-size N | --threads N | \
-                     --manifest PATH | --halt-after-shards K | --checks | --csv PATH";
-
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("{FLAGS}");
-    std::process::exit(2);
+/// What the command line asked for.
+pub struct FleetArgs {
+    pub sessions: u64,
+    pub scale: f64,
+    pub shard_size: u32,
+    pub threads: usize,
+    pub manifest: Option<PathBuf>,
+    pub halt_after_shards: Option<usize>,
+    pub checks: bool,
+    pub csv: Option<String>,
 }
 
-struct FleetArgs {
-    sessions: u64,
-    scale: f64,
-    shard_size: u32,
-    threads: usize,
-    manifest: Option<PathBuf>,
-    halt_after_shards: Option<usize>,
-    checks: bool,
-    csv: Option<String>,
-}
-
-fn parse_fleet_args() -> FleetArgs {
-    let mut fa = FleetArgs {
-        sessions: 100_002, // divisible by the 6 conditions
-        scale: 0.02,
-        shard_size: 64,
-        threads: gsrepro_testbed::runner::default_threads(),
-        manifest: None,
-        halt_after_shards: None,
-        checks: false,
-        csv: None,
-    };
-    let mut args = std::env::args().skip(1);
-    let next = |args: &mut dyn Iterator<Item = String>, flag: &str| {
-        args.next()
-            .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
-    };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--sessions" => {
-                fa.sessions = next(&mut args, "--sessions")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--sessions must be a positive integer"));
-                if fa.sessions == 0 {
-                    usage_error("--sessions must be at least 1");
-                }
-            }
-            "--smoke" => {
-                fa.sessions = 60;
-                fa.shard_size = 4;
-            }
-            "--scale" => {
-                fa.scale = next(&mut args, "--scale")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--scale must be a float in (0, 1]"));
-                if !(fa.scale > 0.0 && fa.scale <= 1.0) {
-                    usage_error("--scale must be in (0, 1]");
-                }
-            }
-            "--shard-size" => {
-                fa.shard_size = next(&mut args, "--shard-size")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--shard-size must be a positive integer"));
-            }
-            "--threads" => {
-                fa.threads = next(&mut args, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_error("--threads must be a positive integer"));
-            }
-            "--manifest" => fa.manifest = Some(PathBuf::from(next(&mut args, "--manifest"))),
-            "--halt-after-shards" => {
-                fa.halt_after_shards = Some(
-                    next(&mut args, "--halt-after-shards")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--halt-after-shards must be an integer")),
-                );
-            }
-            "--checks" => fa.checks = true,
-            "--csv" => {
-                let path = next(&mut args, "--csv");
-                if let Err(e) = std::fs::write(&path, "") {
-                    usage_error(&format!("cannot write --csv path {path}: {e}"));
-                }
-                fa.csv = Some(path);
-            }
-            "--help" | "-h" => {
-                eprintln!("{FLAGS}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown flag {other}")),
+impl FleetArgs {
+    pub fn parse(args: Args) -> FleetArgs {
+        // `--smoke` only picks the defaults; explicit flags win.
+        let (sessions, shard_size) = if args.flag("--smoke") {
+            (60, 4)
+        } else {
+            (100_002, 64) // divisible by the 6 conditions
+        };
+        FleetArgs {
+            sessions: args.positive("--sessions").unwrap_or(sessions),
+            scale: args.scale("--scale").unwrap_or(0.02),
+            shard_size: args.value("--shard-size").unwrap_or(shard_size),
+            threads: args
+                .value("--threads")
+                .unwrap_or_else(gsrepro_testbed::runner::default_threads),
+            manifest: args.value("--manifest"),
+            halt_after_shards: args.value("--halt-after-shards"),
+            checks: args.flag("--checks"),
+            csv: args.csv(),
         }
     }
-    fa
 }
 
 fn json_metric(agg: &CondAggregate, i: usize) -> String {
@@ -165,8 +107,8 @@ fn json_condition(label: &str, agg: &CondAggregate) -> String {
     )
 }
 
-fn main() {
-    let fa = parse_fleet_args();
+pub fn fleet(args: Args) {
+    let fa = FleetArgs::parse(args);
     gsrepro_testbed::runner::set_grid_log(false);
 
     // The paper's central contested bottleneck, all systems × both CCAs.
@@ -261,7 +203,7 @@ fn main() {
     );
 
     let path = fa.csv.unwrap_or_else(|| "BENCH_fleet.json".to_string());
-    maybe_write_csv(&Some(path), &json);
+    write_csv(&Some(path), &json);
 
     if !result.complete() {
         // Deliberate halts (CI's forced-resume gate) exit non-zero so a

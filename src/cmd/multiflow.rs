@@ -15,6 +15,8 @@ use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
 use gsrepro_testbed::metrics::jains_index;
 use gsrepro_testbed::report::TextTable;
 
+use crate::cli::{experiment_opts, Args};
+
 /// Returns (game goodput, total TCP goodput, Jain's index over the
 /// game + per-TCP-flow goodputs).
 fn run(system: SystemKind, n_flows: u32, secs: u64, seed: u64) -> (f64, f64, f64) {
@@ -94,8 +96,8 @@ fn run(system: SystemKind, n_flows: u32, secs: u64, seed: u64) -> (f64, f64, f64
     (game, tcp_total, jains_index(&all))
 }
 
-fn main() {
-    let (opts, _) = gsrepro_bench::parse_args();
+pub fn multiflow(args: Args) {
+    let (opts, _) = experiment_opts(args);
     let secs = (opts.timeline.end.as_secs_f64() / 2.0).max(120.0) as u64;
     println!("game share vs number of competing Cubic flows (25 Mb/s, 2x BDP)\n");
     let mut t = TextTable::new(vec![

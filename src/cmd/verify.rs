@@ -1,14 +1,5 @@
-//! Validate exported flight-recorder traces against the telemetry schema.
-//!
-//! Usage: `validate_trace <dir> [--require-scenario]`. Parses every `.csv`
-//! and `.jsonl` in the directory with the simcore telemetry codecs, checks
-//! the event stream invariants (non-empty, timestamps non-decreasing),
-//! requires the decision-grade series a paper condition must produce
-//! (cwnd, queue_depth, enc_rate), and checks that each run's CSV and JSONL
-//! agree. With `--require-scenario`, every run must additionally carry at
-//! least one `link_scenario` event — proof the scheduled path disturbances
-//! actually executed. Exits non-zero on the first violation — CI runs this
-//! after a traced smoke grid.
+//! The two verification tools CI calls between experiment runs: the CCA
+//! conformance kit and the exported-trace validator.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -17,6 +8,38 @@ use std::process::exit;
 use gsrepro_simcore::telemetry::{
     parse_csv, parse_jsonl, validate_events, EventKind, TelemetryEvent,
 };
+use gsrepro_tcp::conformance::{check_fixture, ALL_KINDS};
+
+use crate::cli::Args;
+
+/// Run the CCA conformance kit against the committed golden fixtures.
+///
+/// Drives every congestion controller (Reno, Cubic, BBR v1, BBR v2, Vegas)
+/// through its standard scripted-ack step-response and diffs the
+/// trajectory against the fixture under `crates/tcp/tests/fixtures/cca/`.
+/// Exits non-zero on the first divergence — CI runs this as the "are the
+/// control laws still the control laws" gate. With `--bless`, rewrites the
+/// fixtures from the current implementation instead (review the diff
+/// before committing).
+pub fn conformance(args: Args) {
+    let bless = args.flag("--bless");
+
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/tcp/tests/fixtures/cca");
+    for kind in ALL_KINDS {
+        match check_fixture(kind, &dir, bless) {
+            Ok(()) if bless => println!("conformance: {kind} fixture blessed"),
+            Ok(()) => println!("conformance: {kind} OK"),
+            Err(e) => {
+                eprintln!("conformance: {kind} FAILED\n{e}");
+                exit(1);
+            }
+        }
+    }
+    println!(
+        "conformance: {} controllers match their golden fixtures",
+        ALL_KINDS.len()
+    );
+}
 
 fn fail(msg: String) -> ! {
     eprintln!("validate_trace: {msg}");
@@ -41,20 +64,19 @@ fn load(path: &Path) -> Vec<TelemetryEvent> {
 /// have no TCP flow to produce it.
 const REQUIRED: [EventKind; 2] = [EventKind::QueueDepth, EventKind::EncoderRate];
 
-fn main() {
-    let mut dir = None;
-    let mut require_scenario = false;
-    for a in std::env::args().skip(1) {
-        match a.as_str() {
-            "--require-scenario" => require_scenario = true,
-            other if dir.is_none() && !other.starts_with('-') => dir = Some(other.to_string()),
-            other => fail(format!(
-                "unexpected argument {other}; usage: validate_trace <dir> [--require-scenario]"
-            )),
-        }
-    }
-    let dir =
-        dir.unwrap_or_else(|| fail("usage: validate_trace <dir> [--require-scenario]".into()));
+/// Validate exported flight-recorder traces against the telemetry schema.
+///
+/// Parses every `.csv` and `.jsonl` in the directory with the simcore
+/// telemetry codecs, checks the event stream invariants (non-empty,
+/// timestamps non-decreasing), requires the decision-grade series a paper
+/// condition must produce (cwnd, queue_depth, enc_rate), and checks that
+/// each run's CSV and JSONL agree. With `--require-scenario`, every run
+/// must additionally carry at least one `link_scenario` event — proof the
+/// scheduled path disturbances actually executed. Exits non-zero on the
+/// first violation — CI runs this after a traced smoke grid.
+pub fn validate_trace(args: Args) {
+    let require_scenario = args.flag("--require-scenario");
+    let dir = args.positional();
 
     // Pair up <stem>.csv / <stem>.jsonl.
     let mut stems: BTreeMap<String, (Option<PathBuf>, Option<PathBuf>)> = BTreeMap::new();

@@ -1,6 +1,6 @@
 //! Bit-identity pins: `chaos::digest` of one short Cubic and one short BBR
-//! contested run, so that Tier-1 (`cargo test -q`, which runs only this
-//! package's tests) proves a speed-only change left simulated output alone.
+//! contested run, so that Tier-1 (`cargo test -q`) proves a speed-only
+//! change left simulated output alone.
 //! The values were recorded at commit 17802f1, before the TCP sender's
 //! per-ack bookkeeping went O(1); a deliberate behaviour change re-records
 //! them and says so in CHANGES.md.
