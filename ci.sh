@@ -19,6 +19,11 @@ gsrepro=target/release/gsrepro
 echo "== cargo test (workspace)"
 cargo test -q --workspace
 
+echo "== digest pins (release)"
+# The pins above ran in the debug profile; users and benchmark/ run optimized
+# code, so the same four digests must hold there too.
+cargo test --release -q --test digest_pins
+
 echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all five workloads)"
 # benchmark/ is a Cargo workspace of its own that reaches the simulator only
 # through the crates' public items, so nothing above builds it: a crate API

@@ -150,11 +150,6 @@ impl StreamClient {
         self.total_bytes
     }
 
-    /// Frames currently awaiting missing chunks (diagnostics).
-    pub fn partial_frames(&self) -> usize {
-        self.partial.len()
-    }
-
     /// Minimum observed one-way delay.
     pub fn owd_min(&self) -> SimDuration {
         self.owd_min

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use gsrepro_netsim::net::{Agent, AgentId, Ctx, NodeId, PacketSpec};
 use gsrepro_netsim::wire::{Ecn, FlowId, MediaChunk, Packet, Payload, MEDIA_MTU, UDP_HEADER};
 use gsrepro_simcore::stats::Samples;
-use gsrepro_simcore::{BitRate, Bytes, SimDuration};
+use gsrepro_simcore::{Bytes, SimDuration};
 
 use crate::controller::{ControllerEvent, FeedbackSnapshot, RateController};
 use crate::frame::FrameSource;
@@ -111,11 +111,6 @@ impl StreamServer {
         }
     }
 
-    /// Current encoder target bitrate.
-    pub fn current_rate(&self) -> BitRate {
-        self.controller.current()
-    }
-
     /// Frames emitted so far.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
@@ -124,11 +119,6 @@ impl StreamServer {
     /// Controller rate samples (Mb/s) captured at each feedback.
     pub fn rate_trace(&self) -> &Samples {
         &self.rate_trace
-    }
-
-    /// The controller's algorithm name.
-    pub fn controller_name(&self) -> &'static str {
-        self.controller.name()
     }
 
     /// Enable forward error correction (builder style).

@@ -164,19 +164,6 @@ impl PingAgent {
             .collect()
     }
 
-    /// RTT samples whose replies arrived within `[from, to)`.
-    pub fn rtt_between(&self, from: SimTime, to: SimTime) -> Samples {
-        let mut out = Samples::new();
-        let (f, t) = (from.as_secs_f64(), to.as_secs_f64());
-        for (i, &v) in self.rtt.values().iter().enumerate() {
-            let at = self.rtt_times[i];
-            if at >= f && at < t {
-                out.add(v);
-            }
-        }
-        out
-    }
-
     /// Echo requests sent.
     pub fn sent(&self) -> u64 {
         self.sent

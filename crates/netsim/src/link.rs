@@ -48,14 +48,6 @@ impl Shaper {
             burst: Bytes(2_000),
         }
     }
-
-    /// The configured rate, if shaped.
-    pub fn rate_bps(&self) -> Option<BitRate> {
-        match *self {
-            Shaper::Unshaped => None,
-            Shaper::TokenBucket { rate, .. } => Some(rate),
-        }
-    }
 }
 
 /// Declarative link configuration.
@@ -246,7 +238,7 @@ impl Link {
     }
 
     /// Take the link down or bring it back up. While down, new offers are
-    /// rejected (the caller accounts them as link drops) and nothing is
+    /// rejected (the caller accounts them as queue drops) and nothing is
     /// serviced; packets already queued stay parked and resume, in order,
     /// when the link comes back. Packets already propagating are unaffected
     /// (they left before the cut). Deterministic: consumes no randomness.
@@ -330,6 +322,38 @@ impl Link {
             return Err(item);
         }
         self.queue.enqueue(item, now)
+    }
+
+    /// Cut-through for a hop that cannot queue. When the link is unshaped,
+    /// up, and its discipline is a drop-tail holding nothing, an offered
+    /// packet would be enqueued and dequeued in the same activation;
+    /// this answers the drop-tail admission test for `size` directly
+    /// (`Some(false)` is a queue drop) and counts an admitted packet as
+    /// delivered, without touching the queue. `None` — shaped, down, an
+    /// AQM, or a backlog — means the caller must [`Link::offer`].
+    ///
+    /// Sound because an unshaped link's queue is empty at every offer:
+    /// `service_batch` drains it within the activation that filled it, and
+    /// `offer` rejects while the link is down. The one exception is a link
+    /// unshaped mid-run while a `LinkWakeup` was pending — offers queue
+    /// unpumped until it fires — so a pending wakeup also declines.
+    #[inline]
+    pub(crate) fn cut_through(&mut self, size: Bytes) -> Option<bool> {
+        if self.rate.is_some() || !self.up || self.wakeup_scheduled {
+            return None;
+        }
+        debug_assert_eq!(
+            self.queue.len_pkts(),
+            0,
+            "unshaped link {} holds a backlog between activations",
+            self.id.0
+        );
+        let admit = self.queue.empty_droptail_admits(size)?;
+        if admit {
+            self.delivered_pkts += 1;
+            self.delivered_bytes += size;
+        }
+        Some(admit)
     }
 
     fn refill(&mut self, now: SimTime) {
@@ -478,6 +502,65 @@ mod tests {
             service(&mut l, SimTime::ZERO, &mut dropped),
             Service::Idle
         ));
+    }
+
+    fn lan_with(queue: QueueSpec) -> Link {
+        LinkSpec {
+            queue,
+            ..LinkSpec::lan(SimDuration::from_millis(2))
+        }
+        .build(LinkId(0), NodeId(0), NodeId(1))
+    }
+
+    #[test]
+    fn cut_through_applies_drop_tail_admission_without_queueing() {
+        let mut l = lan_with(QueueSpec::DropTail {
+            limit: Bytes(1_000),
+        });
+        assert_eq!(l.cut_through(Bytes(1_000)), Some(true));
+        assert_eq!(l.cut_through(Bytes(1_001)), Some(false), "over the limit");
+        // Only the admitted packet counts as delivered; the queue never saw
+        // either.
+        assert_eq!(l.delivered_pkts(), 1);
+        assert_eq!(l.delivered_bytes(), Bytes(1_000));
+        assert_eq!(l.backlog(), Bytes::ZERO);
+        let mut none = lan_with(QueueSpec::DropTailPkts { limit: 0 });
+        assert_eq!(none.cut_through(Bytes(100)), Some(false), "no packet fits");
+        assert_eq!(none.delivered_pkts(), 0);
+    }
+
+    #[test]
+    fn cut_through_declines_every_state_that_can_queue() {
+        // Shaped.
+        let mut shaped = shaped_link(10, 2_000, 100_000);
+        assert_eq!(shaped.cut_through(Bytes(1_000)), None);
+        // Down: the offer itself is then refused.
+        let mut down = lan_with(QueueSpec::DropTail {
+            limit: Bytes(100_000),
+        });
+        down.set_up(false, SimTime::ZERO);
+        assert_eq!(down.cut_through(Bytes(1_000)), None);
+        assert!(down.offer(pkt(1_000), SimTime::ZERO).is_err());
+        // An AQM, even idle and unshaped, keeps its dequeue-time control law.
+        let mut codel = lan_with(QueueSpec::codel_default(Bytes(100_000)));
+        assert_eq!(codel.cut_through(Bytes(1_000)), None);
+        codel.offer(pkt(1_000), SimTime::ZERO).unwrap();
+        let mut dropped = vec![];
+        assert!(matches!(
+            service(&mut codel, SimTime::ZERO, &mut dropped),
+            Service::Deliver(_)
+        ));
+        // Unshaped mid-run with a wakeup still pending: offers queue unpumped
+        // until it fires, so the next packet must queue behind them.
+        let mut pending = shaped_link(10, 2_000, 100_000);
+        pending.wakeup_scheduled = true;
+        pending.set_rate(None, SimTime::ZERO);
+        assert_eq!(pending.cut_through(Bytes(1_000)), None);
+        pending.wakeup_scheduled = false;
+        assert_eq!(pending.cut_through(Bytes(1_000)), Some(true));
+        // A declined offer counts nothing.
+        assert_eq!(pending.delivered_pkts(), 1);
+        assert_eq!(shaped.delivered_pkts() + down.delivered_pkts(), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! bytes, and an online one-way-delay accumulator.
 
 use gsrepro_simcore::stats::{TimeBinned, Welford};
-use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
+use gsrepro_simcore::{Bytes, SimDuration, SimTime};
 
 use crate::wire::FlowId;
 
@@ -112,11 +112,6 @@ impl FlowStats {
     pub fn bin_goodput_mbps(&self, idx: usize) -> f64 {
         let scale = 8.0 / self.delivered_bins.width().as_secs_f64() / 1e6;
         self.delivered_bins.bin_or_zero(idx) * scale
-    }
-
-    /// Average goodput over the whole run.
-    pub fn overall_goodput(&self, run_len: SimDuration) -> BitRate {
-        BitRate::from_delivery(self.delivered_bytes, run_len).unwrap_or(BitRate::ZERO)
     }
 }
 

@@ -89,7 +89,8 @@ pub struct PacketSpec {
 }
 
 enum Command {
-    Send(PacketSpec),
+    /// The packet is already in the pool; only its handle waits here.
+    Send(PktRef),
     Timer {
         agent: AgentId,
         delay: SimDuration,
@@ -105,6 +106,8 @@ pub struct Ctx<'a> {
     rng: &'a mut SimRng,
     cmds: &'a mut Vec<Command>,
     telemetry: &'a mut Recorder,
+    pool: &'a mut PacketPool,
+    next_pkt_id: &'a mut u64,
 }
 
 impl Ctx<'_> {
@@ -118,14 +121,23 @@ impl Ctx<'_> {
         self.node
     }
 
-    /// This agent's id (used as the reply-to address in payloads).
-    pub fn agent_id(&self) -> AgentId {
-        self.agent
-    }
-
-    /// Send a packet. It is routed and enqueued after the callback returns.
+    /// Send a packet. It is stamped and written into the network's packet
+    /// pool here — its one write — and routed after the callback returns.
+    #[inline]
     pub fn send(&mut self, spec: PacketSpec) {
-        self.cmds.push(Command::Send(spec));
+        let pkt = self.pool.insert(Packet {
+            id: *self.next_pkt_id,
+            flow: spec.flow,
+            src: self.node,
+            dst: spec.dst,
+            dst_agent: spec.dst_agent,
+            size: spec.size,
+            sent_at: self.now,
+            ecn: spec.ecn,
+            payload: spec.payload,
+        });
+        *self.next_pkt_id += 1;
+        self.cmds.push(Command::Send(pkt));
     }
 
     /// Arrange for [`Agent::on_timer`] to fire after `delay` with `token`.
@@ -286,11 +298,6 @@ impl Network {
         &self.links[id.0 as usize]
     }
 
-    /// Node name (diagnostics).
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.nodes[id.0 as usize].name
-    }
-
     /// Downcast an agent to its concrete type to read results after a run.
     ///
     /// # Panics
@@ -332,14 +339,15 @@ impl Network {
                 rng: &mut self.rng,
                 cmds: &mut cmds,
                 telemetry: &mut self.telemetry,
+                pool: &mut self.pool,
+                next_pkt_id: &mut self.next_pkt_id,
             };
             f(agent.as_mut(), &mut ctx);
         }
         self.agents[id.0 as usize] = Some(agent);
-        let src_node = self.agent_node[id.0 as usize];
         for cmd in cmds.drain(..) {
             match cmd {
-                Command::Send(spec) => self.send_from(src_node, spec, sched),
+                Command::Send(pkt) => self.send_from(pkt, sched),
                 Command::Timer {
                     agent,
                     delay,
@@ -368,22 +376,13 @@ impl Network {
         self.pool.take(item.pkt);
     }
 
-    fn send_from(&mut self, src: NodeId, spec: PacketSpec, sched: &mut Scheduler<NetEvent>) {
-        let pkt = Packet {
-            id: self.next_pkt_id,
-            flow: spec.flow,
-            src,
-            dst: spec.dst,
-            dst_agent: spec.dst_agent,
-            size: spec.size,
-            sent_at: sched.now(),
-            ecn: spec.ecn,
-            payload: spec.payload,
+    /// Account and route a packet [`Ctx::send`] already wrote to the pool.
+    fn send_from(&mut self, pkt: PktRef, sched: &mut Scheduler<NetEvent>) {
+        let (flow, size, src, dst) = {
+            let p = self.pool.get(pkt);
+            (p.flow, p.size, p.src, p.dst)
         };
-        self.next_pkt_id += 1;
-        self.monitor.on_sent(pkt.flow, pkt.size, sched.now());
-        let dst = pkt.dst;
-        let pkt = self.pool.insert(pkt);
+        self.monitor.on_sent(flow, size, sched.now());
         if dst == src {
             // Loopback: deliver through the normal arrival path. Same
             // instant → the scheduler's fast lane, no heap traffic.
@@ -413,40 +412,46 @@ impl Network {
             enqueued_at: now,
         };
         let link = &mut self.links[link_id.0 as usize];
-        match link.offer(item, now) {
-            Ok(()) => {
-                if self.telemetry.is_enabled() {
-                    let backlog = self.links[link_id.0 as usize].backlog().as_u64();
-                    self.telemetry.queue_depth(now, link_id.0 as u64, backlog);
-                }
-                if self.checks.is_enabled() {
-                    let link = &self.links[link_id.0 as usize];
-                    let backlog = link.backlog().as_u64();
-                    let cap = link.queue.capacity_bytes().map(|b| b.as_u64());
-                    self.checks.check(
-                        cap.is_none_or(|c| backlog <= c),
-                        now,
-                        "queue-bound",
-                        || format!("link {}", link_id.0),
-                        || {
-                            format!(
-                                "backlog {} B exceeds capacity {} B after enqueue",
-                                backlog,
-                                cap.unwrap_or(0)
-                            )
-                        },
-                    );
-                }
-                // A pending LinkWakeup means the head packet is waiting on
-                // tokens; the packet just queued sits behind it, so pumping
-                // now would deliver nothing (token accrual is linear and
-                // path-independent, so deferring the refill to the wakeup
-                // yields a bit-identical balance). Skip the no-op pump.
-                if !self.links[link_id.0 as usize].wakeup_scheduled {
-                    self.pump_link(link_id, sched)
-                }
-            }
-            Err(dropped) => self.drop_pooled(dropped, DropKind::Queue, link_id, now),
+        // A hop that cannot queue admits (or refuses) the packet without
+        // touching its queue; every other link state takes the queue.
+        let cut = link.cut_through(size);
+        if !cut.unwrap_or_else(|| link.offer(item, now).is_ok()) {
+            return self.drop_pooled(item, DropKind::Queue, link_id, now);
+        }
+        let link = &self.links[link_id.0 as usize];
+        // Both observers are no-ops when disabled; skip reading their inputs.
+        if self.telemetry.is_enabled() || self.checks.is_enabled() {
+            // What the queue holds with this packet in it: on a cut-through
+            // hop, the packet alone.
+            let backlog = match cut {
+                Some(_) => size.as_u64(),
+                None => link.backlog().as_u64(),
+            };
+            let cap = link.queue.capacity_bytes().map(|b| b.as_u64());
+            self.telemetry.queue_depth(now, link_id.0 as u64, backlog);
+            self.checks.check(
+                cap.is_none_or(|c| backlog <= c),
+                now,
+                "queue-bound",
+                || format!("link {}", link_id.0),
+                || {
+                    format!(
+                        "backlog {} B exceeds capacity {} B after enqueue",
+                        backlog,
+                        cap.unwrap_or(0)
+                    )
+                },
+            );
+        }
+        if cut.is_some() {
+            self.depart(link_id, item, sched);
+        } else if !link.wakeup_scheduled {
+            // A pending LinkWakeup means the head packet is waiting on
+            // tokens; the packet just queued sits behind it, so pumping
+            // now would deliver nothing (token accrual is linear and
+            // path-independent, so deferring the refill to the wakeup
+            // yields a bit-identical balance). Skip the no-op pump.
+            self.pump_link(link_id, sched)
         }
     }
 
@@ -518,81 +523,15 @@ impl Network {
         let now = sched.now();
 
         // One activation drains everything the token bank covers; the
-        // post-drain processing below is per packet and identical in order
-        // and randomness to draining one packet per activation.
+        // departures below are per packet and identical in order and
+        // randomness to draining one packet per activation.
         let link = &mut self.links[id.0 as usize];
         let wait = link.service_batch(now, usize::MAX, &mut out, &mut dropped);
-        let to = link.to();
-        let base = link.delay();
-        let jitter = link.jitter;
-        let loss = link.loss_prob;
-        let dup = link.dup_prob;
-        let mut last_arrival = link.last_arrival;
-
         for item in out.drain(..) {
-            if loss > 0.0 && self.rng.gen::<f64>() < loss {
-                self.drop_pooled(item, DropKind::Link, id, now);
-                continue;
-            }
-            // The AQM CE-marked this packet on dequeue: write the mark back
-            // into the pooled packet so it rides to the receiver, and account
-            // it once. On multi-hop paths `forward` copies the (already-Ce)
-            // codepoint into the next hop's QueuedPkt, so the pool comparison
-            // keeps a packet from being counted at every hop.
-            if item.ecn == Ecn::Ce {
-                let p = self.pool.get_mut(item.pkt);
-                if p.ecn != Ecn::Ce {
-                    p.ecn = Ecn::Ce;
-                    self.monitor.on_marked(item.flow);
-                    self.telemetry
-                        .ecn_mark(now, item.flow.0, id.0 as u64, item.size.as_u64());
-                }
-            }
-            if self.telemetry.is_enabled() {
-                let sojourn = now.saturating_since(item.enqueued_at);
-                self.telemetry
-                    .queue_sojourn(now, item.flow.0, id.0 as u64, sojourn);
-            }
-            let extra = if jitter.is_zero() {
-                SimDuration::ZERO
-            } else {
-                SimDuration::from_nanos(self.rng.gen_range(0..=jitter.as_nanos()))
-            };
-            // FIFO-preserving arrival: path jitter is queue-induced
-            // in reality and never reorders a flow; artificial
-            // reordering would trip TCP's loss detection.
-            let mut arrive_at = now + base + extra;
-            if arrive_at < last_arrival {
-                arrive_at = last_arrival;
-            }
-            last_arrival = arrive_at;
-            if dup > 0.0 && self.rng.gen::<f64>() < dup {
-                // netem-style duplication: the copy follows the
-                // original immediately. Duplicates are not counted
-                // as "sent" so loss accounting stays truthful; the
-                // clone site tracks them so packet conservation
-                // stays an equality.
-                self.duplicated += 1;
-                let copy = self.pool.clone_of(item.pkt);
-                sched.schedule_at(
-                    arrive_at,
-                    NetEvent::Arrive {
-                        node: to,
-                        pkt: copy,
-                    },
-                );
-            }
-            sched.schedule_at(
-                arrive_at,
-                NetEvent::Arrive {
-                    node: to,
-                    pkt: item.pkt,
-                },
-            );
+            self.depart(id, item, sched);
         }
 
         let link = &mut self.links[id.0 as usize];
-        link.last_arrival = last_arrival;
         if let Some(at) = wait {
             if !link.wakeup_scheduled {
                 link.wakeup_scheduled = true;
@@ -606,6 +545,73 @@ impl Network {
         }
         self.drop_buf = dropped;
         self.deliver_buf = out;
+    }
+
+    /// Put one packet that has left link `id`'s queue on the wire: the loss
+    /// draw, the CE write-back, sojourn telemetry, the jitter draw, the
+    /// FIFO arrival clamp, the duplication draw, and the `Arrive` event.
+    /// The batch drain and the cut-through both depart through here, so the
+    /// order of RNG draws per packet exists once.
+    fn depart(&mut self, id: LinkId, item: QueuedPkt, sched: &mut Scheduler<NetEvent>) {
+        let now = sched.now();
+        let link = &self.links[id.0 as usize];
+        let (to, base, jitter, dup) = (link.to(), link.delay(), link.jitter, link.dup_prob);
+        let (loss, last_arrival) = (link.loss_prob, link.last_arrival);
+
+        if loss > 0.0 && self.rng.gen::<f64>() < loss {
+            return self.drop_pooled(item, DropKind::Link, id, now);
+        }
+        // The AQM CE-marked this packet on dequeue: write the mark back
+        // into the pooled packet so it rides to the receiver, and account
+        // it once. On multi-hop paths `forward` copies the (already-Ce)
+        // codepoint into the next hop's QueuedPkt, so the pool comparison
+        // keeps a packet from being counted at every hop.
+        if item.ecn == Ecn::Ce {
+            let p = self.pool.get_mut(item.pkt);
+            if p.ecn != Ecn::Ce {
+                p.ecn = Ecn::Ce;
+                self.monitor.on_marked(item.flow);
+                self.telemetry
+                    .ecn_mark(now, item.flow.0, id.0 as u64, item.size.as_u64());
+            }
+        }
+        if self.telemetry.is_enabled() {
+            let sojourn = now.saturating_since(item.enqueued_at);
+            self.telemetry
+                .queue_sojourn(now, item.flow.0, id.0 as u64, sojourn);
+        }
+        let extra = if jitter.is_zero() {
+            SimDuration::ZERO
+        } else {
+            SimDuration::from_nanos(self.rng.gen_range(0..=jitter.as_nanos()))
+        };
+        // FIFO-preserving arrival: path jitter is queue-induced in reality
+        // and never reorders a flow; artificial reordering would trip TCP's
+        // loss detection.
+        let arrive_at = (now + base + extra).max(last_arrival);
+        self.links[id.0 as usize].last_arrival = arrive_at;
+        if dup > 0.0 && self.rng.gen::<f64>() < dup {
+            // netem-style duplication: the copy follows the original
+            // immediately. Duplicates are not counted as "sent" so loss
+            // accounting stays truthful; the clone site tracks them so
+            // packet conservation stays an equality.
+            self.duplicated += 1;
+            let copy = self.pool.clone_of(item.pkt);
+            sched.schedule_at(
+                arrive_at,
+                NetEvent::Arrive {
+                    node: to,
+                    pkt: copy,
+                },
+            );
+        }
+        sched.schedule_at(
+            arrive_at,
+            NetEvent::Arrive {
+                node: to,
+                pkt: item.pkt,
+            },
+        );
     }
 }
 
@@ -852,12 +858,6 @@ impl Sim {
             self.net.audit(self.engine.now());
         }
         Ok(())
-    }
-
-    /// Advance simulated time by `dur`.
-    pub fn run_for(&mut self, dur: SimDuration) {
-        let t = self.engine.now() + dur;
-        self.run_until(t);
     }
 
     /// Current simulated time.
@@ -1543,6 +1543,149 @@ mod tests {
         let now = sim.now();
         sim.net.audit(now);
         assert_eq!(sim.net.checks().performed(), 0);
+    }
+
+    /// A 1000-byte CBR source at `cbr_mbps` over one unshaped `spec` link
+    /// into a sink, with a LAN link back.
+    fn unshaped_sim(mut b: NetworkBuilder, spec: LinkSpec, cbr_mbps: u64) -> (Sim, FlowId, LinkId) {
+        let s = b.add_node("s");
+        let c = b.add_node("c");
+        let l = b.link(s, c, spec);
+        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(1)));
+        let f = b.flow("x");
+        let sink = b.add_agent(c, Box::new(SinkAgent::new()));
+        let rate = BitRate::from_mbps(cbr_mbps);
+        b.add_agent(s, Box::new(CbrSource::new(f, c, sink, rate, Bytes(1000))));
+        (b.build(), f, l)
+    }
+
+    fn lan_1ms() -> LinkSpec {
+        LinkSpec::lan(SimDuration::from_millis(1))
+    }
+
+    #[test]
+    fn unshaped_hop_below_packet_size_queue_drops() {
+        let spec = LinkSpec {
+            queue: QueueSpec::DropTail { limit: Bytes(999) },
+            ..lan_1ms()
+        };
+        let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(31).checks(true), spec, 2);
+        sim.run_until(SimTime::from_secs(2));
+        let st = sim.net.monitor().stats(f);
+        assert!(st.sent_pkts > 100);
+        assert_eq!(st.queue_drop_pkts, st.sent_pkts, "every packet tail-drops");
+        assert_eq!(st.link_drop_pkts + st.delivered_pkts, 0);
+        assert_eq!(sim.net.link(l).delivered_pkts(), 0);
+    }
+
+    #[test]
+    fn downed_unshaped_link_drops_and_delivers_nothing() {
+        let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(33).checks(true), lan_1ms(), 2);
+        sim.apply_scenario(&ScenarioSpec::new().outage(
+            SimTime::from_secs(1),
+            SimTime::from_secs(2),
+            l,
+        ));
+        sim.run_until(SimTime::from_secs(3));
+        let st = sim.net.monitor().stats(f);
+        // 250 pkt/s: the dark second's offers are all refused, as queue drops.
+        assert!(
+            (249..=251).contains(&st.queue_drop_pkts),
+            "drops {}",
+            st.queue_drop_pkts
+        );
+        assert_eq!(st.link_drop_pkts, 0);
+        let dark = st.mean_goodput_mbps(SimTime::from_millis(1100), SimTime::from_secs(2));
+        assert_eq!(dark, 0.0, "nothing crosses a downed link");
+        let after = st.mean_goodput_mbps(SimTime::from_millis(2100), SimTime::from_secs(3));
+        assert!((after - 2.0).abs() < 0.1, "after-outage goodput {after}");
+        assert_eq!(sim.net.link(l).backlog(), Bytes::ZERO);
+    }
+
+    #[test]
+    fn shaping_an_unshaped_link_queues_and_unshaping_strands_nothing() {
+        let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(35).checks(true), lan_1ms(), 5);
+        // 5 Mb/s offered into 2 Mb/s for two seconds: ~750 kB queues in the
+        // LAN link's unlimited buffer.
+        sim.schedule_link_rate(l, Some(BitRate::from_mbps(2)), SimTime::from_secs(1));
+        sim.schedule_link_rate(l, None, SimTime::from_secs(3));
+        sim.run_until(SimTime::from_millis(2_999));
+        assert!(
+            sim.net.link(l).backlog() > Bytes(500_000),
+            "shaped: queueing"
+        );
+        // The step back drains the backlog at that instant; packets offered
+        // before the token wait it interrupted has fired queue behind it,
+        // everything after cuts through again.
+        sim.run_until(SimTime::from_secs(5));
+        let st = sim.net.monitor().stats(f);
+        assert_eq!(st.dropped_pkts(), 0);
+        assert_eq!(sim.net.link(l).backlog(), Bytes::ZERO, "nothing stranded");
+        assert_eq!(sim.net.link(l).delivered_pkts(), st.sent_pkts);
+        let during = st.mean_goodput_mbps(SimTime::from_millis(1_500), SimTime::from_millis(2_500));
+        assert!((during - 2.0).abs() < 0.1, "shaped goodput {during}");
+        let after = st.mean_goodput_mbps(SimTime::from_secs(4), SimTime::from_secs(5));
+        assert!((after - 5.0).abs() < 0.1, "unshaped goodput {after}");
+    }
+
+    #[test]
+    fn codel_on_an_unshaped_link_delivers_through_its_queue() {
+        let spec = LinkSpec {
+            queue: QueueSpec::codel_default(Bytes(100_000)),
+            ..lan_1ms()
+        };
+        let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(37).checks(true), spec, 2);
+        sim.run_until(SimTime::from_secs(2));
+        let st = sim.net.monitor().stats(f);
+        assert_eq!(st.dropped_pkts(), 0);
+        assert_eq!(sim.net.link(l).delivered_pkts(), st.sent_pkts);
+        assert!((st.owd.mean() - 1.0).abs() < 1e-9, "owd {}", st.owd.mean());
+    }
+
+    #[test]
+    fn cut_through_records_one_packet_of_depth_and_no_sojourn() {
+        use gsrepro_simcore::telemetry::EventKind;
+        let b = NetworkBuilder::new(39).telemetry(TelemetryConfig::default());
+        let (mut sim, f, l) = unshaped_sim(b, lan_1ms(), 2);
+        sim.run_until(SimTime::from_secs(2));
+        let events = sim.net.telemetry().telemetry().unwrap().events();
+        // Only link `l` carries traffic (the sink never answers): each
+        // record is (value, link), and a sojourn belongs to the flow.
+        for (kind, value) in [(EventKind::QueueDepth, 1000), (EventKind::QueueSojourn, 0)] {
+            let of_kind: Vec<_> = events.iter().filter(|e| e.kind == kind).collect();
+            assert!(!of_kind.is_empty(), "{kind:?} recorded");
+            assert!(
+                of_kind.iter().all(|e| (e.a, e.b) == (value, l.0 as u64)),
+                "{kind:?} records {value} on the cut-through link"
+            );
+        }
+        let sojourns = events.iter().filter(|e| e.kind == EventKind::QueueSojourn);
+        assert!(sojourns.into_iter().all(|e| e.flow == f.0));
+    }
+
+    #[test]
+    fn cut_through_runs_one_queue_bound_check_per_admitted_offer() {
+        let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(41).checks(true), lan_1ms(), 2);
+        sim.run_until(SimTime::from_secs(2));
+        let after_run = sim.net.checks().performed();
+        // What the end-of-segment audit alone contributes.
+        let now = sim.now();
+        sim.net.audit(now);
+        let audit = sim.net.checks().performed() - after_run;
+        let offers = sim.net.monitor().stats(f).sent_pkts;
+        assert_eq!(sim.net.link(l).delivered_pkts(), offers, "all admitted");
+        // One clock check per event, one queue-bound per admitted offer.
+        assert_eq!(after_run, sim.events_processed() + offers + audit);
+    }
+
+    #[test]
+    fn hot_path_layouts_are_pinned() {
+        use std::mem::size_of;
+        // Widening any of these is a per-packet cost on every hop: decide
+        // it, do not drift into it.
+        assert!(size_of::<Command>() <= 32, "{}", size_of::<Command>());
+        assert_eq!(size_of::<QueuedPkt>(), 32);
+        assert_eq!(size_of::<NetEvent>(), 24);
     }
 
     #[test]

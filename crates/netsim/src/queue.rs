@@ -246,6 +246,19 @@ impl Discipline {
     pub fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>) {
         dispatch!(self, q => q.set_byte_limit(limit, dropped))
     }
+
+    /// For the link's cut-through: when this is a drop-tail holding
+    /// nothing, whether [`Queue::enqueue`] would admit a `size`-byte
+    /// packet; `None` for an AQM or any backlog.
+    #[inline]
+    pub(crate) fn empty_droptail_admits(&self, size: Bytes) -> Option<bool> {
+        match self {
+            Discipline::DropTail(q) if q.q.is_empty() => {
+                Some(size <= q.byte_limit && q.pkt_limit > 0)
+            }
+            _ => None,
+        }
+    }
 }
 
 impl Queue for Discipline {

@@ -22,16 +22,16 @@
 //! The queue itself is a **hierarchical timing wheel** rather than a single
 //! binary heap:
 //!
-//! * Time is bucketed into ticks of `2^TICK_SHIFT` ns (1.024 µs). Each wheel
-//!   level has 64 slots covering 64x the span of the level below, and
+//! * Time is bucketed into ticks of `2^TICK_SHIFT` ns (65.5 µs). Each wheel
+//!   level has 256 slots covering 256x the span of the level below, and
 //!   [`LEVELS`] levels span every tick a [`SimTime`] can hold — including
 //!   `SimTime::MAX` "armed but never firing" timers, which park in the top
-//!   level. A per-level `u64` occupancy bitmap makes "find the next
-//!   non-empty slot" one `trailing_zeros` instruction.
+//!   level. A per-level 256-bit occupancy bitmap makes "find the next
+//!   non-empty slot" a scan of four words and one `trailing_zeros`.
 //! * Scheduling an event is O(1): compute the level from the highest
 //!   differing bit between the event's tick and the wheel cursor, then
 //!   chain the slab entry onto that slot's intrusive list, set the bit.
-//!   Slots are bare `u32` chain heads (the whole wheel is 2 kB and stays
+//!   Slots are bare `u32` chain heads (the whole wheel is 6 kB and stays
 //!   L1-resident) and the chain links live in the slab entry that was just
 //!   written — placement touches no cold memory. This is the layout Linux
 //!   kernel timers use, for the same reason.
@@ -81,15 +81,27 @@ pub trait World {
 /// dominated the profile at `2^10`); coarser ticks push the sorting work
 /// into the current bucket and stop paying off past ~`2^16`.
 const TICK_SHIFT: u32 = 16;
-/// log2 of slots per level.
-const LEVEL_BITS: u32 = 6;
+/// log2 of slots per level. At 8 bits level 0 spans 256 ticks = 16.8 ms, so
+/// the testbed's 4 ms and 4.25 ms propagation delays stay inside it unless
+/// they straddle a 16.8 ms boundary (about one `Arrive` in four, which then
+/// cascades once). At 6 bits level 0 spanned 4.2 ms and nearly every
+/// `Arrive` cascaded; see DESIGN.md § 8.
+const LEVEL_BITS: u32 = 8;
 /// Slots per wheel level.
 const SLOTS: usize = 1 << LEVEL_BITS;
 /// Wheel levels. A tick is the top `64 - TICK_SHIFT` = 48 bits of a
-/// [`SimTime`], and 8 levels x 6 bits cover all 48: every representable
+/// [`SimTime`], and 6 levels x 8 bits cover all 48: every representable
 /// timestamp has a wheel slot, so there is no beyond-the-horizon tier.
-const LEVELS: usize = 8;
+const LEVELS: usize = 6;
 const _: () = assert!(LEVELS as u32 * LEVEL_BITS + TICK_SHIFT >= u64::BITS);
+/// `u64` words in one level's occupancy bitmap.
+const OCC_WORDS: usize = SLOTS / 64;
+
+/// Word index and bit mask of `slot` within a level's occupancy bitmap.
+#[inline]
+const fn occ_bit(slot: usize) -> (usize, u64) {
+    (slot / 64, 1u64 << (slot % 64))
+}
 
 #[inline]
 const fn tick_of(t: SimTime) -> u64 {
@@ -199,9 +211,9 @@ pub struct Scheduler<E> {
     /// `LEVELS x SLOTS` wheel slots, flattened: each is the head of an
     /// intrusive chain through the slab (`NIL` = empty).
     heads: Vec<u32>,
-    /// Per-level occupancy bitmap: bit `s` set iff the chain at
-    /// `heads[level*SLOTS+s]` is non-empty.
-    occupied: [u64; LEVELS],
+    /// Per-level occupancy bitmap: bit `s` (bit `s % 64` of word `s / 64`)
+    /// set iff the chain at `heads[level*SLOTS+s]` is non-empty.
+    occupied: [[u64; OCC_WORDS]; LEVELS],
     /// Slab backing the queue: keys and chains index into here. Free slots
     /// are marked [`FREE`] and listed in `free`; trailing free entries are
     /// truncated so bursts don't pin memory.
@@ -226,7 +238,7 @@ impl<E> Scheduler<E> {
             cur_tick: 0,
             cur: Vec::new(),
             heads: vec![NIL; LEVELS * SLOTS],
-            occupied: [0; LEVELS],
+            occupied: [[0; OCC_WORDS]; LEVELS],
             slab: Vec::new(),
             free: Vec::new(),
             live: 0,
@@ -479,21 +491,27 @@ impl<E> Scheduler<E> {
     /// tick's keys into `cur`. Returns `false` iff the wheel is empty.
     fn advance(&mut self) -> bool {
         loop {
-            let Some(level) = (0..LEVELS).find(|&l| self.occupied[l] != 0) else {
+            // The lowest occupied slot of the lowest occupied level.
+            let Some((level, slot)) = self.occupied.iter().enumerate().find_map(|(l, words)| {
+                let w = words.iter().position(|&x| x != 0)?;
+                Some((l, w as u32 * 64 + words[w].trailing_zeros()))
+            }) else {
                 return false;
             };
             let shift = level as u32 * LEVEL_BITS;
-            let pos = ((self.cur_tick >> shift) & (SLOTS as u64 - 1)) as u32;
-            let rel = self.occupied[level] >> pos;
-            // The cursor's own slot is empty at every level (a key there
-            // would have tick == cur_tick's digit, i.e. a lower level).
-            debug_assert!(rel & 1 == 0, "key parked at the wheel cursor");
-            let slot = pos + rel.trailing_zeros();
+            // Every key on a level sits past the cursor's digit there: one
+            // at the digit itself would differ from `cur_tick` only in lower
+            // digits (a lower level), one before it would be in the past.
+            debug_assert!(
+                slot as u64 > (self.cur_tick >> shift) & (SLOTS as u64 - 1),
+                "key parked at or before the wheel cursor"
+            );
             // Base tick of that slot: cursor digits above `level`, `slot` at
             // `level`, zero below.
             let base = (self.cur_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
-            self.occupied[level] &= !(1u64 << slot);
+            let (word, bit) = occ_bit(slot as usize);
+            self.occupied[level][word] &= !bit;
             self.cur_tick = base;
             let idx = level * SLOTS + slot as usize;
             // Walk the chain. Every chained entry is live (cancel unlinks
@@ -574,7 +592,8 @@ impl<E> Scheduler<E> {
             self.slab[head as usize].prev = k.slot;
         }
         self.heads[idx] = k.slot;
-        self.occupied[level] |= 1u64 << slot;
+        let (word, bit) = occ_bit(slot);
+        self.occupied[level][word] |= bit;
         Placed::Wheel
     }
 
@@ -590,8 +609,8 @@ impl<E> Scheduler<E> {
         } else {
             self.heads[bucket as usize] = next;
             if next == NIL {
-                let level = bucket as usize / SLOTS;
-                self.occupied[level] &= !(1u64 << (bucket as usize % SLOTS));
+                let (word, bit) = occ_bit(bucket as usize % SLOTS);
+                self.occupied[bucket as usize / SLOTS][word] &= !bit;
             }
         }
         if next != NIL {

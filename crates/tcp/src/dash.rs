@@ -115,20 +115,10 @@ impl DashServer {
         &self.level_history
     }
 
-    /// Current throughput estimate (Mb/s).
-    pub fn throughput_estimate_mbps(&self) -> f64 {
-        self.throughput_est_mbps
-    }
-
     /// Total time the modelled player spent stalled (buffer empty while
     /// not fetching fast enough).
     pub fn stall_time(&self) -> SimDuration {
         self.stall_time
-    }
-
-    /// Current playout buffer level.
-    pub fn buffer_level(&self) -> SimDuration {
-        self.buffer
     }
 
     /// Access the inner TCP sender (e.g. for retransmission counters).

@@ -931,12 +931,12 @@ impl TcpReceiver {
         let mut blocks = [None; 3];
         let mut idx = 0;
         // RFC 2018: the block containing the most recently received segment
-        // goes first.
-        for (&s, &e) in &self.ooo {
-            if recent_seq >= s && recent_seq < e {
+        // goes first. Ranges are disjoint, so only the last one starting at
+        // or before `recent_seq` can hold it.
+        if let Some((&s, &e)) = self.ooo.range(..=recent_seq).next_back() {
+            if recent_seq < e {
                 blocks[0] = Some((s, e));
                 idx = 1;
-                break;
             }
         }
         for (&s, &e) in &self.ooo {

@@ -135,13 +135,6 @@ pub fn run_aqm3d_grid(opts: ExperimentOpts) -> GridResults {
 }
 
 impl GridResults {
-    /// Find a cell of the 3-D AQM grid by its (system, cca, aqm) axes.
-    pub fn get_aqm(&self, system: SystemKind, cca: CcaKind, aqm: Aqm) -> Option<&ConditionResult> {
-        self.results.iter().find(|r| {
-            r.condition.system == system && r.condition.cca == Some(cca) && r.condition.aqm == aqm
-        })
-    }
-
     /// Find the condition result for a cell.
     pub fn get(
         &self,
