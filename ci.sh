@@ -21,7 +21,7 @@ cargo test -q --workspace
 
 echo "== digest pins (release)"
 # The pins above ran in the debug profile; users and benchmark/ run optimized
-# code, so the same four digests must hold there too.
+# code, so the same pins must hold there too.
 cargo test --release -q --test digest_pins
 
 echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all five workloads)"
@@ -95,20 +95,6 @@ for key in '"schema": 1' '"sessions_per_sec"' '"p99"' '"never_response_frac"'; d
     grep -q "$key" "$fleet_dir/resumed.json" || {
         echo "fleet gate FAILED: BENCH_fleet.json is missing $key" >&2; exit 1; }
 done
-# Throughput floor vs the committed fleet headline, with a generous margin
-# (shared-host noise is ±10% per run, and smoke sessions are shorter than
-# the committed 100k-session sweep's, so only guard against collapse: >70%
-# below the committed sessions/s fails).
-if [ -f BENCH_fleet.json ]; then
-    committed_sps="$(sed -n 's/^  "sessions_per_sec": \([0-9]*\)\..*,$/\1/p' BENCH_fleet.json | head -n1)"
-    measured_sps="$(sed -n 's/^  "sessions_per_sec": \([0-9]*\)\..*,$/\1/p' "$fleet_dir/resumed.json" | head -n1)"
-    floor_sps=$(( committed_sps * 3 / 10 ))
-    echo "fleet gate: measured ${measured_sps} sessions/s, committed ${committed_sps}, floor ${floor_sps}"
-    if [ "$measured_sps" -lt "$floor_sps" ]; then
-        echo "fleet gate FAILED: campaign throughput collapsed vs committed BENCH_fleet.json" >&2
-        exit 1
-    fi
-fi
 
 echo "== chaos smoke gate (seeded fuzz must be clean; pinned repro replays bit-identically)"
 # 200 adversarial trials (random conditions × disturbance schedules) with

@@ -45,3 +45,24 @@ pub use controller::{FeedbackSnapshot, RateController};
 pub use frame::FrameSource;
 pub use profile::{SystemKind, SystemProfile};
 pub use server::StreamServer;
+
+use client::StreamClientConfig;
+use gsrepro_netsim::net::{AgentId, NetworkBuilder, NodeId};
+use gsrepro_netsim::wire::FlowId;
+
+/// Wire one game stream into `b`: a standard [`StreamClient`] on
+/// `client_node` reporting on `feedback`, and on `server_node` the server
+/// that `server` makes for that client's agent id. Returns
+/// `(client, server)` agent ids.
+pub fn connect(
+    b: &mut NetworkBuilder,
+    client_node: NodeId,
+    server_node: NodeId,
+    feedback: FlowId,
+    server: impl FnOnce(AgentId) -> StreamServer,
+) -> (AgentId, AgentId) {
+    b.add_pair(client_node, server_node, |client, srv| {
+        let cfg = StreamClientConfig::new(feedback, server_node, srv);
+        (Box::new(StreamClient::new(cfg)), Box::new(server(client)))
+    })
+}

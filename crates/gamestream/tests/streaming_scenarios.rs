@@ -2,15 +2,11 @@
 //! each profile solo at each constraint, controller behaviours through the
 //! full server→client→feedback loop, and property tests over capacities.
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
 use gsrepro_gamestream::profile::ControllerKind;
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
+use gsrepro_gamestream::{connect, StreamClient, StreamServer, SystemKind};
 use gsrepro_netsim::link::LinkSpec;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
-use gsrepro_netsim::queue::QueueSpec;
 use gsrepro_netsim::wire::FlowId;
-use gsrepro_netsim::Shaper;
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -33,22 +29,8 @@ fn build_stream(
     let rtt = SimDuration::from_micros(16_500);
     let queue = capacity.bdp(rtt).mul_f64(queue_mult);
 
-    let mut b = NetworkBuilder::new(seed);
-    let s = b.add_node("server");
-    let c = b.add_node("client");
-    b.link(
-        s,
-        c,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(c, s, LinkSpec::lan(SimDuration::from_micros(8_250)));
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (mut b, s, c) = NetworkBuilder::dumbbell(seed, down);
 
     let media = b.flow("media");
     let feedback = b.flow("feedback");
@@ -56,24 +38,15 @@ fn build_stream(
     if let Some(ctrl) = controller {
         profile.controller = ctrl;
     }
-    let client = b.add_agent(
-        c,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            s,
-            AgentId(1),
-        ))),
-    );
-    let server = b.add_agent(
-        s,
-        Box::new(StreamServer::new(
+    let (client, server) = connect(&mut b, c, s, feedback, |client| {
+        StreamServer::new(
             media,
             c,
             client,
             profile.build_source(seed, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
+        )
+    });
     Built {
         sim: b.build(),
         media,
@@ -171,43 +144,29 @@ fn fec_recovers_frames_under_random_loss() {
     // multi-chunk frames lose a packet; with 10% FEC nearly all recover.
     let fps_with = |fec: Option<gsrepro_gamestream::server::FecConfig>| {
         let capacity = BitRate::from_mbps(40);
-        let mut b = NetworkBuilder::new(71);
-        let s = b.add_node("server");
-        let c = b.add_node("client");
-        b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                capacity,
-                capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(2.0),
-                SimDuration::from_micros(8_250),
-            )
-            .with_loss(0.03),
-        );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_micros(8_250)));
+        let down = LinkSpec::bottleneck(
+            capacity,
+            capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(2.0),
+            SimDuration::from_micros(8_250),
+        )
+        .with_loss(0.03);
+        let (mut b, s, c) = NetworkBuilder::dumbbell(71, down);
         let media = b.flow("media");
         let feedback = b.flow("feedback");
         let profile = SystemKind::Luna.profile();
-        let client = b.add_agent(
-            c,
-            Box::new(StreamClient::new(StreamClientConfig::new(
-                feedback,
-                s,
-                AgentId(1),
-            ))),
-        );
-        let server = StreamServer::new(
-            media,
-            c,
-            client,
-            profile.build_source(71, stream_id("frames")),
-            profile.build_controller(),
-        );
-        let server = match fec {
-            Some(f) => server.with_fec(f),
-            None => server,
-        };
-        b.add_agent(s, Box::new(server));
+        let (client, _) = connect(&mut b, c, s, feedback, |client| {
+            let server = StreamServer::new(
+                media,
+                c,
+                client,
+                profile.build_source(71, stream_id("frames")),
+                profile.build_controller(),
+            );
+            match fec {
+                Some(f) => server.with_fec(f),
+                None => server,
+            }
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(20));
         let cl: &StreamClient = sim.net.agent(client);

@@ -3,7 +3,7 @@
 //!
 //! The paper runs a `ping` from the game client to the game server for the
 //! whole 9-minute trace and reports mean RTT with standard deviation
-//! (Tables 3 and 4). [`PingAgent`] + [`EchoAgent`] reproduce that probe:
+//! (Tables 3 and 4). [`PingAgent`] + [`EchoTo`] reproduce that probe:
 //! one 84-byte echo request per second by default, RTT samples recorded at
 //! the requester.
 
@@ -220,40 +220,6 @@ impl Agent for PingAgent {
 }
 
 /// Replies to echo requests (and ignores everything else).
-pub struct EchoAgent {
-    flow: FlowId,
-}
-
-impl EchoAgent {
-    /// Replies are attributed to `flow` for accounting.
-    pub fn new(flow: FlowId) -> Self {
-        EchoAgent { flow }
-    }
-}
-
-impl Agent for EchoAgent {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
-        if let Payload::Ping(echo) = pkt.payload {
-            if !echo.is_reply {
-                ctx.send(PacketSpec {
-                    flow: self.flow,
-                    dst: pkt.src,
-                    dst_agent: pkt.dst_agent, // same agent slot convention not used; see tests
-                    size: PING_SIZE,
-                    ecn: Ecn::NotEct,
-                    payload: Payload::Ping(PingEcho {
-                        seq: echo.seq,
-                        is_reply: true,
-                        t_origin: echo.t_origin,
-                    }),
-                });
-            }
-        }
-    }
-}
-
-/// An [`EchoAgent`] that knows the requester's agent id explicitly. Use this
-/// when the requester is not at the same agent index on its node.
 pub struct EchoTo {
     flow: FlowId,
     reply_to: AgentId,
@@ -301,12 +267,12 @@ mod tests {
         let s = b.add_node("server");
         b.duplex(c, s, LinkSpec::lan(SimDuration::from_micros(8_250)));
         let f = b.flow("ping");
-        // Agent 0 on client = pinger; agent 1 on server = echo.
-        let pinger = b.add_agent(
-            c,
-            Box::new(PingAgent::new(f, s, AgentId(1), SimDuration::from_secs(1))),
-        );
-        b.add_agent(s, Box::new(EchoTo::new(f, pinger)));
+        let (pinger, _) = b.add_pair(c, s, |ping, echo| {
+            (
+                Box::new(PingAgent::new(f, s, echo, SimDuration::from_secs(1))),
+                Box::new(EchoTo::new(f, ping)),
+            )
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(30));
         let p: &PingAgent = sim.net.agent(pinger);

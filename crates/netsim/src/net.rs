@@ -14,10 +14,7 @@
 //! use gsrepro_netsim::{NetworkBuilder, LinkSpec, apps};
 //! use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 //!
-//! let mut b = NetworkBuilder::new(42);
-//! let server = b.add_node("server");
-//! let client = b.add_node("client");
-//! b.duplex(server, client, LinkSpec::bottleneck(
+//! let (mut b, server, client) = NetworkBuilder::dumbbell(42, LinkSpec::bottleneck(
 //!     BitRate::from_mbps(25), Bytes(100_000), SimDuration::from_millis(8)));
 //! let flow = b.flow("cbr");
 //! let sink = b.add_agent(client, Box::new(apps::SinkAgent::new()));
@@ -743,6 +740,35 @@ impl NetworkBuilder {
         id
     }
 
+    /// Bind two agents that address each other: `make` is handed the ids
+    /// the pair will get — `node_a`'s agent first — and returns the agents
+    /// in that order. Ids are handed out in insertion order, and this is the
+    /// one place that relies on it.
+    pub fn add_pair(
+        &mut self,
+        node_a: NodeId,
+        node_b: NodeId,
+        make: impl FnOnce(AgentId, AgentId) -> (Box<dyn Agent>, Box<dyn Agent>),
+    ) -> (AgentId, AgentId) {
+        let id_a = AgentId(self.agents.len() as u32);
+        let id_b = AgentId(id_a.0 + 1);
+        let (a, b) = make(id_a, id_b);
+        (self.add_agent(node_a, a), self.add_agent(node_b, b))
+    }
+
+    /// The two-node testbed in one call: nodes `"server"` and `"client"`,
+    /// the `down` link from the first to the second (link 0), and an
+    /// unshaped return link with the same propagation delay (link 1).
+    pub fn dumbbell(seed: u64, down: LinkSpec) -> (NetworkBuilder, NodeId, NodeId) {
+        let mut b = NetworkBuilder::new(seed);
+        let server = b.add_node("server");
+        let client = b.add_node("client");
+        let up = LinkSpec::lan(down.delay);
+        b.link(server, client, down);
+        b.link(client, server, up);
+        (b, server, client)
+    }
+
     /// Compute routes, build the network, and schedule agent starts.
     ///
     /// # Panics
@@ -923,36 +949,19 @@ impl Sim {
     }
 }
 
-/// Convenience: the rate used for "effectively unshaped" LAN links in specs
-/// that need a concrete number.
-pub const LAN_RATE: BitRate = BitRate(1_000_000_000);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::apps::{CbrSource, SinkAgent};
-    use crate::link::Shaper;
     use crate::queue::QueueSpec;
 
     fn two_node_sim(rate_mbps: u64, cbr_mbps: u64, seed: u64) -> (Sim, FlowId) {
-        let mut b = NetworkBuilder::new(seed);
-        let s = b.add_node("server");
-        let c = b.add_node("client");
-        b.link(
-            s,
-            c,
-            LinkSpec {
-                shaper: Shaper::rate(BitRate::from_mbps(rate_mbps)),
-                delay: SimDuration::from_millis(5),
-                queue: QueueSpec::DropTail {
-                    limit: Bytes(50_000),
-                },
-                jitter: SimDuration::ZERO,
-                loss_prob: 0.0,
-                dup_prob: 0.0,
-            },
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(rate_mbps),
+            Bytes(50_000),
+            SimDuration::from_millis(5),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(5)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(seed, down);
         let f = b.flow("cbr");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -966,6 +975,43 @@ mod tests {
             )),
         );
         (b.build(), f)
+    }
+
+    #[test]
+    fn dumbbell_is_two_nodes_a_down_link_and_a_lan_link_back() {
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(50_000),
+            SimDuration::from_millis(7),
+        );
+        let (mut b, server, client) = NetworkBuilder::dumbbell(1, down);
+        assert_eq!((server, client), (NodeId(0), NodeId(1)));
+        // The next link a caller adds is link 2: the dumbbell holds 0 and 1.
+        assert_eq!(b.link(server, client, lan_1ms()), LinkId(2));
+        let sim = b.build();
+        let (dn, up) = (sim.net.link(LinkId(0)), sim.net.link(LinkId(1)));
+        assert_eq!((dn.from, dn.to), (server, client));
+        assert_eq!((up.from, up.to), (client, server));
+        assert_eq!(dn.rate(), Some(BitRate::from_mbps(10)));
+        assert_eq!(up.rate(), None, "the return link is unshaped");
+        assert_eq!(up.delay(), SimDuration::from_millis(7));
+    }
+
+    #[test]
+    fn add_pair_hands_the_closure_the_ids_it_returns() {
+        let (mut b, s, c) = NetworkBuilder::dumbbell(1, lan_1ms());
+        // An unrelated agent first, so the pair does not start at id 0.
+        let first = b.add_agent(c, Box::new(SinkAgent::new()));
+        let mut seen = None;
+        let pair = b.add_pair(s, c, |a, z| {
+            seen = Some((a, z));
+            (Box::new(SinkAgent::new()), Box::new(SinkAgent::new()))
+        });
+        assert_eq!(seen, Some(pair));
+        assert_eq!(pair, (AgentId(first.0 + 1), AgentId(first.0 + 2)));
+        let sim = b.build();
+        assert_eq!(sim.net.agent_node[pair.0 .0 as usize], s);
+        assert_eq!(sim.net.agent_node[pair.1 .0 as usize], c);
     }
 
     #[test]
@@ -1038,15 +1084,8 @@ mod tests {
 
     #[test]
     fn link_fault_injection_drops_packets() {
-        let mut b = NetworkBuilder::new(11);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        b.link(
-            s,
-            c,
-            LinkSpec::lan(SimDuration::from_millis(1)).with_loss(0.3),
-        );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(1)));
+        let down = LinkSpec::lan(SimDuration::from_millis(1)).with_loss(0.3);
+        let (mut b, s, c) = NetworkBuilder::dumbbell(11, down);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -1068,15 +1107,9 @@ mod tests {
 
     #[test]
     fn jitter_spreads_delays() {
-        let mut b = NetworkBuilder::new(13);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        b.link(
-            s,
-            c,
-            LinkSpec::lan(SimDuration::from_millis(5)).with_jitter(SimDuration::from_millis(10)),
-        );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(5)));
+        let down =
+            LinkSpec::lan(SimDuration::from_millis(5)).with_jitter(SimDuration::from_millis(10));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(13, down);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -1099,19 +1132,13 @@ mod tests {
 
     #[test]
     fn link_rate_changes_take_effect() {
-        let mut b = NetworkBuilder::new(23);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        let bottleneck = b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(20),
-                Bytes(100_000),
-                SimDuration::from_millis(2),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(20),
+            Bytes(100_000),
+            SimDuration::from_millis(2),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(2)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(23, down);
+        let bottleneck = LinkId(0);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         // Offer 15 Mb/s throughout.
@@ -1151,19 +1178,14 @@ mod tests {
     #[test]
     fn scenario_steps_apply_and_record() {
         use gsrepro_simcore::telemetry::EventKind;
-        let mut b = NetworkBuilder::new(5).telemetry(TelemetryConfig::default());
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        let bottleneck = b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(20),
-                Bytes(100_000),
-                SimDuration::from_millis(2),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(20),
+            Bytes(100_000),
+            SimDuration::from_millis(2),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(2)));
+        let (b, s, c) = NetworkBuilder::dumbbell(5, down);
+        let mut b = b.telemetry(TelemetryConfig::default());
+        let bottleneck = LinkId(0);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -1222,19 +1244,13 @@ mod tests {
 
     #[test]
     fn scenario_outage_pauses_delivery() {
-        let mut b = NetworkBuilder::new(9);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        let l = b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(1_000_000),
-                SimDuration::from_millis(1),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(1_000_000),
+            SimDuration::from_millis(1),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(1)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(9, down);
+        let l = LinkId(0);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -1311,22 +1327,16 @@ mod tests {
     #[test]
     fn scenario_runs_are_bit_identical() {
         let run = |telemetry: bool| {
-            let mut b = NetworkBuilder::new(77);
+            let down = LinkSpec::bottleneck(
+                BitRate::from_mbps(25),
+                Bytes(100_000),
+                SimDuration::from_millis(2),
+            );
+            let (mut b, s, c) = NetworkBuilder::dumbbell(77, down);
             if telemetry {
                 b = b.telemetry(TelemetryConfig::default());
             }
-            let s = b.add_node("s");
-            let c = b.add_node("c");
-            let l = b.link(
-                s,
-                c,
-                LinkSpec::bottleneck(
-                    BitRate::from_mbps(25),
-                    Bytes(100_000),
-                    SimDuration::from_millis(2),
-                ),
-            );
-            b.link(c, s, LinkSpec::lan(SimDuration::from_millis(2)));
+            let l = LinkId(0);
             let f = b.flow("x");
             let sink = b.add_agent(c, Box::new(SinkAgent::new()));
             b.add_agent(
@@ -1359,15 +1369,8 @@ mod tests {
 
     #[test]
     fn duplication_fault_injection() {
-        let mut b = NetworkBuilder::new(17);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        b.link(
-            s,
-            c,
-            LinkSpec::lan(SimDuration::from_millis(1)).with_duplication(0.25),
-        );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(1)));
+        let down = LinkSpec::lan(SimDuration::from_millis(1)).with_duplication(0.25);
+        let (mut b, s, c) = NetworkBuilder::dumbbell(17, down);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(
@@ -1392,24 +1395,13 @@ mod tests {
     #[test]
     fn telemetry_records_queue_dynamics_and_drops() {
         use gsrepro_simcore::telemetry::EventKind;
-        let mut b = NetworkBuilder::new(2).telemetry(TelemetryConfig::default());
-        let s = b.add_node("server");
-        let c = b.add_node("client");
-        b.link(
-            s,
-            c,
-            LinkSpec {
-                shaper: Shaper::rate(BitRate::from_mbps(10)),
-                delay: SimDuration::from_millis(5),
-                queue: QueueSpec::DropTail {
-                    limit: Bytes(50_000),
-                },
-                jitter: SimDuration::ZERO,
-                loss_prob: 0.0,
-                dup_prob: 0.0,
-            },
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(50_000),
+            SimDuration::from_millis(5),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(5)));
+        let (b, s, c) = NetworkBuilder::dumbbell(2, down);
+        let mut b = b.telemetry(TelemetryConfig::default());
         let f = b.flow("cbr");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         // 20 Mb/s into 10 Mb/s: standing queue, sojourn, and tail drops.
@@ -1462,23 +1454,18 @@ mod tests {
     /// A sim exercising every oracle input: shaping, scenario re-rates,
     /// loss, duplication, an outage, and a queue-limit shrink.
     fn eventful_sim(checks: bool, telemetry: bool) -> (Sim, FlowId) {
-        let mut b = NetworkBuilder::new(19).checks(checks);
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(50_000),
+            SimDuration::from_millis(2),
+        )
+        .with_duplication(0.05);
+        let (b, s, c) = NetworkBuilder::dumbbell(19, down);
+        let mut b = b.checks(checks);
         if telemetry {
             b = b.telemetry(TelemetryConfig::default());
         }
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        let l = b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(50_000),
-                SimDuration::from_millis(2),
-            )
-            .with_duplication(0.05),
-        );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(2)));
+        let l = LinkId(0);
         let f = b.flow("x");
         let sink = b.add_agent(c, Box::new(SinkAgent::new()));
         b.add_agent(

@@ -43,18 +43,22 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a offset basis: the hash of no bytes, and where every digest starts.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the FNV-1a state `h`. Stable across platforms and Rust
+/// versions, unlike `std::hash::DefaultHasher`.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// Hash an arbitrary label (e.g. a condition name) into a stream id.
-///
-/// FNV-1a: stable across platforms and Rust versions, unlike
-/// `std::hash::DefaultHasher`.
 #[inline]
 pub fn stream_id(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(FNV_OFFSET, label.as_bytes())
 }
 
 #[cfg(test)]

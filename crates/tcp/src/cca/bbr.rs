@@ -23,21 +23,11 @@
 
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
-use super::filter::WindowedExtremum;
+use super::path_model::{PathModel, HIGH_GAIN};
 use super::{AckInfo, CongestionControl, INITIAL_WINDOW_SEGMENTS};
 
-/// STARTUP/DRAIN gain: 2/ln2.
-const HIGH_GAIN: f64 = 2.885;
 /// PROBE_BW pacing-gain cycle.
 const CYCLE: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-/// Rounds of bandwidth plateau before declaring the pipe full.
-const FULL_BW_ROUNDS: u32 = 3;
-/// btl_bw max-filter window, in round trips.
-const BW_WINDOW_ROUNDS: u64 = 10;
-/// rt_prop min-filter window.
-const RTPROP_WINDOW: SimDuration = SimDuration::from_secs(10);
-/// Time spent at minimal cwnd in PROBE_RTT.
-const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
@@ -49,43 +39,13 @@ enum Mode {
 
 /// TCP BBR v1 congestion control.
 pub struct Bbr {
-    mss: u64,
     mode: Mode,
-
-    /// Windowed-max filter for btl_bw, keyed by round.
-    bw_filter: WindowedExtremum<u64, BitRate>,
-    btl_bw: BitRate,
-
-    /// Windowed-min filter for rt_prop, keyed by ack time, over the last
-    /// [`RTPROP_WINDOW`]. Using a *windowed* min
-    /// (per the BBR paper) rather than a sticky lifetime min matters
-    /// enormously in competition: when another flow holds a standing queue
-    /// that never drains, the windowed min *inflates* to include that
-    /// queue, the 2×BDP in-flight cap grows with it, and BBR presses the
-    /// queue — the standing-queue/RTT-inflation behaviour Hock et al.
-    /// measured for real BBRv1 and the reason the paper's game systems
-    /// lose capacity to BBR.
-    rt_filter: WindowedExtremum<SimTime, SimDuration>,
-    rt_prop: SimDuration,
-    /// Lifetime minimum RTT — the "true" propagation floor.
-    true_min: SimDuration,
-    /// Last time a sample touched the floor; staleness beyond the window
-    /// triggers PROBE_RTT.
-    last_near_min: SimTime,
+    path: PathModel,
 
     pacing_gain: f64,
     cwnd_gain: f64,
     cycle_index: usize,
     cycle_stamp: SimTime,
-
-    full_bw: BitRate,
-    full_bw_count: u32,
-    filled_pipe: bool,
-
-    probe_rtt_done_stamp: Option<SimTime>,
-    /// Minimum RTT observed while in PROBE_RTT; becomes the new rt_prop.
-    probe_min: SimDuration,
-    prior_cwnd: u64,
 
     cwnd: u64,
     pacing_rate: Option<BitRate>,
@@ -107,24 +67,12 @@ impl Bbr {
     pub fn with_cwnd_gain(mss: u64, probe_bw_cwnd_gain: f64) -> Self {
         Bbr {
             probe_bw_cwnd_gain,
-            mss,
             mode: Mode::Startup,
-            bw_filter: WindowedExtremum::max(),
-            btl_bw: BitRate::ZERO,
-            rt_filter: WindowedExtremum::min(),
-            rt_prop: SimDuration::MAX,
-            true_min: SimDuration::MAX,
-            last_near_min: SimTime::ZERO,
+            path: PathModel::new(mss),
             pacing_gain: HIGH_GAIN,
             cwnd_gain: HIGH_GAIN,
             cycle_index: 0,
             cycle_stamp: SimTime::ZERO,
-            full_bw: BitRate::ZERO,
-            full_bw_count: 0,
-            filled_pipe: false,
-            probe_rtt_done_stamp: None,
-            probe_min: SimDuration::MAX,
-            prior_cwnd: INITIAL_WINDOW_SEGMENTS * mss,
             cwnd: INITIAL_WINDOW_SEGMENTS * mss,
             pacing_rate: None,
         }
@@ -142,108 +90,33 @@ impl Bbr {
 
     /// Current bottleneck-bandwidth estimate.
     pub fn btl_bw(&self) -> BitRate {
-        self.btl_bw
+        self.path.btl_bw
     }
 
     /// Current propagation-delay estimate.
     pub fn rt_prop(&self) -> SimDuration {
-        self.rt_prop
-    }
-
-    fn bdp_bytes(&self) -> u64 {
-        if self.rt_prop == SimDuration::MAX {
-            return INITIAL_WINDOW_SEGMENTS * self.mss;
-        }
-        self.btl_bw.bdp(self.rt_prop).as_u64().max(self.mss)
-    }
-
-    fn min_cwnd(&self) -> u64 {
-        4 * self.mss
-    }
-
-    fn update_btl_bw(&mut self, ack: &AckInfo) {
-        if let Some(rate) = ack.delivery_rate {
-            // App-limited samples can only raise the estimate.
-            if !ack.app_limited || rate > self.btl_bw {
-                self.bw_filter.push(ack.round, rate);
-            }
-        }
-        self.bw_filter
-            .evict_below(ack.round.saturating_sub(BW_WINDOW_ROUNDS));
-        self.btl_bw = self.bw_filter.best().unwrap_or(BitRate::ZERO);
-    }
-
-    fn check_full_pipe(&mut self, ack: &AckInfo) {
-        if self.filled_pipe || !ack.round_start || ack.app_limited {
-            return;
-        }
-        // Still growing ≥ 25%?
-        if self.btl_bw.as_bps() as f64 >= self.full_bw.as_bps() as f64 * 1.25 {
-            self.full_bw = self.btl_bw;
-            self.full_bw_count = 0;
-            return;
-        }
-        self.full_bw_count += 1;
-        if self.full_bw_count >= FULL_BW_ROUNDS {
-            self.filled_pipe = true;
-        }
+        self.path.rt_prop
     }
 
     fn advance_cycle(&mut self, now: SimTime, in_flight: u64) {
         let elapsed = now.saturating_since(self.cycle_stamp);
         let gain = CYCLE[self.cycle_index];
-        let mut advance = elapsed > self.rt_prop;
+        let (rt_prop, bdp) = (self.path.rt_prop, self.path.bdp_bytes());
+        let mut advance = elapsed > rt_prop;
         // Leaving the 0.75 phase early once the queue is drained, and the
         // 1.25 phase only after it had a chance to fill — per the BBR draft.
-        if gain == 0.75 && in_flight <= self.bdp_bytes() {
+        if gain == 0.75 && in_flight <= bdp {
             advance = true;
         }
-        if gain == 1.25
-            && elapsed > self.rt_prop
-            && in_flight < (self.bdp_bytes() as f64 * 1.25) as u64
-        {
+        if gain == 1.25 && elapsed > rt_prop && in_flight < (bdp as f64 * 1.25) as u64 {
             // Wait for inflight to reach the probe target unless time's up.
-            advance = elapsed > self.rt_prop * 2;
+            advance = elapsed > rt_prop * 2;
         }
         if advance {
             self.cycle_index = (self.cycle_index + 1) % CYCLE.len();
             self.cycle_stamp = now;
         }
         self.pacing_gain = CYCLE[self.cycle_index];
-    }
-
-    fn handle_probe_rtt(&mut self, ack: &AckInfo) {
-        match self.probe_rtt_done_stamp {
-            None => {
-                if ack.in_flight <= self.min_cwnd() {
-                    self.probe_rtt_done_stamp = Some(ack.now + PROBE_RTT_DURATION);
-                }
-            }
-            Some(done) => {
-                if ack.now >= done {
-                    // Adopt the delay measured with a drained pipe and
-                    // reset the windowed filter around it.
-                    if self.probe_min < SimDuration::MAX {
-                        self.rt_prop = self.probe_min;
-                        self.true_min = self.true_min.min(self.probe_min);
-                        self.rt_filter.clear();
-                        self.rt_filter.push(ack.now, self.probe_min);
-                    }
-                    // Whatever we measured counts as a fresh floor probe.
-                    self.last_near_min = ack.now;
-                    self.cwnd = self.prior_cwnd.max(self.min_cwnd());
-                    self.mode = if self.filled_pipe {
-                        self.enter_probe_bw(ack.now);
-                        Mode::ProbeBw
-                    } else {
-                        self.pacing_gain = HIGH_GAIN;
-                        self.cwnd_gain = HIGH_GAIN;
-                        Mode::Startup
-                    };
-                    self.probe_rtt_done_stamp = None;
-                }
-            }
-        }
     }
 
     fn enter_probe_bw(&mut self, now: SimTime) {
@@ -260,37 +133,18 @@ impl Bbr {
 impl CongestionControl for Bbr {
     fn on_ack(&mut self, ack: &AckInfo) {
         let was_probe_rtt = self.mode == Mode::ProbeRtt;
-        if let Some(rtt) = ack.rtt {
-            self.rt_filter.push(ack.now, rtt);
-            self.rt_filter.evict_below(ack.now - RTPROP_WINDOW);
-            self.rt_prop = self.rt_filter.best().unwrap_or(rtt);
-            if rtt < self.true_min {
-                self.true_min = rtt;
-            }
-            // Floor refresh: only a sample at (or below) the lifetime
-            // minimum proves the queue drained; anything above it leaves
-            // the PROBE_RTT countdown running (Linux: `rtt <= min_rtt`).
-            if rtt <= self.true_min {
-                self.last_near_min = ack.now;
-            }
-            if self.mode == Mode::ProbeRtt {
-                self.probe_min = self.probe_min.min(rtt);
-            }
-        }
-
-        self.update_btl_bw(ack);
-        self.check_full_pipe(ack);
+        self.path.on_ack(ack, was_probe_rtt);
 
         match self.mode {
             Mode::Startup => {
-                if self.filled_pipe {
+                if self.path.filled_pipe {
                     self.mode = Mode::Drain;
                     self.pacing_gain = 1.0 / HIGH_GAIN;
                     self.cwnd_gain = HIGH_GAIN;
                 }
             }
             Mode::Drain => {
-                if ack.in_flight <= self.bdp_bytes() {
+                if ack.in_flight <= self.path.bdp_bytes() {
                     self.enter_probe_bw(ack.now);
                 }
             }
@@ -300,28 +154,32 @@ impl CongestionControl for Bbr {
             Mode::ProbeRtt => {}
         }
 
-        // Enter PROBE_RTT when no near-floor sample has been seen for a
-        // whole window: the pipe needs draining to re-measure.
-        if self.mode != Mode::ProbeRtt
-            && ack.now.saturating_since(self.last_near_min) > RTPROP_WINDOW
-        {
+        if self.mode != Mode::ProbeRtt && self.path.probe_rtt_due(ack.now) {
             self.mode = Mode::ProbeRtt;
-            self.prior_cwnd = self.cwnd;
+            self.path.enter_probe_rtt(self.cwnd);
             self.pacing_gain = 1.0;
             self.cwnd_gain = 1.0;
-            self.probe_rtt_done_stamp = None;
-            self.probe_min = SimDuration::MAX;
         }
+        // v1 dwells at the 4-segment floor.
         if self.mode == Mode::ProbeRtt {
-            self.handle_probe_rtt(ack);
+            if let Some(restored) = self.path.probe_rtt_ack(ack, self.path.min_cwnd()) {
+                self.cwnd = restored;
+                if self.path.filled_pipe {
+                    self.enter_probe_bw(ack.now);
+                } else {
+                    self.mode = Mode::Startup;
+                    self.pacing_gain = HIGH_GAIN;
+                    self.cwnd_gain = HIGH_GAIN;
+                }
+            }
         }
 
         // Set cwnd and pacing rate from the model.
         if self.mode == Mode::ProbeRtt {
-            self.cwnd = self.min_cwnd();
+            self.cwnd = self.path.min_cwnd();
         } else {
-            let target = (self.cwnd_gain * self.bdp_bytes() as f64) as u64;
-            let mut next = target.max(self.min_cwnd());
+            let target = (self.cwnd_gain * self.path.bdp_bytes() as f64) as u64;
+            let mut next = target.max(self.path.min_cwnd());
             if was_probe_rtt {
                 // This ack just exited PROBE_RTT and `self.cwnd` holds the
                 // restored pre-probe window. Honor the restore even when
@@ -332,8 +190,8 @@ impl CongestionControl for Bbr {
             }
             self.cwnd = next;
         }
-        if self.btl_bw > BitRate::ZERO {
-            self.pacing_rate = Some(self.btl_bw.mul_f64(self.pacing_gain));
+        if self.path.btl_bw > BitRate::ZERO {
+            self.pacing_rate = Some(self.path.btl_bw.mul_f64(self.pacing_gain));
         }
     }
 
@@ -343,16 +201,10 @@ impl CongestionControl for Bbr {
 
     fn on_rto(&mut self, _now: SimTime) {
         // Conservation on timeout: collapse to one segment; the model
-        // rebuilds the window on the next acks. During PROBE_RTT the
-        // operating cwnd is the pinned 4-segment floor, and `prior_cwnd`
-        // already holds the pre-probe window that the probe exit must
-        // restore — overwriting it here would make a timeout inside a
-        // probe permanently forget the real window (Linux guards its
-        // `bbr_save_cwnd` the same way).
-        if self.mode != Mode::ProbeRtt {
-            self.prior_cwnd = self.cwnd;
-        }
-        self.cwnd = self.mss;
+        // rebuilds the window on the next acks.
+        self.path
+            .save_cwnd_on_rto(self.cwnd, self.mode == Mode::ProbeRtt);
+        self.cwnd = self.path.mss;
     }
 
     fn cwnd(&self) -> u64 {
@@ -378,6 +230,7 @@ impl CongestionControl for Bbr {
 
 #[cfg(test)]
 mod tests {
+    use super::super::path_model::BW_WINDOW_ROUNDS;
     use super::*;
 
     const MSS: u64 = 1448;
@@ -440,7 +293,7 @@ mod tests {
         assert_eq!(b.mode_name(), "startup");
         warm_up(&mut b);
         assert_ne!(b.mode_name(), "startup", "plateaued bw must exit startup");
-        assert!(b.filled_pipe);
+        assert!(b.path.filled_pipe);
     }
 
     #[test]

@@ -30,11 +30,9 @@
 
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
-use super::filter::WindowedExtremum;
+use super::path_model::{PathModel, HIGH_GAIN};
 use super::{AckInfo, CongestionControl, INITIAL_WINDOW_SEGMENTS};
 
-/// STARTUP gain: 2/ln2, as in v1.
-const HIGH_GAIN: f64 = 2.885;
 /// Multiplicative decrease applied to `inflight_lo` on loss or ECN
 /// (Linux `BBR_BETA` ≈ 0.7).
 const BETA: f64 = 0.7;
@@ -45,14 +43,6 @@ const HEADROOM: f64 = 0.85;
 const UP_GAIN: f64 = 1.25;
 /// PROBE_DOWN pacing gain (v2 drains gently at 0.9, not v1's 0.75).
 const DOWN_GAIN: f64 = 0.9;
-/// Rounds of bandwidth plateau before declaring the pipe full.
-const FULL_BW_ROUNDS: u32 = 3;
-/// btl_bw max-filter window, in round trips.
-const BW_WINDOW_ROUNDS: u64 = 10;
-/// rt_prop min-filter window.
-const RTPROP_WINDOW: SimDuration = SimDuration::from_secs(10);
-/// Time spent at the reduced window in PROBE_RTT.
-const PROBE_RTT_DURATION: SimDuration = SimDuration::from_millis(200);
 /// How long CRUISE holds before the next bandwidth probe. Real BBRv2
 /// randomizes 2–3 s; the simulator needs determinism, so the low edge is
 /// used verbatim.
@@ -86,31 +76,15 @@ enum Mode {
 
 /// BBR v2-style congestion control.
 pub struct Bbr2 {
-    mss: u64,
     mode: Mode,
-
-    /// Windowed-max filter for btl_bw, keyed by round.
-    bw_filter: WindowedExtremum<u64, BitRate>,
-    btl_bw: BitRate,
-
-    /// Windowed-min rt_prop filter (monotonic deque), as in v1.
-    rt_filter: WindowedExtremum<SimTime, SimDuration>,
-    rt_prop: SimDuration,
-    true_min: SimDuration,
-    last_near_min: SimTime,
+    /// Bandwidth, propagation delay, pipe-full detection and PROBE_RTT
+    /// bookkeeping — the model v1 runs on.
+    path: PathModel,
 
     pacing_gain: f64,
     cwnd_gain: f64,
     /// When the current PROBE_BW phase began.
     phase_stamp: SimTime,
-
-    full_bw: BitRate,
-    full_bw_count: u32,
-    filled_pipe: bool,
-
-    probe_rtt_done_stamp: Option<SimTime>,
-    probe_min: SimDuration,
-    prior_cwnd: u64,
 
     /// Long-term inflight ceiling; `u64::MAX` until first learned.
     inflight_hi: u64,
@@ -142,23 +116,11 @@ impl Bbr2 {
     /// instead of 0.7) must fail the golden step-response diff.
     pub fn with_beta(mss: u64, beta: f64) -> Self {
         Bbr2 {
-            mss,
             mode: Mode::Startup,
-            bw_filter: WindowedExtremum::max(),
-            btl_bw: BitRate::ZERO,
-            rt_filter: WindowedExtremum::min(),
-            rt_prop: SimDuration::MAX,
-            true_min: SimDuration::MAX,
-            last_near_min: SimTime::ZERO,
+            path: PathModel::new(mss),
             pacing_gain: HIGH_GAIN,
             cwnd_gain: HIGH_GAIN,
             phase_stamp: SimTime::ZERO,
-            full_bw: BitRate::ZERO,
-            full_bw_count: 0,
-            filled_pipe: false,
-            probe_rtt_done_stamp: None,
-            probe_min: SimDuration::MAX,
-            prior_cwnd: INITIAL_WINDOW_SEGMENTS * mss,
             inflight_hi: u64::MAX,
             inflight_lo: u64::MAX,
             last_ecn_cut: SimTime::ZERO,
@@ -185,12 +147,12 @@ impl Bbr2 {
 
     /// Current bottleneck-bandwidth estimate.
     pub fn btl_bw(&self) -> BitRate {
-        self.btl_bw
+        self.path.btl_bw
     }
 
     /// Current propagation-delay estimate.
     pub fn rt_prop(&self) -> SimDuration {
-        self.rt_prop
+        self.path.rt_prop
     }
 
     /// Long-term inflight ceiling (`u64::MAX` until first learned).
@@ -206,17 +168,6 @@ impl Bbr2 {
     /// ECN-driven cuts applied so far.
     pub fn ecn_cuts(&self) -> u64 {
         self.ecn_cuts
-    }
-
-    fn bdp_bytes(&self) -> u64 {
-        if self.rt_prop == SimDuration::MAX {
-            return INITIAL_WINDOW_SEGMENTS * self.mss;
-        }
-        self.btl_bw.bdp(self.rt_prop).as_u64().max(self.mss)
-    }
-
-    fn min_cwnd(&self) -> u64 {
-        4 * self.mss
     }
 
     /// The inflight cap in force right now: the short-term `inflight_lo`
@@ -238,42 +189,16 @@ impl Bbr2 {
     /// current in-flight and latch the long-term ceiling at the level
     /// where the signal appeared; an active probe ends immediately.
     fn cut_bounds(&mut self, now: SimTime, in_flight: u64) {
-        let cut = ((in_flight as f64 * self.beta) as u64).max(self.min_cwnd());
+        let cut = ((in_flight as f64 * self.beta) as u64).max(self.path.min_cwnd());
         self.inflight_lo = self.inflight_lo.min(cut);
-        let latch = in_flight.max(self.min_cwnd());
+        let latch = in_flight.max(self.path.min_cwnd());
         self.inflight_hi = self.inflight_hi.min(latch);
         if let Mode::ProbeBw(Phase::Up) = self.mode {
             self.enter_phase(Phase::Down, now);
         }
         // v2 exits STARTUP on congestion: the pipe is demonstrably full.
         if self.mode == Mode::Startup {
-            self.filled_pipe = true;
-        }
-    }
-
-    fn update_btl_bw(&mut self, ack: &AckInfo) {
-        if let Some(rate) = ack.delivery_rate {
-            if !ack.app_limited || rate > self.btl_bw {
-                self.bw_filter.push(ack.round, rate);
-            }
-        }
-        self.bw_filter
-            .evict_below(ack.round.saturating_sub(BW_WINDOW_ROUNDS));
-        self.btl_bw = self.bw_filter.best().unwrap_or(BitRate::ZERO);
-    }
-
-    fn check_full_pipe(&mut self, ack: &AckInfo) {
-        if self.filled_pipe || !ack.round_start || ack.app_limited {
-            return;
-        }
-        if self.btl_bw.as_bps() as f64 >= self.full_bw.as_bps() as f64 * 1.25 {
-            self.full_bw = self.btl_bw;
-            self.full_bw_count = 0;
-            return;
-        }
-        self.full_bw_count += 1;
-        if self.full_bw_count >= FULL_BW_ROUNDS {
-            self.filled_pipe = true;
+            self.path.filled_pipe = true;
         }
     }
 
@@ -298,14 +223,14 @@ impl Bbr2 {
             return;
         };
         let elapsed = ack.now.saturating_since(self.phase_stamp);
-        let rt = if self.rt_prop == SimDuration::MAX {
+        let rt = if self.path.rt_prop == SimDuration::MAX {
             SimDuration::from_millis(100)
         } else {
-            self.rt_prop
+            self.path.rt_prop
         };
         match phase {
             Phase::Down => {
-                if ack.in_flight <= self.bdp_bytes() || elapsed > rt * 2 {
+                if ack.in_flight <= self.path.bdp_bytes() || elapsed > rt * 2 {
                     self.enter_phase(Phase::Cruise, ack.now);
                 }
             }
@@ -328,39 +253,9 @@ impl Bbr2 {
                 {
                     self.inflight_hi = self.inflight_hi.saturating_add(ack.bytes_acked);
                 }
-                let target = (self.bdp_bytes() as f64 * UP_GAIN) as u64;
+                let target = (self.path.bdp_bytes() as f64 * UP_GAIN) as u64;
                 if elapsed > rt && ack.in_flight >= target {
                     self.enter_phase(Phase::Down, ack.now);
-                }
-            }
-        }
-    }
-
-    fn handle_probe_rtt(&mut self, ack: &AckInfo) {
-        match self.probe_rtt_done_stamp {
-            None => {
-                if ack.in_flight <= self.probe_rtt_cwnd() {
-                    self.probe_rtt_done_stamp = Some(ack.now + PROBE_RTT_DURATION);
-                }
-            }
-            Some(done) => {
-                if ack.now >= done {
-                    if self.probe_min < SimDuration::MAX {
-                        self.rt_prop = self.probe_min;
-                        self.true_min = self.true_min.min(self.probe_min);
-                        self.rt_filter.clear();
-                        self.rt_filter.push(ack.now, self.probe_min);
-                    }
-                    self.last_near_min = ack.now;
-                    self.cwnd = self.prior_cwnd.max(self.min_cwnd());
-                    if self.filled_pipe {
-                        self.enter_phase(Phase::Down, ack.now);
-                    } else {
-                        self.mode = Mode::Startup;
-                        self.pacing_gain = HIGH_GAIN;
-                        self.cwnd_gain = HIGH_GAIN;
-                    }
-                    self.probe_rtt_done_stamp = None;
                 }
             }
         }
@@ -369,41 +264,25 @@ impl Bbr2 {
     /// v2 dwells at half a BDP (not v1's 4 segments): enough drain to
     /// expose the floor without fully stalling the flow.
     fn probe_rtt_cwnd(&self) -> u64 {
-        (self.bdp_bytes() / 2).max(self.min_cwnd())
+        (self.path.bdp_bytes() / 2).max(self.path.min_cwnd())
     }
 }
 
 impl CongestionControl for Bbr2 {
     fn on_ack(&mut self, ack: &AckInfo) {
         let was_probe_rtt = self.mode == Mode::ProbeRtt;
-        if let Some(rtt) = ack.rtt {
-            self.rt_filter.push(ack.now, rtt);
-            self.rt_filter.evict_below(ack.now - RTPROP_WINDOW);
-            self.rt_prop = self.rt_filter.best().unwrap_or(rtt);
-            if rtt < self.true_min {
-                self.true_min = rtt;
-            }
-            if rtt <= self.true_min {
-                self.last_near_min = ack.now;
-            }
-            if self.mode == Mode::ProbeRtt {
-                self.probe_min = self.probe_min.min(rtt);
-            }
-        }
-
-        self.update_btl_bw(ack);
-        self.check_full_pipe(ack);
+        self.path.on_ack(ack, was_probe_rtt);
 
         match self.mode {
             Mode::Startup => {
-                if self.filled_pipe {
+                if self.path.filled_pipe {
                     self.mode = Mode::Drain;
                     self.pacing_gain = 1.0 / HIGH_GAIN;
                     self.cwnd_gain = HIGH_GAIN;
                 }
             }
             Mode::Drain => {
-                if ack.in_flight <= self.bdp_bytes() {
+                if ack.in_flight <= self.path.bdp_bytes() {
                     self.enter_phase(Phase::Cruise, ack.now);
                 }
             }
@@ -411,25 +290,30 @@ impl CongestionControl for Bbr2 {
             Mode::ProbeRtt => {}
         }
 
-        if self.mode != Mode::ProbeRtt
-            && ack.now.saturating_since(self.last_near_min) > RTPROP_WINDOW
-        {
+        if self.mode != Mode::ProbeRtt && self.path.probe_rtt_due(ack.now) {
             self.mode = Mode::ProbeRtt;
-            self.prior_cwnd = self.cwnd;
+            self.path.enter_probe_rtt(self.cwnd);
             self.pacing_gain = 1.0;
             self.cwnd_gain = 1.0;
-            self.probe_rtt_done_stamp = None;
-            self.probe_min = SimDuration::MAX;
         }
         if self.mode == Mode::ProbeRtt {
-            self.handle_probe_rtt(ack);
+            if let Some(restored) = self.path.probe_rtt_ack(ack, self.probe_rtt_cwnd()) {
+                self.cwnd = restored;
+                if self.path.filled_pipe {
+                    self.enter_phase(Phase::Down, ack.now);
+                } else {
+                    self.mode = Mode::Startup;
+                    self.pacing_gain = HIGH_GAIN;
+                    self.cwnd_gain = HIGH_GAIN;
+                }
+            }
         }
 
         if self.mode == Mode::ProbeRtt {
             self.cwnd = self.probe_rtt_cwnd();
         } else {
-            let target = (self.cwnd_gain * self.bdp_bytes() as f64) as u64;
-            let mut next = target.min(self.inflight_cap()).max(self.min_cwnd());
+            let target = (self.cwnd_gain * self.path.bdp_bytes() as f64) as u64;
+            let mut next = target.min(self.inflight_cap()).max(self.path.min_cwnd());
             if was_probe_rtt {
                 // Honor the restored pre-probe window on the exit ack, as
                 // in v1; the model retakes control from the next ack.
@@ -437,36 +321,35 @@ impl CongestionControl for Bbr2 {
             }
             self.cwnd = next;
         }
-        if self.btl_bw > BitRate::ZERO {
-            self.pacing_rate = Some(self.btl_bw.mul_f64(self.pacing_gain));
+        if self.path.btl_bw > BitRate::ZERO {
+            self.pacing_rate = Some(self.path.btl_bw.mul_f64(self.pacing_gain));
         }
     }
 
     fn on_congestion_event(&mut self, now: SimTime, in_flight: u64) {
         self.loss_cuts += 1;
         self.cut_bounds(now, in_flight);
-        self.cwnd = self.cwnd.min(self.inflight_cap()).max(self.min_cwnd());
+        self.cwnd = self.cwnd.min(self.inflight_cap()).max(self.path.min_cwnd());
     }
 
     fn on_rto(&mut self, now: SimTime) {
         // Conservation on timeout, as in v1: collapse and let the model
-        // rebuild; PROBE_RTT guards `prior_cwnd` the same way.
-        if self.mode != Mode::ProbeRtt {
-            self.prior_cwnd = self.cwnd;
-        }
+        // rebuild.
+        self.path
+            .save_cwnd_on_rto(self.cwnd, self.mode == Mode::ProbeRtt);
         self.loss_cuts += 1;
         self.cut_bounds(now, self.cwnd);
-        self.cwnd = self.mss;
+        self.cwnd = self.path.mss;
     }
 
     fn on_ecn(&mut self, now: SimTime, in_flight: u64) {
         // One multiplicative cut per propagation delay: a whole ack train
         // carrying ECE reports one congested round, not N events (the
         // per-round gating Linux implements via its ECN alpha round).
-        let gate = if self.rt_prop == SimDuration::MAX {
+        let gate = if self.path.rt_prop == SimDuration::MAX {
             SimDuration::from_millis(1)
         } else {
-            self.rt_prop
+            self.path.rt_prop
         };
         if self.ecn_cuts > 0 && now.saturating_since(self.last_ecn_cut) < gate {
             return;
@@ -474,7 +357,7 @@ impl CongestionControl for Bbr2 {
         self.last_ecn_cut = now;
         self.ecn_cuts += 1;
         self.cut_bounds(now, in_flight);
-        self.cwnd = self.cwnd.min(self.inflight_cap()).max(self.min_cwnd());
+        self.cwnd = self.cwnd.min(self.inflight_cap()).max(self.path.min_cwnd());
     }
 
     fn ecn_capable(&self) -> bool {
@@ -564,7 +447,7 @@ mod tests {
         let mut b = Bbr2::new(MSS);
         assert_eq!(b.mode_name(), "startup");
         warm_up(&mut b);
-        assert!(b.filled_pipe);
+        assert!(b.path.filled_pipe);
         assert_ne!(b.mode_name(), "startup");
         assert_eq!(b.rt_prop(), SimDuration::from_millis(20));
         assert_eq!(b.btl_bw(), BitRate::from_mbps(10));
@@ -607,7 +490,7 @@ mod tests {
         let mut b = Bbr2::new(MSS);
         assert_eq!(b.mode_name(), "startup");
         b.on_ecn(SimTime::from_millis(50), 20_000);
-        assert!(b.filled_pipe, "ECN in startup must end the search");
+        assert!(b.path.filled_pipe, "ECN in startup must end the search");
     }
 
     #[test]

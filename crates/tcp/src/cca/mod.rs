@@ -11,6 +11,7 @@ pub mod bbr;
 pub mod bbr2;
 pub mod cubic;
 mod filter;
+mod path_model;
 pub mod reno;
 pub mod vegas;
 

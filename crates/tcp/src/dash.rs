@@ -226,30 +226,23 @@ impl Agent for DashServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CcaKind, TcpReceiver};
+    use crate::{connect, CcaKind};
     use gsrepro_netsim::link::LinkSpec;
     use gsrepro_netsim::net::{AgentId, NetworkBuilder};
     use gsrepro_simcore::Bytes;
 
     fn run_dash(rate_mbps: u64, secs: u64) -> (u64, Vec<usize>, f64, SimDuration) {
-        let mut b = NetworkBuilder::new(3);
-        let s = b.add_node("cdn");
-        let c = b.add_node("client");
-        b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(rate_mbps),
-                Bytes(80_000),
-                SimDuration::from_millis(10),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(rate_mbps),
+            Bytes(80_000),
+            SimDuration::from_millis(10),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(10)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(3, down);
         let data = b.flow("dash");
         let acks = b.flow("dash-ack");
-        let cfg = TcpSenderConfig::new(data, c, AgentId(1), CcaKind::Cubic);
-        let dash = b.add_agent(s, Box::new(DashServer::new(cfg, DashConfig::default())));
-        b.add_agent(c, Box::new(TcpReceiver::new(acks, s, dash)));
+        let (dash, _) = connect(&mut b, s, c, data, acks, CcaKind::Cubic, |cfg| {
+            DashServer::new(cfg, DashConfig::default())
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(secs));
         let d: &DashServer = sim.net.agent(dash);

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use gsrepro_netsim::net::{Agent, AgentId, Ctx, NodeId, PacketSpec};
+use gsrepro_netsim::net::{Agent, AgentId, Ctx, NetworkBuilder, NodeId, PacketSpec};
 use gsrepro_netsim::wire::{Ecn, FlowId, Packet, Payload, TcpSegment, TCP_HEADER, TCP_MSS};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 
@@ -1043,13 +1043,33 @@ impl TcpReceiver {
     }
 }
 
+/// Wire one TCP connection into `b`: a sender on node `from` (made by
+/// `sender` from the ready-addressed config — `TcpSender::new` for plain
+/// bulk data) and an immediate-ack [`TcpReceiver`] on node `to`. Returns
+/// `(sender, receiver)` agent ids.
+pub fn connect<S: Agent>(
+    b: &mut NetworkBuilder,
+    from: NodeId,
+    to: NodeId,
+    data: FlowId,
+    acks: FlowId,
+    cca: CcaKind,
+    sender: impl FnOnce(TcpSenderConfig) -> S,
+) -> (AgentId, AgentId) {
+    b.add_pair(from, to, |tx, rx| {
+        (
+            Box::new(sender(TcpSenderConfig::new(data, to, rx, cca))),
+            Box::new(TcpReceiver::new(acks, from, tx)),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsrepro_netsim::link::LinkSpec;
-    use gsrepro_netsim::net::{NetworkBuilder, Sim};
+    use gsrepro_netsim::link::{LinkId, LinkSpec};
+    use gsrepro_netsim::net::Sim;
     use gsrepro_netsim::queue::QueueSpec;
-    use gsrepro_netsim::Shaper;
 
     /// Build server --bottleneck--> client with an ack path back.
     /// Returns (sim, data flow, sender agent id).
@@ -1060,34 +1080,15 @@ mod tests {
         owd_ms: u64,
         seed: u64,
     ) -> (Sim, FlowId, AgentId) {
-        let mut b = NetworkBuilder::new(seed);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec {
-                shaper: Shaper::rate(BitRate::from_mbps(rate_mbps)),
-                delay: SimDuration::from_millis(owd_ms),
-                queue: QueueSpec::DropTail {
-                    limit: Bytes(queue_bytes),
-                },
-                jitter: SimDuration::ZERO,
-                loss_prob: 0.0,
-                dup_prob: 0.0,
-            },
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(rate_mbps),
+            Bytes(queue_bytes),
+            SimDuration::from_millis(owd_ms),
         );
-        b.link(
-            client,
-            server,
-            LinkSpec::lan(SimDuration::from_millis(owd_ms)),
-        );
+        let (mut b, server, client) = NetworkBuilder::dumbbell(seed, down);
         let data = b.flow("tcp-data");
         let acks = b.flow("tcp-ack");
-        // Agent ids are assigned in insertion order: sender = 0, receiver = 1.
-        let sender_cfg = TcpSenderConfig::new(data, client, AgentId(1), cca);
-        let sender = b.add_agent(server, Box::new(TcpSender::new(sender_cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, _) = connect(&mut b, server, client, data, acks, cca, TcpSender::new);
         (b.build(), data, sender)
     }
 
@@ -1163,31 +1164,18 @@ mod tests {
         owd_ms: u64,
         seed: u64,
     ) -> (Sim, FlowId, AgentId, AgentId) {
-        let mut b = NetworkBuilder::new(seed);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec {
-                shaper: Shaper::rate(BitRate::from_mbps(rate_mbps)),
-                delay: SimDuration::from_millis(owd_ms),
-                queue: QueueSpec::codel_default(Bytes(queue_bytes)),
-                jitter: SimDuration::ZERO,
-                loss_prob: 0.0,
-                dup_prob: 0.0,
-            },
-        );
-        b.link(
-            client,
-            server,
-            LinkSpec::lan(SimDuration::from_millis(owd_ms)),
-        );
+        let down = LinkSpec {
+            queue: QueueSpec::codel_default(Bytes(queue_bytes)),
+            ..LinkSpec::bottleneck(
+                BitRate::from_mbps(rate_mbps),
+                Bytes(queue_bytes),
+                SimDuration::from_millis(owd_ms),
+            )
+        };
+        let (mut b, server, client) = NetworkBuilder::dumbbell(seed, down);
         let data = b.flow("tcp-data");
         let acks = b.flow("tcp-ack");
-        let sender_cfg = TcpSenderConfig::new(data, client, AgentId(1), cca);
-        let sender = b.add_agent(server, Box::new(TcpSender::new(sender_cfg)));
-        let recv = b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, recv) = connect(&mut b, server, client, data, acks, cca, TcpSender::new);
         (b.build(), data, sender, recv)
     }
 
@@ -1254,25 +1242,24 @@ mod tests {
     fn losses_are_recovered_exactly() {
         // Random 1% wire loss: receiver must still see a contiguous stream,
         // i.e. everything the app counts was really delivered in order.
-        let mut b = NetworkBuilder::new(17);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(50_000),
-                SimDuration::from_millis(10),
-            )
-            .with_loss(0.01),
-        );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(10)));
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(50_000),
+            SimDuration::from_millis(10),
+        )
+        .with_loss(0.01);
+        let (mut b, server, client) = NetworkBuilder::dumbbell(17, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, client, AgentId(1), CcaKind::Cubic);
-        let sender = b.add_agent(server, Box::new(TcpSender::new(cfg)));
-        let recv = b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, recv) = connect(
+            &mut b,
+            server,
+            client,
+            data,
+            acks,
+            CcaKind::Cubic,
+            TcpSender::new,
+        );
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(20));
         let s: &TcpSender = sim.net.agent(sender);
@@ -1295,27 +1282,18 @@ mod tests {
 
     #[test]
     fn two_cubic_flows_share_fairly() {
-        let mut b = NetworkBuilder::new(21);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(20),
-                Bytes(80_000),
-                SimDuration::from_millis(8),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(20),
+            Bytes(80_000),
+            SimDuration::from_millis(8),
         );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(8)));
+        let (mut b, server, client) = NetworkBuilder::dumbbell(21, down);
         let mut flows = vec![];
         for i in 0..2 {
             let data = b.flow(format!("d{i}"));
             let acks = b.flow(format!("a{i}"));
-            let recv_id = AgentId(i * 2 + 1);
-            let cfg = TcpSenderConfig::new(data, client, recv_id, CcaKind::Cubic);
-            let sender = b.add_agent(server, Box::new(TcpSender::new(cfg)));
-            b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+            let cca = CcaKind::Cubic;
+            connect(&mut b, server, client, data, acks, cca, TcpSender::new);
             flows.push(data);
         }
         let mut sim = b.build();
@@ -1332,25 +1310,17 @@ mod tests {
 
     #[test]
     fn sender_respects_active_window() {
-        let mut b = NetworkBuilder::new(23);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(40_000),
-                SimDuration::from_millis(5),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(40_000),
+            SimDuration::from_millis(5),
         );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(5)));
+        let (mut b, server, client) = NetworkBuilder::dumbbell(23, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, client, AgentId(1), CcaKind::Cubic)
-            .active_during(SimTime::from_secs(5), SimTime::from_secs(10));
-        let sender = b.add_agent(server, Box::new(TcpSender::new(cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        connect(&mut b, server, client, data, acks, CcaKind::Cubic, |cfg| {
+            TcpSender::new(cfg.active_during(SimTime::from_secs(5), SimTime::from_secs(10)))
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(20));
         let st = sim.net.monitor().stats(data);
@@ -1401,27 +1371,20 @@ mod tests {
 
     #[test]
     fn app_limited_sender_respects_budget() {
-        let mut b = NetworkBuilder::new(41);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(50),
-                Bytes(200_000),
-                SimDuration::from_millis(5),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(50),
+            Bytes(200_000),
+            SimDuration::from_millis(5),
         );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(5)));
+        let (mut b, server, client) = NetworkBuilder::dumbbell(41, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, client, AgentId(1), CcaKind::Cubic);
-        let mut sender_agent = TcpSender::new(cfg);
-        sender_agent.set_app_limited();
-        sender_agent.queue_app_bytes(500_000);
-        let sender = b.add_agent(server, Box::new(sender_agent));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, _) = connect(&mut b, server, client, data, acks, CcaKind::Cubic, |cfg| {
+            let mut sender = TcpSender::new(cfg);
+            sender.set_app_limited();
+            sender.queue_app_bytes(500_000);
+            sender
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(10));
         let s: &TcpSender = sim.net.agent(sender);
@@ -1442,24 +1405,24 @@ mod tests {
         // backoff, the recomputed (much earlier) deadline must get its own
         // timer — otherwise a second loss episode stalls until the stale
         // backed-off timer finally fires.
-        let mut b = NetworkBuilder::new(31);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        let fwd = b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(40_000),
-                SimDuration::from_millis(5),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(40_000),
+            SimDuration::from_millis(5),
         );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(5)));
+        let (mut b, server, client) = NetworkBuilder::dumbbell(31, down);
+        let fwd = LinkId(0); // the dumbbell's down link
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, client, AgentId(1), CcaKind::Cubic);
-        let sender = b.add_agent(server, Box::new(TcpSender::new(cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, _) = connect(
+            &mut b,
+            server,
+            client,
+            data,
+            acks,
+            CcaKind::Cubic,
+            TcpSender::new,
+        );
         let mut sim = b.build();
         // Outage #1 (7 s) escalates the backoff: in-outage RTOs fire at
         // ~2.2 through ~6.6 s, leaving a backed-off timer pending at
@@ -1498,25 +1461,24 @@ mod tests {
     fn rto_recovers_from_total_blackout() {
         // A tiny queue and a huge burst of loss: ensure RTO fires and the
         // flow still completes data afterwards.
-        let mut b = NetworkBuilder::new(29);
-        let server = b.add_node("server");
-        let client = b.add_node("client");
-        b.link(
-            server,
-            client,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(5),
-                Bytes(6_000),
-                SimDuration::from_millis(20),
-            )
-            .with_loss(0.08),
-        );
-        b.link(client, server, LinkSpec::lan(SimDuration::from_millis(20)));
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(5),
+            Bytes(6_000),
+            SimDuration::from_millis(20),
+        )
+        .with_loss(0.08);
+        let (mut b, server, client) = NetworkBuilder::dumbbell(29, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, client, AgentId(1), CcaKind::Reno);
-        let sender = b.add_agent(server, Box::new(TcpSender::new(cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, sender)));
+        let (sender, _) = connect(
+            &mut b,
+            server,
+            client,
+            data,
+            acks,
+            CcaKind::Reno,
+            TcpSender::new,
+        );
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(60));
         let s: &TcpSender = sim.net.agent(sender);

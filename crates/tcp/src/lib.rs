@@ -35,4 +35,4 @@ pub use cca::{bbr::Bbr, bbr2::Bbr2, cubic::Cubic, reno::Reno, vegas::Vegas};
 pub use cca::{AckInfo, CcaKind, CongestionControl};
 pub use conformance::{AckRun, AckScript, TracePoint};
 pub use dash::{DashConfig, DashServer};
-pub use endpoint::{TcpReceiver, TcpSender, TcpSenderConfig};
+pub use endpoint::{connect, TcpReceiver, TcpSender, TcpSenderConfig};

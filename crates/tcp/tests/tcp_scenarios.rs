@@ -2,13 +2,12 @@
 //! arbitrary loss, congestion-control comparisons, and endpoint behaviour
 //! the unit tests don't cover.
 
-use gsrepro_netsim::link::LinkSpec;
+use gsrepro_netsim::link::{LinkId, LinkSpec};
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
-use gsrepro_netsim::queue::QueueSpec;
 use gsrepro_netsim::wire::FlowId;
-use gsrepro_netsim::{ScenarioSpec, Shaper};
+use gsrepro_netsim::ScenarioSpec;
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
-use gsrepro_tcp::{Bbr, CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{connect, Bbr, CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
 use proptest::prelude::*;
 
 struct Built {
@@ -26,29 +25,16 @@ fn build(
     loss: f64,
     seed: u64,
 ) -> Built {
-    let mut b = NetworkBuilder::new(seed);
-    let s = b.add_node("server");
-    let c = b.add_node("client");
-    b.link(
-        s,
-        c,
-        LinkSpec {
-            shaper: Shaper::rate(BitRate::from_mbps(rate_mbps)),
-            delay: SimDuration::from_millis(owd_ms),
-            queue: QueueSpec::DropTail {
-                limit: Bytes(queue_bytes),
-            },
-            jitter: SimDuration::ZERO,
-            loss_prob: loss,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(c, s, LinkSpec::lan(SimDuration::from_millis(owd_ms)));
+    let down = LinkSpec::bottleneck(
+        BitRate::from_mbps(rate_mbps),
+        Bytes(queue_bytes),
+        SimDuration::from_millis(owd_ms),
+    )
+    .with_loss(loss);
+    let (mut b, s, c) = NetworkBuilder::dumbbell(seed, down);
     let data = b.flow("data");
     let acks = b.flow("acks");
-    let cfg = TcpSenderConfig::new(data, c, AgentId(1), cca);
-    let sender = b.add_agent(s, Box::new(TcpSender::new(cfg)));
-    let recv = b.add_agent(c, Box::new(TcpReceiver::new(acks, s, sender)));
+    let (sender, recv) = connect(&mut b, s, c, data, acks, cca, TcpSender::new);
     Built {
         sim: b.build(),
         data,
@@ -143,31 +129,18 @@ fn bbr_cwnd_gain_knob_scales_queueing() {
     // D3 ablation support: a larger PROBE_BW cwnd gain holds more in
     // flight and thus more standing queue (higher OWD) on a solo path.
     let owd_for = |gain: f64| {
-        let mut b = NetworkBuilder::new(9);
-        let s = b.add_node("s");
-        let c = b.add_node("c");
-        b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(20),
-                Bytes(400_000),
-                SimDuration::from_millis(10),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(20),
+            Bytes(400_000),
+            SimDuration::from_millis(10),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(10)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(9, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, c, AgentId(1), CcaKind::Bbr);
-        let mss = cfg.mss.as_u64();
-        let sender = b.add_agent(
-            s,
-            Box::new(TcpSender::with_controller(
-                cfg,
-                Box::new(Bbr::with_cwnd_gain(mss, gain)),
-            )),
-        );
-        b.add_agent(c, Box::new(TcpReceiver::new(acks, s, sender)));
+        connect(&mut b, s, c, data, acks, CcaKind::Bbr, |cfg| {
+            let bbr = Bbr::with_cwnd_gain(cfg.mss.as_u64(), gain);
+            TcpSender::with_controller(cfg, Box::new(bbr))
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(20));
         sim.net.monitor().stats(data).owd.mean()
@@ -212,30 +185,24 @@ fn sack_recovery_beats_rto_only_behaviour() {
 #[test]
 fn delayed_acks_halve_ack_traffic_without_hurting_goodput() {
     let run = |delack: bool| {
-        let mut b = NetworkBuilder::new(55);
-        let s = b.add_node("server");
-        let c = b.add_node("client");
-        b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(20),
-                Bytes(80_000),
-                SimDuration::from_millis(8),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(20),
+            Bytes(80_000),
+            SimDuration::from_millis(8),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(8)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(55, down);
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, c, AgentId(1), CcaKind::Cubic);
-        let sender = b.add_agent(s, Box::new(TcpSender::new(cfg)));
-        let recv = TcpReceiver::new(acks, s, sender);
-        let recv = if delack {
-            recv.with_delayed_acks()
-        } else {
-            recv
-        };
-        b.add_agent(c, Box::new(recv));
+        b.add_pair(s, c, |tx, rx| {
+            let cfg = TcpSenderConfig::new(data, c, rx, CcaKind::Cubic);
+            let recv = TcpReceiver::new(acks, s, tx);
+            let recv = if delack {
+                recv.with_delayed_acks()
+            } else {
+                recv
+            };
+            (Box::new(TcpSender::new(cfg)), Box::new(recv))
+        });
         let mut sim = b.build();
         sim.run_until(SimTime::from_secs(20));
         let gp = sim.goodput_mbps(data, SimTime::from_secs(5), SimTime::from_secs(20));
@@ -261,27 +228,17 @@ fn delayed_acks_halve_ack_traffic_without_hurting_goodput() {
 
 #[test]
 fn two_bbr_flows_converge_to_fair_share() {
-    let mut b = NetworkBuilder::new(77);
-    let s = b.add_node("server");
-    let c = b.add_node("client");
-    b.link(
-        s,
-        c,
-        LinkSpec::bottleneck(
-            BitRate::from_mbps(24),
-            Bytes(100_000),
-            SimDuration::from_millis(8),
-        ),
+    let down = LinkSpec::bottleneck(
+        BitRate::from_mbps(24),
+        Bytes(100_000),
+        SimDuration::from_millis(8),
     );
-    b.link(c, s, LinkSpec::lan(SimDuration::from_millis(8)));
+    let (mut b, s, c) = NetworkBuilder::dumbbell(77, down);
     let mut flows = vec![];
     for i in 0..2u32 {
         let data = b.flow(format!("d{i}"));
         let acks = b.flow(format!("a{i}"));
-        let recv_id = AgentId(i * 2 + 1);
-        let cfg = TcpSenderConfig::new(data, c, recv_id, CcaKind::Bbr);
-        let sender = b.add_agent(s, Box::new(TcpSender::new(cfg)));
-        b.add_agent(c, Box::new(TcpReceiver::new(acks, s, sender)));
+        connect(&mut b, s, c, data, acks, CcaKind::Bbr, TcpSender::new);
         flows.push(data);
     }
     let mut sim = b.build();
@@ -308,27 +265,21 @@ fn every_recovery_path_delivers_an_app_limited_budget_exactly() {
     // timer.
     const BUDGET: u64 = 6_000_000 + 700; // not a whole number of segments
     for cca in [CcaKind::Cubic, CcaKind::Bbr] {
-        let mut b = NetworkBuilder::new(63);
-        let s = b.add_node("server");
-        let c = b.add_node("client");
-        let fwd = b.link(
-            s,
-            c,
-            LinkSpec::bottleneck(
-                BitRate::from_mbps(10),
-                Bytes(30_000),
-                SimDuration::from_millis(10),
-            ),
+        let down = LinkSpec::bottleneck(
+            BitRate::from_mbps(10),
+            Bytes(30_000),
+            SimDuration::from_millis(10),
         );
-        b.link(c, s, LinkSpec::lan(SimDuration::from_millis(10)));
+        let (mut b, s, c) = NetworkBuilder::dumbbell(63, down);
+        let fwd = LinkId(0); // the dumbbell's down link
         let data = b.flow("d");
         let acks = b.flow("a");
-        let cfg = TcpSenderConfig::new(data, c, AgentId(1), cca);
-        let mut sender = TcpSender::new(cfg);
-        sender.set_app_limited();
-        sender.queue_app_bytes(BUDGET);
-        let sender = b.add_agent(s, Box::new(sender));
-        let recv = b.add_agent(c, Box::new(TcpReceiver::new(acks, s, sender)));
+        let (sender, recv) = connect(&mut b, s, c, data, acks, cca, |cfg| {
+            let mut sender = TcpSender::new(cfg);
+            sender.set_app_limited();
+            sender.queue_app_bytes(BUDGET);
+            sender
+        });
         let mut sim = b.build();
         let ms = SimTime::from_millis;
         sim.apply_scenario(

@@ -15,11 +15,10 @@ use std::fmt;
 
 use gsrepro_gamestream::profile::ControllerKind;
 use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::net::NetworkBuilder;
+use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{Bbr, CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{connect, Bbr, CcaKind, TcpSender};
 
 use crate::config::{Aqm, Condition, Timeline, EQUALIZED_RTT};
 use crate::metrics;
@@ -197,39 +196,25 @@ pub fn bbr_cwnd_gain(gains: &[f64], queue_mult: f64, secs: u64, seed: u64) -> Ve
     gains
         .iter()
         .map(|&gain| {
-            let mut b = NetworkBuilder::new(seed);
-            let s = b.add_node("servers");
-            let c = b.add_node("client");
-            b.link(
-                s,
-                c,
-                LinkSpec {
-                    shaper: Shaper::rate(capacity),
-                    delay: SimDuration::from_micros(8_250),
-                    queue: QueueSpec::DropTail { limit: queue },
-                    jitter: SimDuration::ZERO,
-                    loss_prob: 0.0,
-                    dup_prob: 0.0,
-                },
-            );
-            b.link(c, s, LinkSpec::lan(SimDuration::from_micros(8_250)));
+            let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+            let (mut b, s, c) = NetworkBuilder::dumbbell(seed, down);
             let cubic_f = b.flow("cubic");
             let cubic_a = b.flow("cubic-ack");
             let bbr_f = b.flow("bbr");
             let bbr_a = b.flow("bbr-ack");
-            let cubic_cfg = TcpSenderConfig::new(cubic_f, c, AgentId(1), CcaKind::Cubic);
-            let cubic_tx = b.add_agent(s, Box::new(TcpSender::new(cubic_cfg)));
-            b.add_agent(c, Box::new(TcpReceiver::new(cubic_a, s, cubic_tx)));
-            let bbr_cfg = TcpSenderConfig::new(bbr_f, c, AgentId(3), CcaKind::Bbr);
-            let mss = bbr_cfg.mss.as_u64();
-            let bbr_tx = b.add_agent(
+            connect(
+                &mut b,
                 s,
-                Box::new(TcpSender::with_controller(
-                    bbr_cfg,
-                    Box::new(Bbr::with_cwnd_gain(mss, gain)),
-                )),
+                c,
+                cubic_f,
+                cubic_a,
+                CcaKind::Cubic,
+                TcpSender::new,
             );
-            b.add_agent(c, Box::new(TcpReceiver::new(bbr_a, s, bbr_tx)));
+            connect(&mut b, s, c, bbr_f, bbr_a, CcaKind::Bbr, |cfg| {
+                let bbr = Bbr::with_cwnd_gain(cfg.mss.as_u64(), gain);
+                TcpSender::with_controller(cfg, Box::new(bbr))
+            });
             let mut sim = b.build();
             sim.run_until(SimTime::from_secs(secs));
             let from = SimTime::from_secs(secs / 3);

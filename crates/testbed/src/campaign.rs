@@ -54,6 +54,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use gsrepro_simcore::rng::stream_id;
+
 use crate::config::{Condition, Timeline};
 use crate::metrics::{recovery_time_bins, response_time_bins};
 use crate::runner::{run_condition_with, run_jobs, RunView};
@@ -150,7 +152,7 @@ impl CampaignSpec {
             self.shard_size(),
             self.checks
         ));
-        fnv1a(s.as_bytes())
+        stream_id(&s)
     }
 }
 
@@ -168,15 +170,6 @@ fn timeline_bits(tl: &Timeline) -> String {
         b(tl.fairness_window.0),
         b(tl.fairness_window.1),
     )
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The per-session scalars a campaign aggregates — everything the fleet
@@ -415,7 +408,7 @@ impl CampaignResult {
             s.push_str(&agg.serialize());
             s.push('\n');
         }
-        fnv1a(s.as_bytes())
+        stream_id(&s)
     }
 }
 

@@ -31,12 +31,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use gsrepro_gamestream::SystemKind;
 use gsrepro_netsim::link::LinkId;
 use gsrepro_netsim::{LinkProfile, ScenarioAction, ScenarioGen, ScenarioSpec, ScenarioStep};
-use gsrepro_simcore::rng::rng_for;
+use gsrepro_simcore::rng::{fnv1a, rng_for, FNV_OFFSET};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimError, SimTime, Watchdog};
 use gsrepro_tcp::CcaKind;
 
 use crate::config::{Aqm, Condition, Timeline};
-use crate::runner::{default_threads, run_condition_guarded, run_jobs, RunView};
+use crate::runner::{default_threads, panic_message, run_condition_guarded, run_jobs, RunView};
 use crate::topology::{BOTTLENECK_LINK, WAN_GAME_LINK};
 
 /// How one chaos trial ended.
@@ -443,15 +443,8 @@ impl ChaosSpec {
     }
 }
 
-fn fnv_bytes(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 fn fnv_u64(h: &mut u64, v: u64) {
-    fnv_bytes(h, &v.to_le_bytes());
+    *h = fnv1a(*h, &v.to_le_bytes());
 }
 
 fn fnv_f64(h: &mut u64, v: f64) {
@@ -464,7 +457,7 @@ fn fnv_f64(h: &mut u64, v: f64) {
 /// exactly the surfaces the determinism-matrix tests compare, folded to
 /// one u64 so two legs compare in O(1) memory.
 pub fn digest(view: &RunView) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = FNV_OFFSET;
     fnv_u64(&mut h, view.events_processed);
     fnv_u64(&mut h, view.past_clamps);
     fnv_u64(&mut h, view.checks_performed);
@@ -507,16 +500,6 @@ pub fn digest(view: &RunView) -> u64 {
     h
 }
 
-fn panic_text(p: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Run one leg under full oracles + watchdog; classify every way it can
 /// end. `Ok` carries the result digest.
 fn run_leg(
@@ -543,7 +526,7 @@ fn run_leg(
             }),
         },
         Err(p) => {
-            let message = panic_text(p);
+            let message = panic_message(p.as_ref());
             if message.starts_with("invariant violation") {
                 Err(ChaosVerdict::OracleViolation { report: message })
             } else {

@@ -18,7 +18,8 @@
 use std::fmt;
 
 use gsrepro_gamestream::SystemKind;
-use gsrepro_simcore::stats::mean_ci95;
+use gsrepro_simcore::stats::{mean_ci95, Samples};
+use gsrepro_simcore::SimTime;
 use gsrepro_tcp::CcaKind;
 
 use crate::config::{Aqm, Grid, Timeline, CAPACITIES_MBPS, CCAS, QUEUE_MULTS};
@@ -134,6 +135,20 @@ pub fn run_aqm3d_grid(opts: ExperimentOpts) -> GridResults {
     }
 }
 
+/// A grid cell's identity: (system, competitor, capacity Mb/s, queue × BDP).
+type CellKey<C> = (SystemKind, C, u64, f64);
+
+/// Whether `cell` is the cell `want` names. Queue multiples are floats that
+/// went through arithmetic, so they match within 1e-9; the rest is exact.
+fn is_cell<C: PartialEq>(cell: CellKey<C>, want: CellKey<C>) -> bool {
+    cell.0 == want.0 && cell.1 == want.1 && cell.2 == want.2 && (cell.3 - want.3).abs() < 1e-9
+}
+
+fn key_of(cr: &ConditionResult) -> CellKey<Option<CcaKind>> {
+    let c = &cr.condition;
+    (c.system, c.cca, c.capacity.as_mbps() as u64, c.queue_mult)
+}
+
 impl GridResults {
     /// Find the condition result for a cell.
     pub fn get(
@@ -143,12 +158,8 @@ impl GridResults {
         capacity_mbps: u64,
         queue_mult: f64,
     ) -> Option<&ConditionResult> {
-        self.results.iter().find(|r| {
-            r.condition.system == system
-                && r.condition.cca == cca
-                && r.condition.capacity.as_mbps() as u64 == capacity_mbps
-                && (r.condition.queue_mult - queue_mult).abs() < 1e-9
-        })
+        let want = (system, cca, capacity_mbps, queue_mult);
+        self.results.iter().find(|r| is_cell(key_of(r), want))
     }
 }
 
@@ -241,11 +252,8 @@ pub fn figure2(opts: ExperimentOpts) -> Figure2 {
         for &sys in &SystemKind::ALL {
             let mut series = Vec::new();
             for &q in &QUEUE_MULTS {
-                if let Some(cr) = results.iter().find(|r| {
-                    r.condition.system == sys
-                        && r.condition.cca == Some(cca)
-                        && (r.condition.queue_mult - q).abs() < 1e-9
-                }) {
+                let want = (sys, Some(cca), 25, q);
+                if let Some(cr) = results.iter().find(|r| is_cell(key_of(r), want)) {
                     series.push((q, cr.game_series_ci()));
                 }
             }
@@ -385,14 +393,10 @@ pub fn figure3(grid: &GridResults) -> Figure3 {
 impl Figure3 {
     /// Cell lookup.
     pub fn cell(&self, system: SystemKind, cca: CcaKind, capacity: u64, queue: f64) -> Option<f64> {
+        let want = (system, cca, capacity, queue);
         self.cells
             .iter()
-            .find(|c| {
-                c.system == system
-                    && c.cca == cca
-                    && c.capacity == capacity
-                    && (c.queue - queue).abs() < 1e-9
-            })
+            .find(|c| is_cell((c.system, c.cca, c.capacity, c.queue), want))
             .map(|c| c.ratio)
     }
 
@@ -474,6 +478,28 @@ pub struct Figure4 {
     pub points: Vec<Figure4Point>,
 }
 
+/// One condition's mean response time C and recovery time E over its runs,
+/// each with the fraction of runs that never settled:
+/// `(C s, C never, E s, E never)`.
+fn response_recovery_means(cr: &ConditionResult) -> (f64, f64, f64, f64) {
+    let tl = &cr.condition.timeline;
+    let n = cr.runs.len().max(1) as f64;
+    let (mut c_sum, mut e_sum, mut c_never, mut e_never) = (0.0, 0.0, 0.0, 0.0);
+    for r in &cr.runs {
+        let c = metrics::response_time(r, tl);
+        let e = metrics::recovery_time(r, tl);
+        c_sum += c.secs;
+        e_sum += e.secs;
+        if c.never {
+            c_never += 1.0;
+        }
+        if e.never {
+            e_never += 1.0;
+        }
+    }
+    (c_sum / n, c_never / n, e_sum / n, e_never / n)
+}
+
 /// Reduce a full grid to Figure 4.
 pub fn figure4(grid: &GridResults) -> Figure4 {
     struct Raw {
@@ -492,36 +518,18 @@ pub fn figure4(grid: &GridResults) -> Figure4 {
         let Some(cca) = cr.condition.cca else {
             continue;
         };
-        let tl = &cr.condition.timeline;
-        let mut cs = Vec::new();
-        let mut es = Vec::new();
-        let mut fair = Vec::new();
-        let mut never_c = 0.0;
-        let mut never_e = 0.0;
-        for r in &cr.runs {
-            let c = metrics::response_time(r, tl);
-            let e = metrics::recovery_time(r, tl);
-            cs.push(c.secs);
-            es.push(e.secs);
-            if c.never {
-                never_c += 1.0;
-            }
-            if e.never {
-                never_e += 1.0;
-            }
-            fair.push(metrics::fairness(r, &cr.condition));
-        }
-        let n = cr.runs.len().max(1) as f64;
+        let fair = cr.runs.iter().map(|r| metrics::fairness(r, &cr.condition));
+        let (c, nr, e, nv) = response_recovery_means(cr);
         raws.push(Raw {
             system: cr.condition.system,
             cca,
             capacity: cr.condition.capacity.as_mbps() as u64,
             queue: cr.condition.queue_mult,
-            fairness: fair.iter().sum::<f64>() / n,
-            c: cs.iter().sum::<f64>() / n,
-            e: es.iter().sum::<f64>() / n,
-            nr: never_c / n,
-            nv: never_e / n,
+            fairness: fair.sum::<f64>() / cr.runs.len().max(1) as f64,
+            c,
+            e,
+            nr,
+            nv,
         });
     }
 
@@ -650,9 +658,10 @@ pub struct QoeTable {
 impl QoeTable {
     /// Look up a cell's mean.
     pub fn mean(&self, capacity: u64, queue: f64, system: SystemKind, cca: &str) -> Option<f64> {
+        let want = (system, cca, capacity, queue);
         self.rows
             .iter()
-            .find(|r| r.0 == capacity && (r.1 - queue).abs() < 1e-9 && r.2 == system && r.3 == cca)
+            .find(|r| is_cell((r.2, r.3.as_str(), r.0, r.1), want))
             .map(|r| r.4)
     }
 
@@ -694,74 +703,54 @@ impl fmt::Display for QoeTable {
     }
 }
 
+/// One row per cell of `grid`, in grid order: `cell` reduces a condition to
+/// its (mean, sd) over the window the competitor runs in — in a solo grid,
+/// the same stretch of steady gameplay, listed under cca "-".
+fn qoe_table(
+    title: &str,
+    grid: &GridResults,
+    cell: impl Fn(&ConditionResult, SimTime, SimTime) -> (f64, f64),
+) -> QoeTable {
+    let rows = grid.results.iter().map(|cr| {
+        let tl = &cr.condition.timeline;
+        let (mean, sd) = cell(cr, tl.iperf_start, tl.iperf_stop);
+        let (system, cca, capacity, queue) = key_of(cr);
+        let cca = cca.map_or("-", CcaKind::label).to_string();
+        (capacity, queue, system, cca, mean, sd)
+    });
+    QoeTable {
+        title: title.into(),
+        rows: rows.collect(),
+    }
+}
+
+fn mean_and_sd(s: Samples) -> (f64, f64) {
+    (s.mean(), s.stddev())
+}
+
+fn rtt_cell(cr: &ConditionResult, from: SimTime, to: SimTime) -> (f64, f64) {
+    mean_and_sd(cr.rtt_pooled(from, to))
+}
+
 /// Table 3: RTT without a competing flow. Measured over what would be the
 /// competitor window (steady gameplay).
 pub fn table3(solo: &GridResults) -> QoeTable {
-    let mut rows = Vec::new();
-    for cr in &solo.results {
-        let tl = &cr.condition.timeline;
-        let s = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop);
-        rows.push((
-            cr.condition.capacity.as_mbps() as u64,
-            cr.condition.queue_mult,
-            cr.condition.system,
-            "-".to_string(),
-            s.mean(),
-            s.stddev(),
-        ));
-    }
-    QoeTable {
-        title: "Table 3 — RTT (ms) without a competing TCP flow".into(),
-        rows,
-    }
+    let title = "Table 3 — RTT (ms) without a competing TCP flow";
+    qoe_table(title, solo, rtt_cell)
 }
 
 /// Table 4: RTT with a competing flow, measured while it runs.
 pub fn table4(grid: &GridResults) -> QoeTable {
-    let mut rows = Vec::new();
-    for cr in &grid.results {
-        let Some(cca) = cr.condition.cca else {
-            continue;
-        };
-        let tl = &cr.condition.timeline;
-        let s = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop);
-        rows.push((
-            cr.condition.capacity.as_mbps() as u64,
-            cr.condition.queue_mult,
-            cr.condition.system,
-            cca.label().to_string(),
-            s.mean(),
-            s.stddev(),
-        ));
-    }
-    QoeTable {
-        title: "Table 4 — RTT (ms) with a competing TCP flow".into(),
-        rows,
-    }
+    let title = "Table 4 — RTT (ms) with a competing TCP flow";
+    qoe_table(title, grid, rtt_cell)
 }
 
 /// Table 5: displayed frame rate with a competing flow.
 pub fn table5(grid: &GridResults) -> QoeTable {
-    let mut rows = Vec::new();
-    for cr in &grid.results {
-        let Some(cca) = cr.condition.cca else {
-            continue;
-        };
-        let tl = &cr.condition.timeline;
-        let s = cr.fps_pooled(tl.iperf_start, tl.iperf_stop);
-        rows.push((
-            cr.condition.capacity.as_mbps() as u64,
-            cr.condition.queue_mult,
-            cr.condition.system,
-            cca.label().to_string(),
-            s.mean(),
-            s.stddev(),
-        ));
-    }
-    QoeTable {
-        title: "Table 5 — frame rate (f/s) with a competing TCP flow".into(),
-        rows,
-    }
+    let title = "Table 5 — frame rate (f/s) with a competing TCP flow";
+    qoe_table(title, grid, |cr, from, to| {
+        mean_and_sd(cr.fps_pooled(from, to))
+    })
 }
 
 /// One cell of the 3-D AQM scorecard: QoE of the game stream and fate of
@@ -895,44 +884,10 @@ impl fmt::Display for Aqm3dTable {
 
 /// Tech-report loss tables: game media loss with/without the competitor.
 pub fn loss_tables(solo: &GridResults, grid: &GridResults) -> (QoeTable, QoeTable) {
-    let mut solo_rows = Vec::new();
-    for cr in &solo.results {
-        let tl = &cr.condition.timeline;
-        let loss = cr.loss_mean(tl.iperf_start, tl.iperf_stop) * 100.0;
-        solo_rows.push((
-            cr.condition.capacity.as_mbps() as u64,
-            cr.condition.queue_mult,
-            cr.condition.system,
-            "-".to_string(),
-            loss,
-            0.0,
-        ));
-    }
-    let mut comp_rows = Vec::new();
-    for cr in &grid.results {
-        let Some(cca) = cr.condition.cca else {
-            continue;
-        };
-        let tl = &cr.condition.timeline;
-        let loss = cr.loss_mean(tl.iperf_start, tl.iperf_stop) * 100.0;
-        comp_rows.push((
-            cr.condition.capacity.as_mbps() as u64,
-            cr.condition.queue_mult,
-            cr.condition.system,
-            cca.label().to_string(),
-            loss,
-            0.0,
-        ));
-    }
+    let loss_pct = |cr: &ConditionResult, from, to| (cr.loss_mean(from, to) * 100.0, 0.0);
     (
-        QoeTable {
-            title: "Loss (%) without a competing TCP flow".into(),
-            rows: solo_rows,
-        },
-        QoeTable {
-            title: "Loss (%) with a competing TCP flow".into(),
-            rows: comp_rows,
-        },
+        qoe_table("Loss (%) without a competing TCP flow", solo, loss_pct),
+        qoe_table("Loss (%) with a competing TCP flow", grid, loss_pct),
     )
 }
 
@@ -955,33 +910,16 @@ pub fn response_recovery(grid: &GridResults) -> ResponseRecoveryTable {
         let Some(cca) = cr.condition.cca else {
             continue;
         };
-        let tl = &cr.condition.timeline;
-        let n = cr.runs.len().max(1) as f64;
-        let mut c_sum = 0.0;
-        let mut e_sum = 0.0;
-        let mut c_never = 0.0;
-        let mut e_never = 0.0;
-        for r in &cr.runs {
-            let c = crate::metrics::response_time(r, tl);
-            let e = crate::metrics::recovery_time(r, tl);
-            c_sum += c.secs;
-            e_sum += e.secs;
-            if c.never {
-                c_never += 1.0;
-            }
-            if e.never {
-                e_never += 1.0;
-            }
-        }
+        let (c, c_never, e, e_never) = response_recovery_means(cr);
         rows.push((
             cr.condition.capacity.as_mbps() as u64,
             cr.condition.queue_mult,
             cr.condition.system,
             cca,
-            c_sum / n,
-            c_never / n,
-            e_sum / n,
-            e_never / n,
+            c,
+            c_never,
+            e,
+            e_never,
         ));
     }
     ResponseRecoveryTable { rows }

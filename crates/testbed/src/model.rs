@@ -59,12 +59,11 @@
 //! the `model_oracle` snapshot fixture.
 
 use gsrepro_netsim::net::NetworkBuilder;
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::rng::{derive_seed, stream_id};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::cca::bbr::Bbr;
-use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{connect, CcaKind, TcpSender};
 
 use crate::metrics::jains_index;
 use crate::report::TextTable;
@@ -328,47 +327,30 @@ pub fn run_bulk_cell(
     let queue = capacity.bdp(cell.base_rtt).mul_f64(cell.queue_mult);
     let one_way = cell.base_rtt.mul_f64(0.5);
 
-    let mut b = NetworkBuilder::new(cell.seed()).checks(checks);
-    let servers = b.add_node("servers");
-    let client = b.add_node("client");
-    b.link(
-        servers,
-        client,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: one_way,
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(client, servers, LinkSpec::lan(one_way));
+    let down = LinkSpec::bottleneck(capacity, queue, one_way);
+    let (b, servers, client) = NetworkBuilder::dumbbell(cell.seed(), down);
+    let mut b = b.checks(checks);
 
     let stop = SimTime::ZERO + duration;
     let mut flows = Vec::new();
     for i in 0..cell.n_cubic {
         let data = b.flow(format!("cubic{i}"));
         let acks = b.flow(format!("cack{i}"));
-        let recv = gsrepro_netsim::net::AgentId(i * 2 + 1);
-        let cfg = TcpSenderConfig::new(data, client, recv, CcaKind::Cubic)
-            .active_during(SimTime::ZERO, stop);
-        let s = b.add_agent(servers, Box::new(TcpSender::new(cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, servers, s)));
+        connect(&mut b, servers, client, data, acks, CcaKind::Cubic, |cfg| {
+            TcpSender::new(cfg.active_during(SimTime::ZERO, stop))
+        });
         flows.push(data);
     }
     let data = b.flow("bbr");
     let acks = b.flow("back");
-    let recv = gsrepro_netsim::net::AgentId(cell.n_cubic * 2 + 1);
-    let cfg =
-        TcpSenderConfig::new(data, client, recv, CcaKind::Bbr).active_during(SimTime::ZERO, stop);
-    let mss = cfg.mss.as_u64();
-    let sender = match bbr_cwnd_gain {
-        Some(g) => TcpSender::with_controller(cfg, Box::new(Bbr::with_cwnd_gain(mss, g))),
-        None => TcpSender::new(cfg),
-    };
-    let s = b.add_agent(servers, Box::new(sender));
-    b.add_agent(client, Box::new(TcpReceiver::new(acks, servers, s)));
+    connect(&mut b, servers, client, data, acks, CcaKind::Bbr, |cfg| {
+        let mss = cfg.mss.as_u64();
+        let cfg = cfg.active_during(SimTime::ZERO, stop);
+        match bbr_cwnd_gain {
+            Some(g) => TcpSender::with_controller(cfg, Box::new(Bbr::with_cwnd_gain(mss, g))),
+            None => TcpSender::new(cfg),
+        }
+    });
     flows.push(data);
 
     let mut sim = b.build();

@@ -17,8 +17,7 @@
 //! The downstream bottleneck is the only shaped link, shared by both
 //! flows — exactly the contended resource of the paper's experiments.
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
+use gsrepro_gamestream::{self as gamestream, StreamServer};
 use gsrepro_netsim::apps::{EchoTo, PingAgent};
 use gsrepro_netsim::link::LinkId;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
@@ -27,7 +26,7 @@ use gsrepro_netsim::wire::FlowId;
 use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{SimDuration, TelemetryConfig};
-use gsrepro_tcp::{TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{self as tcp, TcpSender};
 
 use crate::config::{Aqm, Condition};
 
@@ -103,22 +102,19 @@ pub fn build_full(
     // The bottleneck: shaped downstream, unshaped upstream; 4.25 ms each
     // way completes the 16.5 ms RTT budget.
     let half = SimDuration::from_micros(4_250);
+    let queue = match cond.aqm {
+        Aqm::DropTail => QueueSpec::DropTail {
+            limit: cond.queue_bytes(),
+        },
+        Aqm::CoDel => QueueSpec::codel_default(cond.queue_bytes()),
+        Aqm::FqCoDel => QueueSpec::fq_codel_default(cond.queue_bytes()),
+    };
     let bottleneck = b.link(
         router,
         switch,
         LinkSpec {
-            shaper: gsrepro_netsim::Shaper::rate(cond.capacity),
-            delay: half,
-            queue: match cond.aqm {
-                Aqm::DropTail => QueueSpec::DropTail {
-                    limit: cond.queue_bytes(),
-                },
-                Aqm::CoDel => QueueSpec::codel_default(cond.queue_bytes()),
-                Aqm::FqCoDel => QueueSpec::fq_codel_default(cond.queue_bytes()),
-            },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
+            queue,
+            ..LinkSpec::bottleneck(cond.capacity, cond.queue_bytes(), half)
         },
     );
     b.link(switch, router, LinkSpec::lan(half));
@@ -143,75 +139,38 @@ pub fn build_full(
         None => (None, None),
     };
 
-    // Agents. Ids are assigned in insertion order; capture them as we go.
     let mut profile = cond.system.profile();
     if let Some(ctrl) = cond.controller_override {
         profile.controller = ctrl;
     }
+    let (client, server) =
+        gamestream::connect(&mut b, game_client, game_server, feedback_flow, |c| {
+            StreamServer::with_fps_policy(
+                game_flow,
+                game_client,
+                c,
+                profile.build_source(seed, stream_id("frames")),
+                profile.build_controller(),
+                profile.fps_policy,
+            )
+        });
 
-    // Agent 0: stream client (knows the server's agent id = 1 ahead of
-    // time; ids are deterministic by construction order).
-    let client_agent_id = AgentId(0);
-    let server_agent_id = AgentId(1);
-    let client = b.add_agent(
-        game_client,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback_flow,
-            game_server,
-            server_agent_id,
-        ))),
-    );
-    assert_eq!(
-        client, client_agent_id,
-        "agent wiring changed: update the id map"
-    );
+    // The paper pings the game server from the game client.
+    let (ping, _) = b.add_pair(game_client, game_server, |ping, echo| {
+        (
+            Box::new(PingAgent::new(ping_flow, game_server, echo, PING_INTERVAL)),
+            Box::new(EchoTo::new(ping_flow, ping)),
+        )
+    });
 
-    let source = profile.build_source(seed, stream_id("frames"));
-    let controller = profile.build_controller();
-    let server = b.add_agent(
-        game_server,
-        Box::new(StreamServer::with_fps_policy(
-            game_flow,
-            game_client,
-            client_agent_id,
-            source,
-            controller,
-            profile.fps_policy,
-        )),
-    );
-    assert_eq!(
-        server, server_agent_id,
-        "agent wiring changed: update the id map"
-    );
-
-    // Agent 2: ping at the game client; agent 3: echo responder at the
-    // game server (the paper pings the game server from the client).
-    let ping = b.add_agent(
-        game_client,
-        Box::new(PingAgent::new(
-            ping_flow,
-            game_server,
-            AgentId(3),
-            PING_INTERVAL,
-        )),
-    );
-    b.add_agent(game_server, Box::new(EchoTo::new(ping_flow, ping)));
-
-    // Agents 4/5: the TCP pair, when competing.
+    // The TCP pair, when competing.
     let tcp_sender = match (cond.cca, iperf_flow, ack_flow) {
         (Some(cca), Some(data), Some(acks)) => {
-            let receiver_id = AgentId(5);
-            let cfg = TcpSenderConfig::new(data, iperf_client, receiver_id, cca)
-                .active_during(cond.timeline.iperf_start, cond.timeline.iperf_stop);
-            let sender = b.add_agent(iperf_server, Box::new(TcpSender::new(cfg)));
-            let receiver = b.add_agent(
-                iperf_client,
-                Box::new(TcpReceiver::new(acks, iperf_server, sender)),
-            );
-            assert_eq!(
-                receiver, receiver_id,
-                "agent wiring changed: update the id map"
-            );
+            let tl = &cond.timeline;
+            let (sender, _) =
+                tcp::connect(&mut b, iperf_server, iperf_client, data, acks, cca, |cfg| {
+                    TcpSender::new(cfg.active_during(tl.iperf_start, tl.iperf_stop))
+                });
             Some(sender)
         }
         _ => None,
@@ -245,7 +204,7 @@ pub fn build_full(
 mod tests {
     use super::*;
     use crate::config::Timeline;
-    use gsrepro_gamestream::SystemKind;
+    use gsrepro_gamestream::{StreamClient, SystemKind};
     use gsrepro_simcore::SimTime;
     use gsrepro_tcp::CcaKind;
 

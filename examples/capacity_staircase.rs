@@ -7,12 +7,8 @@
 //! cargo run --release --example capacity_staircase [stadia|geforce|luna]
 //! ```
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_gamestream::{self as gamestream, StreamClient, StreamServer, SystemKind};
+use gsrepro_netsim::{LinkId, LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
@@ -35,52 +31,28 @@ fn main() {
         (180, 40),
     ];
 
-    let mut b = NetworkBuilder::new(31);
-    let server_node = b.add_node("server");
-    let client_node = b.add_node("client");
-    let bottleneck = b.link(
-        server_node,
-        client_node,
-        LinkSpec {
-            shaper: Shaper::rate(BitRate::from_mbps(40)),
-            delay: SimDuration::from_micros(8_250),
-            // Fixed 2x-BDP-at-25 queue, as a home router would have.
-            queue: QueueSpec::DropTail {
-                limit: BitRate::from_mbps(25).bdp(rtt).mul_f64(2.0),
-            },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
+    // Fixed 2x-BDP-at-25 queue, as a home router would have.
+    let down = LinkSpec::bottleneck(
+        BitRate::from_mbps(40),
+        BitRate::from_mbps(25).bdp(rtt).mul_f64(2.0),
+        SimDuration::from_micros(8_250),
     );
-    b.link(
-        client_node,
-        server_node,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let (mut b, server_node, client_node) = NetworkBuilder::dumbbell(31, down);
+    let bottleneck = LinkId(0); // the dumbbell's down link
 
     let media = b.flow("media");
     let feedback = b.flow("feedback");
     let profile = system.profile();
-    let client = b.add_agent(
-        client_node,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            server_node,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        server_node,
-        Box::new(StreamServer::with_fps_policy(
+    let (client, _) = gamestream::connect(&mut b, client_node, server_node, feedback, |client| {
+        StreamServer::with_fps_policy(
             media,
             client_node,
             client,
             profile.build_source(31, stream_id("frames")),
             profile.build_controller(),
             profile.fps_policy,
-        )),
-    );
+        )
+    });
 
     let mut sim = b.build();
     for &(at, cap) in stair {

@@ -8,16 +8,12 @@
 //! cargo run --release --example mixed_traffic
 //! ```
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
+use gsrepro_gamestream::{self as gamestream, StreamServer, SystemKind};
 use gsrepro_netsim::apps::{CbrSource, SinkAgent};
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{self as tcp, CcaKind, TcpSender};
 
 fn main() {
     let capacity = BitRate::from_mbps(35);
@@ -29,23 +25,9 @@ fn main() {
     let router = b.add_node("router");
     let client = b.add_node("client");
     b.duplex(servers, router, LinkSpec::lan(SimDuration::from_millis(4)));
-    b.link(
-        router,
-        client,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(4_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        client,
-        router,
-        LinkSpec::lan(SimDuration::from_micros(4_250)),
-    );
+    let half = SimDuration::from_micros(4_250);
+    b.link(router, client, LinkSpec::bottleneck(capacity, queue, half));
+    b.link(client, router, LinkSpec::lan(half));
 
     let game = b.flow("luna-media");
     let feedback = b.flow("feedback");
@@ -55,46 +37,37 @@ fn main() {
     let bbr_ack = b.flow("bbr-ack");
     let video = b.flow("abr-video");
 
-    // Agent 0/1: game client/server (Luna profile).
     let profile = SystemKind::Luna.profile();
-    let gclient = b.add_agent(
-        client,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            servers,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    gamestream::connect(&mut b, client, servers, feedback, |gclient| {
+        StreamServer::new(
             game,
             client,
             gclient,
             profile.build_source(2024, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
+        )
+    });
 
     // Two TCP flows arriving at different times.
-    let cubic_recv = AgentId(3);
-    let s1 = b.add_agent(
+    let secs = SimTime::from_secs;
+    tcp::connect(
+        &mut b,
         servers,
-        Box::new(TcpSender::new(
-            TcpSenderConfig::new(cubic_f, client, cubic_recv, CcaKind::Cubic)
-                .active_during(SimTime::from_secs(30), SimTime::from_secs(150)),
-        )),
+        client,
+        cubic_f,
+        cubic_ack,
+        CcaKind::Cubic,
+        |cfg| TcpSender::new(cfg.active_during(secs(30), secs(150))),
     );
-    b.add_agent(client, Box::new(TcpReceiver::new(cubic_ack, servers, s1)));
-    let bbr_recv = AgentId(5);
-    let s2 = b.add_agent(
+    tcp::connect(
+        &mut b,
         servers,
-        Box::new(TcpSender::new(
-            TcpSenderConfig::new(bbr_f, client, bbr_recv, CcaKind::Bbr)
-                .active_during(SimTime::from_secs(60), SimTime::from_secs(120)),
-        )),
+        client,
+        bbr_f,
+        bbr_ack,
+        CcaKind::Bbr,
+        |cfg| TcpSender::new(cfg.active_during(secs(60), secs(120))),
     );
-    b.add_agent(client, Box::new(TcpReceiver::new(bbr_ack, servers, s2)));
 
     // ABR-video-ish cross traffic: 6 Mb/s on/off bursts from 90 s.
     let vsink = b.add_agent(client, Box::new(SinkAgent::new()));

@@ -8,15 +8,11 @@
 //! cargo run --release --example netflix_competition [stadia|geforce|luna]
 //! ```
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_gamestream::{self as gamestream, StreamClient, StreamServer, SystemKind};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{CcaKind, DashConfig, DashServer, TcpReceiver, TcpSenderConfig};
+use gsrepro_tcp::{self as tcp, CcaKind, DashConfig, DashServer};
 
 fn main() {
     let system = match std::env::args().nth(1).as_deref() {
@@ -30,26 +26,8 @@ fn main() {
     let rtt = SimDuration::from_micros(16_500);
     let queue = capacity.bdp(rtt).mul_f64(2.0);
 
-    let mut b = NetworkBuilder::new(404);
-    let servers = b.add_node("internet");
-    let home = b.add_node("home");
-    b.link(
-        servers,
-        home,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        home,
-        servers,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (mut b, servers, home) = NetworkBuilder::dumbbell(404, down);
 
     let media = b.flow(format!("{}-media", system.label()));
     let feedback = b.flow("feedback");
@@ -57,33 +35,29 @@ fn main() {
     let dash_ack = b.flow("dash-ack");
 
     let profile = system.profile();
-    let gclient = b.add_agent(
-        home,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            servers,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    let (gclient, _) = gamestream::connect(&mut b, home, servers, feedback, |gclient| {
+        StreamServer::new(
             media,
             home,
             gclient,
             profile.build_source(404, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
+        )
+    });
 
     // The DASH session starts at t = 60 s and binge-watches to the end.
-    let dash_cfg = TcpSenderConfig::new(dash_data, home, AgentId(3), CcaKind::Cubic)
-        .active_during(SimTime::from_secs(60), SimTime::from_secs(300));
-    let dash = b.add_agent(
+    let (dash, _) = tcp::connect(
+        &mut b,
         servers,
-        Box::new(DashServer::new(dash_cfg, DashConfig::default())),
+        home,
+        dash_data,
+        dash_ack,
+        CcaKind::Cubic,
+        |cfg| {
+            let cfg = cfg.active_during(SimTime::from_secs(60), SimTime::from_secs(300));
+            DashServer::new(cfg, DashConfig::default())
+        },
     );
-    b.add_agent(home, Box::new(TcpReceiver::new(dash_ack, servers, dash)));
 
     let mut sim = b.build();
     sim.run_until(SimTime::from_secs(300));

@@ -13,11 +13,9 @@
 //! ```
 
 use gsrepro_netsim::apps::{EchoTo, PingAgent};
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{connect, CcaKind, TcpSender};
 
 struct Outcome {
     g1: f64,
@@ -30,53 +28,25 @@ fn duel(cca1: CcaKind, cca2: CcaKind, queue_mult: f64, seed: u64) -> Outcome {
     let rtt = SimDuration::from_micros(16_500);
     let queue = capacity.bdp(rtt).mul_f64(queue_mult);
 
-    let mut b = NetworkBuilder::new(seed);
-    let server = b.add_node("server");
-    let client = b.add_node("client");
-    b.link(
-        server,
-        client,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        client,
-        server,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (mut b, server, client) = NetworkBuilder::dumbbell(seed, down);
 
     let mut flows = vec![];
     for (i, cca) in [cca1, cca2].into_iter().enumerate() {
         let data = b.flow(format!("f{i}"));
         let acks = b.flow(format!("a{i}"));
-        let recv_id = AgentId(i as u32 * 2 + 1);
-        let s = b.add_agent(
-            server,
-            Box::new(TcpSender::new(TcpSenderConfig::new(
-                data, client, recv_id, cca,
-            ))),
-        );
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, server, s)));
+        connect(&mut b, server, client, data, acks, cca, TcpSender::new);
         flows.push(data);
     }
     // Ping alongside, as the testbed does.
     let ping_flow = b.flow("ping");
-    let ping = b.add_agent(
-        client,
-        Box::new(PingAgent::new(
-            ping_flow,
-            server,
-            AgentId(5),
-            SimDuration::from_millis(200),
-        )),
-    );
-    b.add_agent(server, Box::new(EchoTo::new(ping_flow, ping)));
+    let (ping, _) = b.add_pair(client, server, |ping, echo| {
+        let interval = SimDuration::from_millis(200);
+        (
+            Box::new(PingAgent::new(ping_flow, server, echo, interval)),
+            Box::new(EchoTo::new(ping_flow, ping)),
+        )
+    });
 
     let mut sim = b.build();
     sim.run_until(SimTime::from_secs(60));

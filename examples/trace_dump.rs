@@ -6,41 +6,20 @@
 //! cargo run --release --example trace_dump
 //! ```
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_gamestream::{self as gamestream, StreamServer, SystemKind};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::telemetry::{EventKind, TelemetryConfig};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{self as tcp, CcaKind, TcpSender};
 
 fn main() {
     let capacity = BitRate::from_mbps(25);
     let queue = capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(0.5);
 
-    let mut b = NetworkBuilder::new(7).telemetry(TelemetryConfig::default());
-    let servers = b.add_node("servers");
-    let client = b.add_node("client");
-    b.link(
-        servers,
-        client,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        client,
-        servers,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (b, servers, client) = NetworkBuilder::dumbbell(7, down);
+    let mut b = b.telemetry(TelemetryConfig::default());
 
     let media = b.flow("stadia-media");
     let feedback = b.flow("feedback");
@@ -48,33 +27,24 @@ fn main() {
     let tcp_ack = b.flow("cubic-ack");
 
     let profile = SystemKind::Stadia.profile();
-    let gclient = b.add_agent(
-        client,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            servers,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    gamestream::connect(&mut b, client, servers, feedback, |gclient| {
+        StreamServer::new(
             media,
             client,
             gclient,
             profile.build_source(7, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
-    let recv_id = AgentId(3);
-    let sender = b.add_agent(
+        )
+    });
+    tcp::connect(
+        &mut b,
         servers,
-        Box::new(TcpSender::new(
-            TcpSenderConfig::new(tcp_data, client, recv_id, CcaKind::Cubic)
-                .active_during(SimTime::from_secs(2), SimTime::from_secs(10)),
-        )),
+        client,
+        tcp_data,
+        tcp_ack,
+        CcaKind::Cubic,
+        |cfg| TcpSender::new(cfg.active_during(SimTime::from_secs(2), SimTime::from_secs(10))),
     );
-    b.add_agent(client, Box::new(TcpReceiver::new(tcp_ack, servers, sender)));
 
     let mut sim = b.build();
     sim.run_until(SimTime::from_secs(10));

@@ -8,14 +8,10 @@
 //! cargo run --release --example videoconference_competition [stadia|geforce|luna]
 //! ```
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
 use gsrepro_gamestream::controller::gcc::{GccConfig, GccController};
 use gsrepro_gamestream::frame::{FrameSource, FrameSourceConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_gamestream::{self as gamestream, StreamClient, StreamServer, SystemKind};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
@@ -31,63 +27,27 @@ fn main() {
     let rtt = SimDuration::from_micros(16_500);
     let queue = capacity.bdp(rtt).mul_f64(2.0);
 
-    let mut b = NetworkBuilder::new(505);
-    let servers = b.add_node("internet");
-    let home = b.add_node("home");
-    b.link(
-        servers,
-        home,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        home,
-        servers,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (mut b, servers, home) = NetworkBuilder::dumbbell(505, down);
 
     let game_flow = b.flow(format!("{}-media", system.label()));
     let game_fb = b.flow("game-feedback");
     let conf_flow = b.flow("conference");
     let conf_fb = b.flow("conf-feedback");
 
-    // Game stream (agents 0/1).
     let profile = system.profile();
-    let gclient = b.add_agent(
-        home,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            game_fb,
-            servers,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    let (gclient, _) = gamestream::connect(&mut b, home, servers, game_fb, |gclient| {
+        StreamServer::new(
             game_flow,
             home,
             gclient,
             profile.build_source(505, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
+        )
+    });
 
-    // Conference stream (agents 2/3): GCC at a 3.5 Mb/s ceiling, 30 f/s
-    // camera, running alongside for the whole session.
-    let cclient = b.add_agent(
-        home,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            conf_fb,
-            servers,
-            AgentId(3),
-        ))),
-    );
+    // Conference stream: GCC at a 3.5 Mb/s ceiling, 30 f/s camera, running
+    // alongside for the whole session.
     let conf_cfg = GccConfig {
         min_rate: BitRate::from_kbps(300),
         max_rate: BitRate::from_mbps_f64(3.5),
@@ -97,16 +57,15 @@ fn main() {
         fps: 30,
         ..FrameSourceConfig::default()
     };
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    let (cclient, _) = gamestream::connect(&mut b, home, servers, conf_fb, |cclient| {
+        StreamServer::new(
             conf_flow,
             home,
             cclient,
             FrameSource::new(conf_frames, 505, stream_id("conf-frames")),
             Box::new(GccController::new(conf_cfg)),
-        )),
-    );
+        )
+    });
 
     let mut sim = b.build();
     sim.run_until(SimTime::from_secs(180));

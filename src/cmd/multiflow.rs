@@ -3,15 +3,11 @@
 //! 25 Mb/s / 2×-BDP, reports the game's share vs its N-flow fair share
 //! capacity/(N+1).
 
-use gsrepro_gamestream::client::{StreamClient, StreamClientConfig};
-use gsrepro_gamestream::server::StreamServer;
-use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::{AgentId, NetworkBuilder};
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_gamestream::{self as gamestream, StreamServer, SystemKind};
+use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{self as tcp, CcaKind, TcpSender};
 use gsrepro_testbed::metrics::jains_index;
 use gsrepro_testbed::report::TextTable;
 
@@ -24,60 +20,31 @@ fn run(system: SystemKind, n_flows: u32, secs: u64, seed: u64) -> (f64, f64, f64
     let rtt = SimDuration::from_micros(16_500);
     let queue = capacity.bdp(rtt).mul_f64(2.0);
 
-    let mut b = NetworkBuilder::new(seed);
-    let servers = b.add_node("servers");
-    let client = b.add_node("client");
-    b.link(
-        servers,
-        client,
-        LinkSpec {
-            shaper: Shaper::rate(capacity),
-            delay: SimDuration::from_micros(8_250),
-            queue: QueueSpec::DropTail { limit: queue },
-            jitter: SimDuration::ZERO,
-            loss_prob: 0.0,
-            dup_prob: 0.0,
-        },
-    );
-    b.link(
-        client,
-        servers,
-        LinkSpec::lan(SimDuration::from_micros(8_250)),
-    );
+    let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
+    let (mut b, servers, client) = NetworkBuilder::dumbbell(seed, down);
 
     let media = b.flow("media");
     let feedback = b.flow("feedback");
     let profile = system.profile();
-    let gclient = b.add_agent(
-        client,
-        Box::new(StreamClient::new(StreamClientConfig::new(
-            feedback,
-            servers,
-            AgentId(1),
-        ))),
-    );
-    b.add_agent(
-        servers,
-        Box::new(StreamServer::new(
+    gamestream::connect(&mut b, client, servers, feedback, |gclient| {
+        StreamServer::new(
             media,
             client,
             gclient,
             profile.build_source(seed, stream_id("frames")),
             profile.build_controller(),
-        )),
-    );
+        )
+    });
 
     let mut tcp_flows = Vec::new();
     for i in 0..n_flows {
         let data = b.flow(format!("cubic{i}"));
         let acks = b.flow(format!("ack{i}"));
-        let recv_id = AgentId(2 + i * 2 + 1);
         // Stagger starts slightly, as real flows would.
         let start = SimTime::from_secs(30 + i as u64 * 2);
-        let cfg = TcpSenderConfig::new(data, client, recv_id, CcaKind::Cubic)
-            .active_during(start, SimTime::from_secs(secs));
-        let s = b.add_agent(servers, Box::new(TcpSender::new(cfg)));
-        b.add_agent(client, Box::new(TcpReceiver::new(acks, servers, s)));
+        tcp::connect(&mut b, servers, client, data, acks, CcaKind::Cubic, |cfg| {
+            TcpSender::new(cfg.active_during(start, SimTime::from_secs(secs)))
+        });
         tcp_flows.push(data);
     }
 

@@ -9,8 +9,7 @@
 
 use gsrepro_netsim::apps::{CbrSource, SinkAgent};
 use gsrepro_netsim::net::NetworkBuilder;
-use gsrepro_netsim::queue::QueueSpec;
-use gsrepro_netsim::{LinkSpec, Shaper};
+use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -33,16 +32,12 @@ fn run_cbr(
     b.link(
         r,
         d,
-        LinkSpec {
-            shaper: Shaper::rate(BitRate::from_mbps(rate_mbps)),
-            delay: SimDuration::from_millis(3),
-            queue: QueueSpec::DropTail {
-                limit: Bytes(queue_bytes),
-            },
-            jitter: SimDuration::ZERO,
-            loss_prob,
-            dup_prob: 0.0,
-        },
+        LinkSpec::bottleneck(
+            BitRate::from_mbps(rate_mbps),
+            Bytes(queue_bytes),
+            SimDuration::from_millis(3),
+        )
+        .with_loss(loss_prob),
     );
     b.link(d, r, LinkSpec::lan(SimDuration::from_millis(1)));
     b.link(r, s, LinkSpec::lan(SimDuration::from_millis(1)));

@@ -1,11 +1,15 @@
-//! Bit-identity pins: `chaos::digest` of four short runs — one Cubic and one
-//! BBR contested cell, one solo cell, one jittered lossy AQM cell — so that
-//! Tier-1 (`cargo test -q`) proves a speed-only change left simulated output
-//! alone.
-//! The contested values were recorded at commit 17802f1, before the TCP
-//! sender's per-ack bookkeeping went O(1); the solo and AQM values at commit
-//! 20b54c9, before netsim's unshaped hops stopped queueing. A deliberate
-//! behaviour change re-records them and says so in CHANGES.md.
+//! Bit-identity pins: `chaos::digest` of five short runs — one Cubic, one
+//! BBR and one BBRv2 contested cell, one solo cell, one jittered lossy AQM
+//! cell — and the goodput bit patterns of the two off-grid dumbbells
+//! (`model::run_bulk_cell`, `ablation::bbr_cwnd_gain`), so that Tier-1
+//! (`cargo test -q`) proves a speed-only or structure-only change left
+//! simulated output alone.
+//! The Cubic and BBR contested values were recorded at commit 17802f1, before
+//! the TCP sender's per-ack bookkeeping went O(1); the solo and AQM values at
+//! commit 20b54c9, before netsim's unshaped hops stopped queueing; the BBRv2
+//! and dumbbell values at commit 5d2b4b7, before the dumbbells were built by
+//! `NetworkBuilder::dumbbell` + `connect` and v1/v2 shared one path model. A
+//! deliberate behaviour change re-records them and says so in CHANGES.md.
 //!
 //! Debug-profile runs also arm the sender's `debug_assert_eq!` cross-checks
 //! of its maintained counters against a scan of the scoreboard, and
@@ -13,8 +17,10 @@
 //! in the digest).
 
 use gsrepro_simcore::{SimDuration, SimTime};
+use gsrepro_testbed::ablation::bbr_cwnd_gain;
 use gsrepro_testbed::chaos::digest;
 use gsrepro_testbed::config::{Aqm, Condition, PathScenario, Timeline};
+use gsrepro_testbed::model::{run_bulk_cell, BulkCell};
 use gsrepro_testbed::runner::run_condition_with;
 use gsrepro_testbed::{CcaKind, SystemKind};
 
@@ -77,5 +83,63 @@ fn jittered_lossy_aqm_digest_is_pinned() {
         0x0d2a_fd03_54f9_63ee,
         "luna-bbr-b35-q0.5 CoDel + jitter + loss window x0.1 digest moved: \
          simulated output changed"
+    );
+}
+
+#[test]
+fn bbr2_ecn_digest_is_pinned() {
+    // BBRv2 is the one ECN-capable CCA: over CoDel its packets are CE-marked
+    // instead of dropped, so this cell runs `bbr2.rs` and its `on_ecn`.
+    let cond = Condition::new(SystemKind::Luna, Some(CcaKind::Bbr2), 25, 2.0).with_aqm(Aqm::CoDel);
+    assert_eq!(
+        digest_of(cond),
+        0xd3b7_5500_f5ac_aad3,
+        "luna-bbr2-b25-q2-codel x0.1 digest moved: simulated output changed"
+    );
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn bulk_cell_goodputs_are_pinned() {
+    // The model oracle's dumbbell: two Cubic flows against one BBR flow for
+    // 20 s, checks on, with stock BBR and with the perturbed `cwnd_gain = 4`.
+    let cell = BulkCell {
+        capacity_mbps: 25,
+        base_rtt: SimDuration::from_micros(16_500),
+        queue_mult: 2.0,
+        n_cubic: 2,
+    };
+    let goodputs =
+        |gain| bits(&run_bulk_cell(&cell, SimDuration::from_secs(20), true, gain).goodputs_mbps);
+    assert_eq!(
+        goodputs(None),
+        [
+            0x4012_9333_4e0b_25cd,
+            0x4011_7866_432a_f7fb,
+            0x402f_5aea_3161_a1da
+        ],
+        "stock model/c25q2r16.5n2 goodputs moved: simulated output changed"
+    );
+    assert_eq!(
+        goodputs(Some(4.0)),
+        [
+            0x3ff5_2919_d4bd_5c16,
+            0x3ff8_131c_3c76_a8d3,
+            0x4035_d3c1_b394_16a2
+        ],
+        "cwnd_gain = 4 model/c25q2r16.5n2 goodputs moved: simulated output changed"
+    );
+}
+
+#[test]
+fn cwnd_gain_ablation_cell_is_pinned() {
+    let cells = bbr_cwnd_gain(&[2.0], 7.0, 20, 5);
+    assert_eq!(
+        bits(&[cells[0].bbr_share, cells[0].rtt_ms]),
+        [0x3fda_60ac_746d_d3a4, 0x4058_c593_77d5_6510],
+        "D3 ablation cell (gain 2, 7x BDP, 20 s, seed 5) moved: simulated output changed"
     );
 }

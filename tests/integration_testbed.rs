@@ -170,3 +170,57 @@ fn deterministic_across_identical_runs() {
     assert_eq!(a.fps_bins, b.fps_bins);
     assert_eq!(a.tcp_retransmissions, b.tcp_retransmissions);
 }
+
+#[test]
+fn connected_pairs_deliver_whatever_was_added_before_them() {
+    // A peer's id depends on how many agents the builder already holds.
+    // With an unrelated agent first, neither pair starts at id 0; a pair
+    // wired to ids counted by hand would address the sink instead.
+    use gsrepro_gamestream::{StreamClient, StreamServer};
+    use gsrepro_netsim::apps::SinkAgent;
+    use gsrepro_netsim::{LinkSpec, NetworkBuilder};
+    use gsrepro_simcore::rng::stream_id;
+    use gsrepro_simcore::{BitRate, Bytes, SimDuration};
+    use gsrepro_tcp::{TcpReceiver, TcpSender};
+
+    let down = LinkSpec::bottleneck(
+        BitRate::from_mbps(50),
+        Bytes(200_000),
+        SimDuration::from_millis(5),
+    );
+    let (mut b, server, client) = NetworkBuilder::dumbbell(3, down);
+    let sink = b.add_agent(client, Box::new(SinkAgent::new()));
+    let (media, feedback) = (b.flow("media"), b.flow("feedback"));
+    let (data, acks) = (b.flow("data"), b.flow("acks"));
+    let profile = SystemKind::Luna.profile();
+    let (viewer, game) = gsrepro_gamestream::connect(&mut b, client, server, feedback, |viewer| {
+        StreamServer::new(
+            media,
+            client,
+            viewer,
+            profile.build_source(3, stream_id("frames")),
+            profile.build_controller(),
+        )
+    });
+    let (tx, rx) = gsrepro_tcp::connect(
+        &mut b,
+        server,
+        client,
+        data,
+        acks,
+        CcaKind::Cubic,
+        TcpSender::new,
+    );
+    let mut sim = b.build();
+    sim.run_until(SimTime::from_secs(5));
+
+    let sink: &SinkAgent = sim.net.agent(sink);
+    assert_eq!(sink.received_pkts(), 0, "nothing is addressed to the sink");
+    let viewer: &StreamClient = sim.net.agent(viewer);
+    assert!(viewer.displayed_frames() > 200, "media reaches its client");
+    let game: &StreamServer = sim.net.agent(game);
+    assert!(game.rate_trace().len() > 20, "reports reach their server");
+    let (tx, rx): (&TcpSender, &TcpReceiver) = (sim.net.agent(tx), sim.net.agent(rx));
+    assert!(rx.bytes_received() > 1_000_000, "data reaches its receiver");
+    assert!(tx.delivered_bytes() > 1_000_000, "acks reach their sender");
+}
