@@ -59,6 +59,14 @@ echo "== oracle-enabled 3-D AQM smoke (scorecard3d with --checks)"
 echo "== scorecard snapshot (release, oracle-enabled grids)"
 cargo test --release -q -p gsrepro-testbed --test scorecard_snapshot -- --ignored
 
+echo "== EXPERIMENTS.md quotes the committed scorecard artifact"
+# The counts were once typed by hand and drifted from the artifact (and the
+# artifact from the code); the summary line must now appear verbatim.
+summary="$(grep -m1 '^Scorecard — ' artifacts_scorecard.txt)" || {
+    echo "artifacts_scorecard.txt has no 'Scorecard — ' summary line" >&2; exit 1; }
+grep -qF -- "$summary" EXPERIMENTS.md || {
+    echo "EXPERIMENTS.md does not quote '$summary' (artifacts_scorecard.txt)" >&2; exit 1; }
+
 echo "== model-oracle gate (Ware inflight-cap model, smoke grid under --checks)"
 # The subcommand itself exits non-zero on any `diverged` verdict in a
 # model-applicable cell, so a CCA regression fails CI even before the
@@ -93,7 +101,7 @@ fi
 # README document.
 for key in '"schema": 1' '"sessions_per_sec"' '"p99"' '"never_response_frac"'; do
     grep -q "$key" "$fleet_dir/resumed.json" || {
-        echo "fleet gate FAILED: BENCH_fleet.json is missing $key" >&2; exit 1; }
+        echo "fleet gate FAILED: the resumed fleet report is missing $key" >&2; exit 1; }
 done
 
 echo "== chaos smoke gate (seeded fuzz must be clean; pinned repro replays bit-identically)"

@@ -10,13 +10,14 @@
 //! Segment sizes on the wire are payload + [`TCP_HEADER`]; pure acks carry
 //! [`ACK_SIZE`] bytes (header + timestamp/SACK options).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use gsrepro_netsim::net::{Agent, AgentId, Ctx, NetworkBuilder, NodeId, PacketSpec};
 use gsrepro_netsim::wire::{Ecn, FlowId, Packet, Payload, TcpSegment, TCP_HEADER, TCP_MSS};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 
 use crate::cca::{AckInfo, CcaKind, CongestionControl};
+use crate::scoreboard::{Acked, Scoreboard, SentSeg};
 
 /// Wire size of a pure ack (TCP/IP header + timestamp and SACK options).
 pub const ACK_SIZE: Bytes = Bytes(60);
@@ -80,20 +81,6 @@ impl TcpSenderConfig {
     }
 }
 
-// A tracked transmission. SACKed segments are removed from tracking
-// immediately (simulated receivers never renege on SACKs, so the sender
-// will never need to retransmit them), which keeps the tracked set bounded
-// by the in-flight window even when a loss hole stalls the cumulative ack
-// for a long time.
-struct SentSeg {
-    seq: u64,
-    len: u64,
-    sent_at: SimTime,
-    delivered_at_send: u64,
-    lost: bool,
-    retx: u32,
-}
-
 /// Bulk-data TCP sender agent.
 pub struct TcpSender {
     cfg: TcpSenderConfig,
@@ -106,18 +93,8 @@ pub struct TcpSender {
     app_budget: Option<u64>,
     next_seq: u64,
     snd_una: u64,
-    segs: Vec<SentSeg>,
-    lost_count: usize,
-    /// Bytes in flight: the summed `len` of tracked segments not marked
-    /// lost, maintained wherever a segment is added, removed, marked lost
-    /// or retransmitted instead of being re-summed on every ack.
-    pipe: u64,
-    /// The `sent_at` of every tracked segment as a run-length multiset,
-    /// `(instant, segments)` ascending by instant — `sent_at` is only ever
-    /// assigned `now`, so insertion is a push at the back. The front is the
-    /// oldest outstanding transmission, which anchors the RTO. A run
-    /// emptied from the middle stays as a zero until it reaches the front.
-    sent_times: VecDeque<(SimTime, u32)>,
+    /// Everything sent and neither acked nor SACKed.
+    board: Scoreboard,
 
     delivered: u64,
     next_round_delivered: u64,
@@ -179,10 +156,7 @@ impl TcpSender {
             app_budget: None,
             next_seq: 0,
             snd_una: 0,
-            segs: Vec::new(),
-            lost_count: 0,
-            pipe: 0,
-            sent_times: VecDeque::new(),
+            board: Scoreboard::default(),
             delivered: 0,
             next_round_delivered: 0,
             round: 0,
@@ -272,10 +246,10 @@ impl TcpSender {
         self.min_rtt
     }
 
-    /// Segments currently tracked (in flight, SACKed, or awaiting
-    /// retransmission).
+    /// Segments currently tracked: in flight or awaiting retransmission
+    /// (a SACKed segment is dropped at once).
     pub fn tracked_segments(&self) -> usize {
-        self.segs.len()
+        self.board.len()
     }
 
     /// Current congestion window (bytes).
@@ -299,54 +273,6 @@ impl TcpSender {
         };
         let backed = base * (1u64 << self.rto_backoff.min(8));
         backed.clamp(MIN_RTO, MAX_RTO)
-    }
-
-    fn pipe(&self) -> u64 {
-        debug_assert_eq!(
-            self.pipe,
-            self.segs
-                .iter()
-                .filter(|s| !s.lost)
-                .map(|s| s.len)
-                .sum::<u64>(),
-            "pipe counter drifted from the scoreboard"
-        );
-        self.pipe
-    }
-
-    /// Record one transmission at `now` in the `sent_at` multiset.
-    fn note_sent(&mut self, now: SimTime) {
-        match self.sent_times.back_mut() {
-            Some((t, n)) if *t == now => *n += 1,
-            _ => self.sent_times.push_back((now, 1)),
-        }
-    }
-
-    /// Remove one transmission made at `sent_at` from the multiset.
-    fn forget_sent(&mut self, sent_at: SimTime) {
-        let i = match self.sent_times.front() {
-            Some(&(t, _)) if t == sent_at => 0,
-            _ => self
-                .sent_times
-                .binary_search_by_key(&sent_at, |&(t, _)| t)
-                .expect("every tracked sent_at is in the multiset"),
-        };
-        self.sent_times[i].1 -= 1;
-        while self.sent_times.front().is_some_and(|&(_, n)| n == 0) {
-            self.sent_times.pop_front();
-        }
-    }
-
-    /// Drop `segs[i]` from tracking (cumulatively acked or SACKed).
-    fn untrack(&mut self, i: usize) -> SentSeg {
-        let s = self.segs.swap_remove(i);
-        if s.lost {
-            self.lost_count -= 1;
-        } else {
-            self.pipe -= s.len;
-        }
-        self.forget_sent(s.sent_at);
-        s
     }
 
     fn in_recovery(&self) -> bool {
@@ -396,13 +322,7 @@ impl TcpSender {
     /// about one RTO after its last (re)transmission, no matter how much
     /// later data is being SACKed around it.
     fn rearm_rto_from_oldest(&mut self, ctx: &mut Ctx) {
-        let oldest = self.sent_times.front().map(|&(t, _)| t);
-        debug_assert_eq!(
-            oldest,
-            self.segs.iter().map(|s| s.sent_at).min(),
-            "sent_at multiset drifted from the scoreboard"
-        );
-        match oldest {
+        match self.board.oldest_sent_at() {
             Some(t) => {
                 // Floor at the last expiry: a timeout restarts the
                 // backed-off timer from the expiry itself (see
@@ -459,31 +379,16 @@ impl TcpSender {
                 }
             }
 
-            // Priority 1: retransmit a lost segment.
-            let mut sent_len = None;
-            if self.lost_count > 0 {
-                if let Some(i) = self.segs.iter().position(|s| s.lost) {
-                    let len = self.segs[i].len;
-                    if self.pipe() + len > cwnd {
-                        break;
-                    }
-                    let seq = self.segs[i].seq;
-                    let prev_sent_at = self.segs[i].sent_at;
-                    self.segs[i].lost = false;
-                    self.segs[i].retx += 1;
-                    self.segs[i].sent_at = now;
-                    self.segs[i].delivered_at_send = self.delivered;
-                    self.lost_count -= 1;
-                    self.pipe += len;
-                    self.forget_sent(prev_sent_at);
-                    self.note_sent(now);
-                    self.send_segment(ctx, seq, len, true);
-                    sent_len = Some(len);
+            // Priority 1: retransmit the lowest lost sequence.
+            let len = if let Some(&SentSeg { seq, len, .. }) = self.board.next_lost() {
+                if self.board.pipe() + len > cwnd {
+                    break;
                 }
-            }
-
-            // Priority 2: new data.
-            if sent_len.is_none() {
+                self.board.retransmit(seq, now, self.delivered);
+                self.send_segment(ctx, seq, len, true);
+                len
+            } else {
+                // Priority 2: new data.
                 if now >= self.cfg.stop_at {
                     break;
                 }
@@ -498,7 +403,7 @@ impl TcpSender {
                         budget.min(self.mss())
                     }
                 };
-                if self.pipe() + len > cwnd {
+                if self.board.pipe() + len > cwnd {
                     break;
                 }
                 if let Some(b) = self.app_budget.as_mut() {
@@ -506,21 +411,10 @@ impl TcpSender {
                 }
                 let seq = self.next_seq;
                 self.next_seq += len;
-                self.segs.push(SentSeg {
-                    seq,
-                    len,
-                    sent_at: now,
-                    delivered_at_send: self.delivered,
-                    lost: false,
-                    retx: 0,
-                });
-                self.pipe += len;
-                self.note_sent(now);
+                self.board.push(seq, len, now, self.delivered);
                 self.send_segment(ctx, seq, len, false);
-                sent_len = Some(len);
-            }
-
-            let len = sent_len.expect("a segment was sent on this path");
+                len
+            };
             if let Some(rate) = pacing {
                 let gap = rate.tx_time(Bytes(len) + TCP_HEADER);
                 self.pace_next = self.pace_next.max(now) + gap;
@@ -533,126 +427,57 @@ impl TcpSender {
 
     fn process_ack(&mut self, seg: TcpSegment, now: SimTime, ctx: &mut Ctx) {
         let old_una = self.snd_una;
-        let mut newly_delivered: u64 = 0;
-        let mut rtt_sample: Option<SimDuration> = None;
-        // Rate-sample bookkeeping from the newest acked segment:
-        // (delivered_at_send, sent_at, was_retransmitted).
-        // Samples off retransmitted segments are discarded (Karn's rule
-        // applied to rate sampling): when a long-standing hole fills, one
-        // cumulative ack can cover megabytes, and dividing that by the
-        // retransmission's short flight time would produce a wildly
-        // inflated bandwidth sample that sends BBR's cwnd to the moon.
-        let mut newest_acked: Option<(u64, SimTime, bool)> = None;
-        let mut round_start = false;
-
-        if let Some(ts) = seg.ts_echo {
-            rtt_sample = Some(now.saturating_since(ts));
-        }
+        let rtt_sample = seg.ts_echo.map(|ts| now.saturating_since(ts));
+        // What this ack removes. The newest segment among it anchors the rate
+        // sample unless it was retransmitted (Karn's rule): when a long hole
+        // fills, one cumulative ack can cover megabytes, and dividing that by
+        // the retransmission's short flight would send BBR's cwnd to the moon.
+        let mut acked = Acked::default();
 
         // Cumulative ack: remove fully-acked segments.
         if seg.ack > self.snd_una {
             self.snd_una = seg.ack;
             self.dupacks = 0;
             self.rto_backoff = 0;
-            let mut i = 0;
-            while i < self.segs.len() {
-                let s = &self.segs[i];
-                if s.seq + s.len <= seg.ack {
-                    let s = self.untrack(i);
-                    newly_delivered += s.len;
-                    if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                        newest_acked = Some((s.delivered_at_send, s.sent_at, s.retx > 0));
-                    }
-                    if s.delivered_at_send >= self.next_round_delivered {
-                        round_start = true;
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+            self.board.cum_ack(seg.ack, &mut acked);
         }
 
-        // SACK blocks: account the newly delivered segments and drop them
-        // from tracking (see the `SentSeg` note — receivers never renege).
-        // Because sacked segments are removed at once, re-advertised blocks
-        // on later acks find nothing and cost nothing — and an ack without
-        // any block, the steady state, skips the scan altogether.
-        if seg.sack.iter().any(Option::is_some) {
-            self.highest_sacked = seg
-                .sack
-                .iter()
-                .flatten()
-                .map(|&(_, end)| end)
-                .fold(self.highest_sacked, u64::max);
-            let mut i = 0;
-            while i < self.segs.len() {
-                let s = &self.segs[i];
-                let covered = seg
-                    .sack
-                    .iter()
-                    .flatten()
-                    .any(|&(start, end)| s.seq >= start && s.seq + s.len <= end);
-                if covered {
-                    let s = self.untrack(i);
-                    newly_delivered += s.len;
-                    if s.delivered_at_send >= self.next_round_delivered {
-                        round_start = true;
-                    }
-                    if newest_acked.is_none_or(|(d, _, _)| s.delivered_at_send > d) {
-                        newest_acked = Some((s.delivered_at_send, s.sent_at, s.retx > 0));
-                    }
-                } else {
-                    i += 1;
-                }
-            }
+        // SACK blocks: the segments each covers are delivered and leave the
+        // scoreboard at once (receivers never renege).
+        for &(start, end) in seg.sack.iter().flatten() {
+            self.highest_sacked = self.highest_sacked.max(end);
+            self.board.sack(start, end, &mut acked);
         }
 
+        let newly_delivered = acked.bytes;
         self.delivered += newly_delivered;
+        let round_start = acked
+            .newest
+            .is_some_and(|n| n.delivered_at_send >= self.next_round_delivered);
         if round_start {
             self.round += 1;
             self.next_round_delivered = self.delivered;
         }
 
         // Duplicate-ack counting (cumulative ack unchanged, nothing new).
-        if seg.ack == old_una && newly_delivered == 0 && !self.segs.is_empty() {
+        if seg.ack == old_una && newly_delivered == 0 && !self.board.is_empty() {
             self.dupacks += 1;
         }
 
         // Loss detection: SACK distance (≈ RFC 6675 DupThresh) or 3 dupacks
-        // for the segment at snd_una. A segment that was already
-        // retransmitted is only re-marked once a smoothed RTT has passed
-        // since that retransmission (a RACK-style reordering window) —
-        // otherwise the stale SACK hole above it would re-mark it on every
-        // ack and the sender would spray duplicates of the same segment.
-        //
-        // Every tracked segment ends above `snd_una`, so neither trigger
-        // can hold for any of them — and the scan is skipped — unless three
-        // dupacks are in or a SACK reaches `2 * mss` past `snd_una`.
-        let mss = self.mss();
-        let highest_sacked = self.highest_sacked;
-        let mut newly_lost = false;
-        debug_assert!(self.segs.iter().all(|s| s.seq + s.len > self.snd_una));
-        if self.dupacks >= 3 || highest_sacked > self.snd_una + 2 * mss {
-            let rtt_gate = self.srtt.unwrap_or(INITIAL_RTO);
-            for s in self.segs.iter_mut() {
-                if s.lost {
-                    continue;
-                }
-                let sack_hole = highest_sacked >= s.seq + s.len + 2 * mss;
-                let dup_trigger = self.dupacks >= 3 && s.seq == self.snd_una;
-                let gate_open = s.retx == 0 || now.saturating_since(s.sent_at) >= rtt_gate;
-                if (sack_hole || dup_trigger) && gate_open {
-                    s.lost = true;
-                    self.lost_count += 1;
-                    self.pipe -= s.len;
-                    newly_lost = true;
-                }
-            }
-        }
+        // for the segment at snd_una, behind a smoothed-RTT gate for a
+        // segment already retransmitted (see `Scoreboard::mark_lost`).
+        let newly_lost = self.board.mark_lost(
+            self.highest_sacked,
+            2 * self.mss(),
+            (self.dupacks >= 3).then_some(self.snd_una),
+            now,
+            self.srtt.unwrap_or(INITIAL_RTO),
+        );
         if newly_lost && !self.in_recovery() {
             self.recovery_point = self.next_seq;
             self.fast_retransmit_events += 1;
-            let pipe = self.pipe();
+            let pipe = self.board.pipe();
             self.cca.on_congestion_event(now, pipe);
             ctx.telemetry()
                 .fast_retransmit(now, self.cfg.flow.0, self.cca.cwnd());
@@ -666,7 +491,7 @@ impl TcpSender {
         // clean ack. Dispatched on every ECE-bearing ack; per-round gating
         // is the controller's job (see `CongestionControl::on_ecn`).
         if seg.ece {
-            self.cca.on_ecn(now, self.pipe());
+            self.cca.on_ecn(now, self.board.pipe());
         }
 
         if newly_delivered > 0 {
@@ -674,15 +499,15 @@ impl TcpSender {
             // delivered delta since the newest acked segment was sent, over
             // the elapsed time. Smooth, but blind to short-timescale drain
             // bursts.
-            let flight_rate = newest_acked.and_then(|(d_at, t_at, was_retx)| {
-                if was_retx {
+            let flight_rate = acked.newest.and_then(|n| {
+                if n.retx > 0 {
                     return None;
                 }
-                let interval = now.saturating_since(t_at);
+                let interval = now.saturating_since(n.sent_at);
                 if interval < SimDuration::from_millis(1) {
                     return None;
                 }
-                BitRate::from_delivery(Bytes(self.delivered - d_at), interval)
+                BitRate::from_delivery(Bytes(self.delivered - n.delivered_at_send), interval)
             });
 
             // Ack-clock rate sample: bytes delivered over the last few
@@ -695,7 +520,7 @@ impl TcpSender {
             // al. Guarded against hole-fill cumacks, whose byte jumps are
             // not wire-rate evidence (Karn's rule again).
             let mss = self.mss();
-            let hole_fill = newly_delivered > 2 * mss || newest_acked.is_some_and(|(_, _, r)| r);
+            let hole_fill = newly_delivered > 2 * mss || acked.newest.is_some_and(|n| n.retx > 0);
             let mut delivery_rate = flight_rate;
             if hole_fill {
                 self.burst_anchor = None;
@@ -728,7 +553,7 @@ impl TcpSender {
                 min_rtt: self.min_rtt,
                 delivered: self.delivered,
                 delivery_rate,
-                in_flight: self.pipe(),
+                in_flight: self.board.pipe(),
                 round_start,
                 round: self.round,
                 app_limited: false,
@@ -758,7 +583,7 @@ impl TcpSender {
             return;
         }
         self.rto_timer_at = SimTime::MAX;
-        if self.segs.is_empty() || self.rto_deadline == SimTime::MAX {
+        if self.board.is_empty() || self.rto_deadline == SimTime::MAX {
             return;
         }
         if now < self.rto_deadline {
@@ -771,13 +596,7 @@ impl TcpSender {
         self.rto_fired_at = now;
         self.rto_events += 1;
         self.cca.on_rto(now);
-        for s in self.segs.iter_mut() {
-            if !s.lost {
-                s.lost = true;
-                self.lost_count += 1;
-            }
-        }
-        self.pipe = 0;
+        self.board.mark_all_lost();
         self.dupacks = 0;
         self.recovery_point = self.next_seq;
         self.rto_backoff += 1;

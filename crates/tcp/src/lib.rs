@@ -30,6 +30,7 @@ pub mod cca;
 pub mod conformance;
 pub mod dash;
 pub mod endpoint;
+pub mod scoreboard;
 
 pub use cca::{bbr::Bbr, bbr2::Bbr2, cubic::Cubic, reno::Reno, vegas::Vegas};
 pub use cca::{AckInfo, CcaKind, CongestionControl};

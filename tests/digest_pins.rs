@@ -4,15 +4,20 @@
 //! (`model::run_bulk_cell`, `ablation::bbr_cwnd_gain`), so that Tier-1
 //! (`cargo test -q`) proves a speed-only or structure-only change left
 //! simulated output alone.
-//! The Cubic and BBR contested values were recorded at commit 17802f1, before
-//! the TCP sender's per-ack bookkeeping went O(1); the solo and AQM values at
-//! commit 20b54c9, before netsim's unshaped hops stopped queueing; the BBRv2
-//! and dumbbell values at commit 5d2b4b7, before the dumbbells were built by
-//! `NetworkBuilder::dumbbell` + `connect` and v1/v2 shared one path model. A
+//! Scoreboard epoch: the TCP sender's scoreboard went sequence-ordered
+//! (`tcp::scoreboard`), which defines the retransmission pick (lowest lost
+//! sequence) and the rate sample's tie-break (most recently sent) by rule —
+//! a deliberate behaviour change. The Cubic contested cell, the jittered
+//! lossy AQM cell and both dumbbells were re-recorded with it (old → new in
+//! CHANGES.md); the three that did not move keep their earlier values: the
+//! BBR contested cell from commit 17802f1, before the sender's per-ack
+//! bookkeeping went O(1); the solo cell from 20b54c9, before netsim's
+//! unshaped hops stopped queueing; the BBRv2 cell from 5d2b4b7, before the
+//! dumbbells were built by `NetworkBuilder::dumbbell` + `connect`. The next
 //! deliberate behaviour change re-records them and says so in CHANGES.md.
 //!
-//! Debug-profile runs also arm the sender's `debug_assert_eq!` cross-checks
-//! of its maintained counters against a scan of the scoreboard, and
+//! Debug-profile runs also arm the scoreboard's `debug_assert!` audit of
+//! its order and maintained counters against a full scan, and
 //! `checks = true` arms the netsim invariant oracles (their audit count is
 //! in the digest).
 
@@ -39,7 +44,7 @@ fn cubic_contested_digest_is_pinned() {
     // The historical headline cell, luna-cubic-b25-q2.
     assert_eq!(
         pinned(SystemKind::Luna, CcaKind::Cubic, 25, 2.0),
-        0xa9d9_4a6a_f0cd_2759,
+        0xc1a5_180e_6e60_1524,
         "luna-cubic-b25-q2 x0.1 digest moved: simulated output changed"
     );
 }
@@ -80,7 +85,7 @@ fn jittered_lossy_aqm_digest_is_pinned() {
         });
     assert_eq!(
         digest_of(cond),
-        0x0d2a_fd03_54f9_63ee,
+        0x525f_cf42_c693_0723,
         "luna-bbr-b35-q0.5 CoDel + jitter + loss window x0.1 digest moved: \
          simulated output changed"
     );
@@ -117,18 +122,18 @@ fn bulk_cell_goodputs_are_pinned() {
     assert_eq!(
         goodputs(None),
         [
-            0x4012_9333_4e0b_25cd,
-            0x4011_7866_432a_f7fb,
-            0x402f_5aea_3161_a1da
+            0x4013_ab90_3c22_c5ff,
+            0x4013_69bd_32fb_d5ce,
+            0x402d_d7e4_5803_cd14
         ],
         "stock model/c25q2r16.5n2 goodputs moved: simulated output changed"
     );
     assert_eq!(
         goodputs(Some(4.0)),
         [
-            0x3ff5_2919_d4bd_5c16,
-            0x3ff8_131c_3c76_a8d3,
-            0x4035_d3c1_b394_16a2
+            0x3ff6_b8ec_4538_1874,
+            0x3ff9_686b_fa24_1dec,
+            0x4035_a8c9_b845_564d
         ],
         "cwnd_gain = 4 model/c25q2r16.5n2 goodputs moved: simulated output changed"
     );
@@ -139,7 +144,7 @@ fn cwnd_gain_ablation_cell_is_pinned() {
     let cells = bbr_cwnd_gain(&[2.0], 7.0, 20, 5);
     assert_eq!(
         bits(&[cells[0].bbr_share, cells[0].rtt_ms]),
-        [0x3fda_60ac_746d_d3a4, 0x4058_c593_77d5_6510],
+        [0x3fdb_39ff_9ed6_00f2, 0x4058_a45f_76ba_e737],
         "D3 ablation cell (gain 2, 7x BDP, 20 s, seed 5) moved: simulated output changed"
     );
 }
