@@ -43,6 +43,16 @@ const TOK_CHUNK: u64 = 1;
 /// bottleneck queue with a burst it cannot hold.
 const PACER_FACTOR: f64 = 1.15;
 
+/// A frame part-way through the pacer. Its chunks are built one at a time
+/// as their slots come up, so the pacer's queue holds one of these per frame
+/// rather than a ready-made `PacketSpec` per chunk.
+struct PacedFrame {
+    /// The next chunk to send: data chunks first, then parity.
+    next: MediaChunk,
+    /// Media bytes not yet packetised.
+    remaining: u64,
+}
+
 /// The streaming server: frame source + packetizer + rate controller.
 pub struct StreamServer {
     flow: FlowId,
@@ -54,8 +64,8 @@ pub struct StreamServer {
     fec: Option<FecConfig>,
     next_seq: u64,
     frames_sent: u64,
-    /// Chunks awaiting their paced transmission slot.
-    pending: VecDeque<PacketSpec>,
+    /// Frames with chunks awaiting their paced transmission slot.
+    pending: VecDeque<PacedFrame>,
     /// Gap between paced chunk transmissions for the current frame.
     chunk_spacing: SimDuration,
     /// Whether a TOK_CHUNK timer is outstanding.
@@ -155,32 +165,20 @@ impl StreamServer {
             Some(f) => chunk_count.div_ceil(f.data_per_parity),
             None => 0,
         };
-        let mut remaining = frame.size.as_u64();
-        for idx in 0..chunk_count + parity_count {
-            let is_parity = idx >= chunk_count;
-            let payload = if is_parity { mtu } else { remaining.min(mtu) };
-            if !is_parity {
-                remaining -= payload;
-            }
-            self.pending.push_back(PacketSpec {
-                flow: self.flow,
-                dst: self.client_node,
-                dst_agent: self.client_agent,
-                size: Bytes(payload) + UDP_HEADER,
-                ecn: Ecn::NotEct,
-                payload: Payload::Media(MediaChunk {
-                    seq: self.next_seq,
-                    frame_id: frame.id,
-                    chunk_index: idx,
-                    chunk_count,
-                    parity_count,
-                    is_parity,
-                    frame_ts: ctx.now(),
-                    key_frame: frame.key,
-                }),
-            });
-            self.next_seq += 1;
-        }
+        self.pending.push_back(PacedFrame {
+            next: MediaChunk {
+                seq: self.next_seq,
+                frame_id: frame.id,
+                chunk_index: 0,
+                chunk_count,
+                parity_count,
+                is_parity: false,
+                frame_ts: now,
+                key_frame: frame.key,
+            },
+            remaining: frame.size.as_u64(),
+        });
+        self.next_seq += (chunk_count + parity_count) as u64;
 
         // Continuous pacing at PACER_FACTOR × the current encoder rate:
         // the spacing between chunk transmissions follows the chunk wire
@@ -193,8 +191,28 @@ impl StreamServer {
     }
 
     fn send_next_chunk(&mut self, ctx: &mut Ctx) {
-        if let Some(spec) = self.pending.pop_front() {
-            ctx.send(spec);
+        if let Some(frame) = self.pending.front_mut() {
+            let chunk = frame.next;
+            // A parity chunk is a full one; a data chunk takes what is left.
+            let mut payload = MEDIA_MTU.as_u64();
+            if !chunk.is_parity {
+                payload = payload.min(frame.remaining);
+                frame.remaining -= payload;
+            }
+            frame.next.seq += 1;
+            frame.next.chunk_index += 1;
+            frame.next.is_parity = frame.next.chunk_index >= chunk.chunk_count;
+            if frame.next.chunk_index == chunk.chunk_count + chunk.parity_count {
+                self.pending.pop_front();
+            }
+            ctx.send(PacketSpec {
+                flow: self.flow,
+                dst: self.client_node,
+                dst_agent: self.client_agent,
+                size: Bytes(payload) + UDP_HEADER,
+                ecn: Ecn::NotEct,
+                payload: Payload::Media(chunk),
+            });
         }
         if !self.pending.is_empty() && !self.chunk_timer_armed {
             self.chunk_timer_armed = true;

@@ -35,11 +35,20 @@
 //!   L1-resident) and the chain links live in the slab entry that was just
 //!   written — placement touches no cold memory. This is the layout Linux
 //!   kernel timers use, for the same reason.
-//! * Keys whose tick has been reached move to a tiny *current heap* that
-//!   yields exact `(time, seq)` order within the tick. In paper-scale runs
-//!   this heap holds a handful of entries, so its sifts are trivial — the
-//!   O(log n) cost of a single monolithic heap over every pending event is
-//!   what this structure removes.
+//! * Keys whose tick has been reached move to `cur`, a small `Vec` sorted
+//!   descending that yields exact `(time, seq)` order within the tick. In
+//!   paper-scale runs it holds a handful of entries, so its inserts are
+//!   trivial — the O(log n) cost of a single monolithic heap over every
+//!   pending event is what this structure removes.
+//!
+//! Three tiers, then — the same-instant lane (below), `cur` for the cursor's
+//! tick, the wheel for everything later — and one rule ties them to the
+//! clock: **the cursor never passes the clock**. `cur_tick <= tick_of(now)`
+//! whenever a handler runs, because the cursor only moves to fetch a key the
+//! caller can pop next (see `Scheduler::advance`). So a handler's
+//! schedules land in the lane (`at == now`), in `cur` (the rest of `now`'s
+//! tick, when the cursor stands on it) or in the wheel, and never pay a
+//! sorted insert for being nearer than some far-off event.
 //!
 //! Events scheduled at exactly the current instant (common: a network's
 //! zero-delay loopback delivery) skip all of that and ride a FIFO
@@ -177,7 +186,8 @@ pub struct TimerHandle {
 pub struct SchedStats {
     /// Events that rode the same-instant fast lane.
     pub lane_scheduled: u64,
-    /// Events that went straight to the current heap (sub-tick horizon).
+    /// Events that went straight to `cur`: sub-tick horizon, or behind a
+    /// cursor that ran ahead; ≈ 0 since PR 19.
     pub cur_scheduled: u64,
     /// Events placed into a wheel slot (the O(1) fast path).
     pub wheel_scheduled: u64,
@@ -197,10 +207,11 @@ pub struct SchedStats {
 pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
-    /// Wheel cursor, in ticks. Every key in the wheel has `tick > cur_tick`
-    /// and sits at the level of the highest differing 6-bit digit between
-    /// its tick and `cur_tick`; everything at or before `cur_tick` has been
-    /// moved to `cur`.
+    /// Wheel cursor, in ticks; never past `tick_of(now)` when a handler
+    /// runs. Every key in the wheel has `tick > cur_tick` and sits at the
+    /// level of the highest differing 8-bit digit between its tick and
+    /// `cur_tick`; everything at or before `cur_tick` has been moved to
+    /// `cur`.
     cur_tick: u64,
     /// Keys whose tick has been reached (plus same-instant cancellable
     /// schedules), sorted descending so the minimum pops from the end.
@@ -397,20 +408,18 @@ impl<E> Scheduler<E> {
         self.past_schedules
     }
 
-    /// Timestamp of the next pending event, if any. Takes `&mut self`
-    /// because peeking may advance the wheel cursor and discard cancelled
-    /// keys; the answer is exact (never a bucket approximation).
-    #[inline]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if !self.prepare() {
-            return None;
-        }
+    /// Timestamp of the next pending event, if any; exact, never a bucket
+    /// approximation. A scan of the slab, O(pending), because bringing the
+    /// next key to the front would move the wheel cursor past the clock (see
+    /// [`Scheduler::advance`]); nothing on the per-event path calls it.
+    pub fn peek_time(&self) -> Option<SimTime> {
         // Lane entries are at `now`, which never exceeds any queued entry's
         // timestamp, so a non-empty lane decides.
         if !self.lane.is_empty() {
             return Some(self.now);
         }
-        self.cur.last().map(|k| k.time)
+        let live = self.slab.iter().filter(|e| e.event.is_some());
+        live.map(|e| e.time).min()
     }
 
     /// Remove and return the next event in `(time, seq)` order.
@@ -423,7 +432,7 @@ impl<E> Scheduler<E> {
     /// `until`. One `prepare` serves both the bound check and the pop —
     /// this is the engine's per-event fast path.
     fn pop_next_before(&mut self, until: Option<SimTime>) -> Option<(SimTime, E)> {
-        if !self.prepare() {
+        if !self.prepare(until) {
             return None;
         }
         let from_lane = match (self.lane.front(), self.cur.last()) {
@@ -441,6 +450,10 @@ impl<E> Scheduler<E> {
             if until.is_some_and(|u| self.now >= u) {
                 return None;
             }
+            debug_assert!(
+                self.cur_tick <= tick_of(self.now),
+                "cursor passed the clock"
+            );
             let (_, event) = self.lane.pop_front().expect("lane front vanished");
             Some((self.now, event))
         } else {
@@ -448,6 +461,7 @@ impl<E> Scheduler<E> {
             if until.is_some_and(|u| k.time >= u) {
                 return None;
             }
+            debug_assert!(self.cur_tick <= tick_of(k.time), "cursor passed the clock");
             self.cur.pop();
             let event = self.slab[k.slot as usize]
                 .event
@@ -461,9 +475,17 @@ impl<E> Scheduler<E> {
 
     /// Ensure the earliest *non-lane* pending event is live at the end of
     /// `cur` (the lane cannot be short-circuited: a wheel entry may share
-    /// `time == now` with a larger-seq lane entry and must fire first).
-    /// Returns `false` iff nothing at all is pending.
-    fn prepare(&mut self) -> bool {
+    /// `time == now` with a larger-seq lane entry and must fire first) —
+    /// unless the wheel holds nothing the caller could pop: nothing in the
+    /// clock's tick while the lane is non-empty, nothing up to `until`'s
+    /// tick otherwise. Then `cur` stays empty and the cursor stays put.
+    /// Returns `false` iff nothing is pending that early.
+    fn prepare(&mut self, until: Option<SimTime>) -> bool {
+        let limit = if self.lane.is_empty() {
+            until.map_or(u64::MAX, tick_of)
+        } else {
+            tick_of(self.now)
+        };
         loop {
             // Reclaim tombstones (cancelled while riding `cur`) as they
             // surface. A key in `cur` always references its own entry — the
@@ -481,15 +503,23 @@ impl<E> Scheduler<E> {
             if !self.cur.is_empty() {
                 return true;
             }
-            if !self.advance() {
+            if !self.advance(limit) {
                 return !self.lane.is_empty();
             }
         }
     }
 
     /// Jump the wheel cursor to the earliest pending tick and move that
-    /// tick's keys into `cur`. Returns `false` iff the wheel is empty.
-    fn advance(&mut self) -> bool {
+    /// tick's keys into `cur`. Returns `false` iff the wheel holds nothing
+    /// at or before tick `limit`.
+    ///
+    /// The limit is what keeps **the cursor from passing the clock**
+    /// (`cur_tick <= tick_of(now)` whenever a handler runs). A cursor ahead
+    /// of `now` is still correct — `place` files everything at or before it
+    /// into `cur` — but it turns the O(1) wheel into an insertion sort for
+    /// as long as the clock takes to catch up: a run that starts with only
+    /// a step at 250 s in the wheel used to spend its first 250 s that way.
+    fn advance(&mut self, limit: u64) -> bool {
         loop {
             // The lowest occupied slot of the lowest occupied level.
             let Some((level, slot)) = self.occupied.iter().enumerate().find_map(|(l, words)| {
@@ -510,6 +540,11 @@ impl<E> Scheduler<E> {
             // `level`, zero below.
             let base = (self.cur_tick & !(((1u64) << (shift + LEVEL_BITS)) - 1))
                 | ((slot as u64) << shift);
+            // The slot starts at or before every pending wheel key, so past
+            // the limit there is nothing to fetch yet.
+            if base > limit {
+                return false;
+            }
             let (word, bit) = occ_bit(slot as usize);
             self.occupied[level][word] &= !bit;
             self.cur_tick = base;
@@ -1149,6 +1184,47 @@ mod tests {
         eng.scheduler().schedule_at(SimTime::from_millis(1), 1u32);
         eng.run_to_completion(&mut w);
         assert_eq!(w.log, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn cursor_never_passes_the_clock() {
+        // A scenario run in miniature: one step 250 s out in the wheel, and
+        // flows started from the lane that each reschedule themselves
+        // 100 µs–5 ms ahead. Fetching the step early would park the cursor
+        // at 250 s and sort every one of those schedules into `cur`.
+        struct Flows;
+        impl World for Flows {
+            type Event = u64;
+            fn handle(&mut self, rng: u64, sched: &mut Scheduler<u64>) {
+                assert!(
+                    sched.cur_tick <= tick_of(sched.now),
+                    "cursor at tick {} with the clock at tick {}",
+                    sched.cur_tick,
+                    tick_of(sched.now)
+                );
+                let rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let ahead = 100_000 + (rng >> 33) % 4_900_000;
+                sched.schedule_in(SimDuration::from_nanos(ahead), rng);
+            }
+        }
+        let mut eng = Engine::new();
+        eng.scheduler().schedule_at(SimTime::from_secs(250), 0);
+        for flow in 1..=16 {
+            eng.scheduler().schedule_now(flow);
+        }
+        for _ in 0..10_000 {
+            assert!(eng.step(&mut Flows));
+        }
+        assert!(eng.now() < SimTime::from_secs(250), "the step fired");
+        let s = eng.sched_stats();
+        let placements = s.lane_scheduled + s.cur_scheduled + s.wheel_scheduled;
+        assert!(
+            s.cur_scheduled * 100 < placements,
+            "{} of {placements} placements were sorted into `cur`",
+            s.cur_scheduled
+        );
     }
 
     #[test]

@@ -15,7 +15,12 @@
 //! * same-instant bursts (`schedule_now` and zero delays),
 //! * past timestamps (which clamp to `now`),
 //! * cancels of live, already-fired, and already-cancelled handles,
-//! * interleaved pops that advance `now` mid-stream.
+//! * interleaved pops that advance `now` mid-stream,
+//! * `run_until` to a boundary between pops, which moves the clock without
+//!   an event and leaves the wheel cursor behind it,
+//! * far-level events seeded before the first pop — the shape of a scenario
+//!   run, where fetching the far event early would carry the cursor past
+//!   the clock (the engine's `debug_assert!`s make that a test failure).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -72,14 +77,32 @@ impl RefModel {
     }
 
     fn pop(&mut self) -> bool {
-        while let Some(Reverse((t, seq))) = self.heap.pop() {
-            if let Some(tag) = self.pending.remove(&seq) {
-                self.now = t;
-                self.fired.push((t, tag));
-                return true;
+        self.pop_before(u64::MAX)
+    }
+
+    /// Fire the next live event if it is due before `until`.
+    fn pop_before(&mut self, until: u64) -> bool {
+        while let Some(&Reverse((t, seq))) = self.heap.peek() {
+            if !self.pending.contains_key(&seq) {
+                self.heap.pop(); // cancelled
+                continue;
             }
+            if t >= until {
+                return false;
+            }
+            self.heap.pop();
+            let tag = self.pending.remove(&seq).unwrap();
+            self.now = t;
+            self.fired.push((t, tag));
+            return true;
         }
         false
+    }
+
+    /// Mirrors `Engine::run_until`: half-open window, clock rests at `until`.
+    fn run_until(&mut self, until: u64) {
+        while self.pop_before(until) {}
+        self.now = self.now.max(until);
     }
 }
 
@@ -99,13 +122,19 @@ enum Op {
     Cancel { idx: usize },
     /// Fire the next pending event, advancing `now`.
     Pop,
+    /// Fire everything before `now + dt`, then rest the clock there.
+    RunUntil { dt: u64 },
 }
 
 /// Spread a raw draw over delays that exercise the same-instant lane and
 /// every wheel level (the top two start at 2^52 ns).
 fn decode_delay(raw: u64) -> u64 {
-    let v = raw >> 3;
-    match raw % 6 {
+    delay_of(raw % 6, raw >> 3)
+}
+
+/// A delay of the given class (0–5, nearest to farthest) picked by `v`.
+fn delay_of(class: u64, v: u64) -> u64 {
+    match class {
         0 => 0,                                  // same tick / lane
         1 => 1 + v % 999,                        // level-0 ticks
         2 => 1_000 + v % 999_000,                // µs — low levels
@@ -131,7 +160,12 @@ fn decode_op(sel: u8, raw: u64, idx: u8) -> Op {
         },
         10..=11 => Op::Now,
         12..=13 => Op::Cancel { idx: idx as usize },
-        _ => Op::Pop,
+        14..=15 => Op::Pop,
+        // Windows up to 5 s: long enough to cross levels, short enough
+        // that the far-level events stay pending behind them.
+        _ => Op::RunUntil {
+            dt: decode_delay(raw) % 5_000_000_000,
+        },
     }
 }
 
@@ -188,6 +222,13 @@ fn run_differential(ops: &[Op]) {
                 let want = model.pop();
                 assert_eq!(fired, want, "pop liveness diverged");
             }
+            Op::RunUntil { dt } => {
+                let until = eng.now() + SimDuration::from_nanos(dt);
+                eng.run_until(&mut log, until);
+                model.run_until(until.as_nanos());
+                assert_eq!(eng.now().as_nanos(), model.now, "clock diverged");
+                assert_eq!(log.fired.len(), model.fired.len(), "window diverged");
+            }
         }
     }
 
@@ -202,11 +243,16 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap_reference(
-        raw_ops in prop::collection::vec((0u8..16, any::<u64>(), 0u8..64), 1..400),
+        far in prop::collection::vec((4u64..6, any::<u64>()), 0..4),
+        raw_ops in prop::collection::vec((0u8..17, any::<u64>(), 0u8..64), 1..400),
     ) {
-        let ops: Vec<Op> = raw_ops
-            .iter()
-            .map(|&(sel, raw, idx)| decode_op(sel, raw, idx))
+        // Seconds-and-beyond events first, so most streams start the way a
+        // scenario run does: the wheel holds only what is far ahead.
+        let seeded = far.iter().map(|&(class, v)| Op::At {
+            dt: delay_of(class, v),
+        });
+        let ops: Vec<Op> = seeded
+            .chain(raw_ops.iter().map(|&(sel, raw, idx)| decode_op(sel, raw, idx)))
             .collect();
         run_differential(&ops);
     }
@@ -225,6 +271,51 @@ fn wheel_entry_at_now_beats_younger_lane_entry() {
         Op::Pop, // now jumps to their time; one still pending
         Op::Now, // lane entry, younger seq
         Op::Pop, // must be the pending wheel entry, not the lane
+        Op::Pop,
+    ];
+    run_differential(&ops);
+}
+
+/// A scenario run in miniature: the wheel holds only a step 250 s out when
+/// a same-instant burst starts the flows. The lane decides each of those
+/// pops; fetching the step for them would park the cursor at 250 s (the
+/// engine's `debug_assert!` catches that) and sort every later schedule
+/// into `cur`.
+#[test]
+fn far_step_does_not_carry_the_cursor_past_a_lane_burst() {
+    let mut ops = vec![
+        Op::At {
+            dt: 250_000_000_000,
+        },
+        Op::Now,
+        Op::Now,
+    ];
+    for i in 0..20 {
+        ops.push(Op::Pop);
+        ops.push(Op::At {
+            dt: 100_000 + i * 250_000,
+        });
+        ops.push(Op::Cancellable { dt: 0 }); // rides `cur` above a lagging cursor
+    }
+    run_differential(&ops);
+}
+
+/// The same hazard at a `run_until` boundary: nothing is due before it, so
+/// the clock moves there without an event and the cursor must not go on to
+/// the far event — what is scheduled next is nearer.
+#[test]
+fn far_event_does_not_carry_the_cursor_past_a_run_until_boundary() {
+    let ops = vec![
+        Op::At { dt: 10_000_000_000 },
+        Op::RunUntil { dt: 1_000_000 },
+        Op::At { dt: 1_000 },
+        Op::At { dt: 200_000 },
+        Op::Pop,
+        Op::Now,
+        Op::RunUntil { dt: 0 }, // a lane entry at the boundary stays pending
+        Op::Pop,
+        Op::RunUntil { dt: 150_000 },
+        Op::RunUntil { dt: 150_000 }, // ends past the 200 µs event
         Op::Pop,
     ];
     run_differential(&ops);

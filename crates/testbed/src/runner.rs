@@ -617,9 +617,17 @@ pub fn run_many_full(
             .unwrap_or_else(|e| panic!("creating trace dir {}: {e}", spec.dir.display()));
     }
     let grid_started = std::time::Instant::now();
-    let jobs: Vec<(usize, u32)> = (0..conditions.len())
+    let mut jobs: Vec<(usize, u32)> = (0..conditions.len())
         .flat_map(|c| (0..iterations).map(move |i| (c, i)))
         .collect();
+    // Hand out the longest jobs first: a run's cost follows its packet
+    // rate, hence its capacity, and a competing flow adds to it. Both paper
+    // grids end on their 35 Mb/s cells; started last, those leave the other
+    // workers idle for up to a job at the end.
+    jobs.sort_by_key(|&(c, _)| {
+        let cond = &conditions[c];
+        std::cmp::Reverse((cond.capacity, cond.cca.is_some()))
+    });
 
     let runs = run_jobs(
         jobs.len(),
@@ -648,9 +656,12 @@ pub fn run_many_full(
         )
     });
 
-    // `jobs` is condition-major with the iteration innermost and
-    // `run_jobs` preserves job order, so results regroup by simple takes.
-    let mut it = runs.into_iter();
+    // `run_jobs` preserves job order; back in `(condition, iteration)`
+    // order the results are condition-major with the iteration innermost
+    // and regroup by simple takes.
+    let mut runs: Vec<_> = jobs.iter().zip(runs).collect();
+    runs.sort_by_key(|&(&job, _)| job);
+    let mut it = runs.into_iter().map(|(_, run)| run);
     let out: Vec<ConditionResult> = conditions
         .iter()
         .map(|cond| ConditionResult {
@@ -825,6 +836,32 @@ mod tests {
     }
 
     #[test]
+    fn results_keep_grid_order_whatever_the_dispatch_order() {
+        // Ascending capacity, solo before contested: dispatched in exactly
+        // the reverse order.
+        let tl = Timeline::scaled(0.02);
+        let cond = |cca, cap| Condition::new(SystemKind::Luna, cca, cap, 2.0).with_timeline(tl);
+        let conditions = [
+            cond(None, 15),
+            cond(None, 25),
+            cond(Some(CcaKind::Cubic), 25),
+            cond(Some(CcaKind::Cubic), 35),
+        ];
+        let out = run_many(&conditions, 2, 2);
+        assert_eq!(out.len(), conditions.len());
+        for (res, cond) in out.iter().zip(&conditions) {
+            assert_eq!(res.condition.label(), cond.label());
+            assert_eq!(res.runs.len(), 2);
+            for (i, run) in res.runs.iter().enumerate() {
+                let alone = run_condition(cond, i as u32);
+                assert_eq!((&run.label, run.iter), (&alone.label, i as u32));
+                assert_eq!(run.game_bins_mbps, alone.game_bins_mbps);
+                assert_eq!(run.events_processed, alone.events_processed);
+            }
+        }
+    }
+
+    #[test]
     fn run_jobs_preserves_order_and_parallelism() {
         let out = run_jobs(8, 4, |j| j * 10, |j| format!("job-{j}")).expect("no failures");
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60, 70]);
@@ -975,6 +1012,32 @@ mod tests {
             "trace must carry every CE mark"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn scenario_run_keeps_its_schedules_on_the_wheel() {
+        use crate::config::{Aqm, PathScenario};
+        use gsrepro_simcore::BitRate;
+
+        // The benchmark's first `aqm-dynamic` cell at x0.05. Its two steps
+        // are the only wheel entries at t = 0; a cursor fetched to the first
+        // of them sorted 36 % of the run's schedules into `cur` by hand.
+        let at = |secs: f64| SimTime::from_millis((secs * 50.0) as u64);
+        let cond = Condition::new(SystemKind::Stadia, Some(CcaKind::Cubic), 25, 2.0)
+            .with_timeline(Timeline::scaled(0.05))
+            .with_aqm(Aqm::CoDel)
+            .with_scenario(PathScenario::RateStep {
+                rate: BitRate::from_mbps(10),
+                from: at(250.0),
+                to: at(300.0),
+            });
+        let s = run_condition_with(&cond, 0, None, false, |v| v.sched);
+        let placements = s.lane_scheduled + s.cur_scheduled + s.wheel_scheduled;
+        assert!(
+            s.cur_scheduled * 50 < placements,
+            "{} of {placements} schedules bypassed the wheel",
+            s.cur_scheduled
+        );
     }
 
     #[test]
