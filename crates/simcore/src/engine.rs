@@ -408,20 +408,6 @@ impl<E> Scheduler<E> {
         self.past_schedules
     }
 
-    /// Timestamp of the next pending event, if any; exact, never a bucket
-    /// approximation. A scan of the slab, O(pending), because bringing the
-    /// next key to the front would move the wheel cursor past the clock (see
-    /// [`Scheduler::advance`]); nothing on the per-event path calls it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        // Lane entries are at `now`, which never exceeds any queued entry's
-        // timestamp, so a non-empty lane decides.
-        if !self.lane.is_empty() {
-            return Some(self.now);
-        }
-        let live = self.slab.iter().filter(|e| e.event.is_some());
-        live.map(|e| e.time).min()
-    }
-
     /// Remove and return the next event in `(time, seq)` order.
     fn pop(&mut self) -> Option<(SimTime, E)> {
         self.pop_next_before(None)
@@ -1019,13 +1005,11 @@ mod tests {
     #[test]
     fn peek_and_pending() {
         let mut eng: Engine<Recorder> = Engine::new();
-        assert_eq!(eng.scheduler().peek_time(), None);
         assert_eq!(eng.scheduler().pending(), 0);
         eng.scheduler()
             .schedule_at(SimTime::from_secs(1), Ev::Tag(1));
         eng.scheduler()
             .schedule_at(SimTime::from_secs(2), Ev::Tag(2));
-        assert_eq!(eng.scheduler().peek_time(), Some(SimTime::from_secs(1)));
         assert_eq!(eng.scheduler().pending(), 2);
     }
 

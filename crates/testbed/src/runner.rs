@@ -617,17 +617,9 @@ pub fn run_many_full(
             .unwrap_or_else(|e| panic!("creating trace dir {}: {e}", spec.dir.display()));
     }
     let grid_started = std::time::Instant::now();
-    let mut jobs: Vec<(usize, u32)> = (0..conditions.len())
+    let jobs: Vec<(usize, u32)> = (0..conditions.len())
         .flat_map(|c| (0..iterations).map(move |i| (c, i)))
         .collect();
-    // Hand out the longest jobs first: a run's cost follows its packet
-    // rate, hence its capacity, and a competing flow adds to it. Both paper
-    // grids end on their 35 Mb/s cells; started last, those leave the other
-    // workers idle for up to a job at the end.
-    jobs.sort_by_key(|&(c, _)| {
-        let cond = &conditions[c];
-        std::cmp::Reverse((cond.capacity, cond.cca.is_some()))
-    });
 
     let runs = run_jobs(
         jobs.len(),
@@ -656,12 +648,9 @@ pub fn run_many_full(
         )
     });
 
-    // `run_jobs` preserves job order; back in `(condition, iteration)`
-    // order the results are condition-major with the iteration innermost
-    // and regroup by simple takes.
-    let mut runs: Vec<_> = jobs.iter().zip(runs).collect();
-    runs.sort_by_key(|&(&job, _)| job);
-    let mut it = runs.into_iter().map(|(_, run)| run);
+    // `jobs` is condition-major with the iteration innermost and
+    // `run_jobs` preserves job order, so results regroup by simple takes.
+    let mut it = runs.into_iter();
     let out: Vec<ConditionResult> = conditions
         .iter()
         .map(|cond| ConditionResult {
@@ -833,32 +822,6 @@ mod tests {
         assert_eq!(many.len(), 1);
         assert_eq!(many[0].runs.len(), 2);
         assert_eq!(many[0].runs[0].game_bins_mbps, serial.game_bins_mbps);
-    }
-
-    #[test]
-    fn results_keep_grid_order_whatever_the_dispatch_order() {
-        // Ascending capacity, solo before contested: dispatched in exactly
-        // the reverse order.
-        let tl = Timeline::scaled(0.02);
-        let cond = |cca, cap| Condition::new(SystemKind::Luna, cca, cap, 2.0).with_timeline(tl);
-        let conditions = [
-            cond(None, 15),
-            cond(None, 25),
-            cond(Some(CcaKind::Cubic), 25),
-            cond(Some(CcaKind::Cubic), 35),
-        ];
-        let out = run_many(&conditions, 2, 2);
-        assert_eq!(out.len(), conditions.len());
-        for (res, cond) in out.iter().zip(&conditions) {
-            assert_eq!(res.condition.label(), cond.label());
-            assert_eq!(res.runs.len(), 2);
-            for (i, run) in res.runs.iter().enumerate() {
-                let alone = run_condition(cond, i as u32);
-                assert_eq!((&run.label, run.iter), (&alone.label, i as u32));
-                assert_eq!(run.game_bins_mbps, alone.game_bins_mbps);
-                assert_eq!(run.events_processed, alone.events_processed);
-            }
-        }
     }
 
     #[test]
