@@ -83,20 +83,21 @@ echo "== fleet smoke gate (forced kill/resume must be bit-identical)"
 fleet_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir" "$scenario_dir" "$fleet_dir"' EXIT
 fleet() { "$gsrepro" fleet --smoke --threads 2 "$@"; }
-fleet --csv "$fleet_dir/straight.json"
+fleet --csv "$fleet_dir/straight.json" > "$fleet_dir/straight.out"
 if fleet --csv "$fleet_dir/halted.json" --manifest "$fleet_dir/fleet.manifest" \
     --halt-after-shards 2; then
     echo "halted fleet run must exit non-zero" >&2; exit 1
 fi
-fleet --csv "$fleet_dir/resumed.json" --manifest "$fleet_dir/fleet.manifest"
-digest() { sed -n 's/^  "digest": "\([0-9a-f]*\)",$/\1/p' "$1"; }
-d_straight="$(digest "$fleet_dir/straight.json")"
-d_resumed="$(digest "$fleet_dir/resumed.json")"
-echo "fleet gate: straight ${d_straight}, resumed ${d_resumed}"
-if [ -z "$d_straight" ] || [ "$d_straight" != "$d_resumed" ]; then
-    echo "fleet gate FAILED: resumed aggregates differ from uninterrupted run" >&2
-    exit 1
-fi
+fleet --csv "$fleet_dir/resumed.json" --manifest "$fleet_dir/fleet.manifest" \
+    > "$fleet_dir/resumed.out"
+# Compare the line the command prints, not a pattern over its JSON.
+for run in straight resumed; do
+    grep '^aggregate digest: ' "$fleet_dir/$run.out" > "$fleet_dir/$run.digest" || {
+        echo "fleet gate FAILED: the $run run printed no aggregate digest" >&2; exit 1; }
+done
+cmp "$fleet_dir/straight.digest" "$fleet_dir/resumed.digest" || {
+    echo "fleet gate FAILED: resumed aggregates differ from uninterrupted run" >&2; exit 1; }
+echo "fleet gate: straight and resumed runs both print '$(cat "$fleet_dir/straight.digest")'"
 # Schema sanity: the resumed JSON must carry the headline keys ci and the
 # README document.
 for key in '"schema": 1' '"sessions_per_sec"' '"p99"' '"never_response_frac"'; do

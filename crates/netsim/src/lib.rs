@@ -43,6 +43,6 @@ pub mod wire;
 pub use link::{LinkId, LinkSpec, Shaper};
 pub use monitor::{FlowStats, Monitor};
 pub use net::{Agent, AgentId, Ctx, Network, NetworkBuilder, NodeId, PacketSpec, Sim};
-pub use queue::{CoDelQueue, Discipline, DropTailQueue, FqCoDelQueue, Queue, QueueSpec};
+pub use queue::{CoDelQueue, Discipline, DropTailQueue, FqCoDelQueue, QueueSpec};
 pub use scenario::{LinkProfile, ScenarioAction, ScenarioGen, ScenarioSpec, ScenarioStep};
 pub use wire::{FlowId, MediaChunk, Packet, Payload, PingEcho, StreamFeedback, TcpSegment};

@@ -31,7 +31,7 @@ use std::any::Any;
 use gsrepro_simcore::checks::Checks;
 use gsrepro_simcore::rng::rng_for;
 use gsrepro_simcore::telemetry::{Recorder, TelemetryConfig};
-use gsrepro_simcore::{BitRate, Bytes};
+use gsrepro_simcore::Bytes;
 use gsrepro_simcore::{Engine, Scheduler, SimDuration, SimError, SimRng, SimTime, Watchdog, World};
 use rand::Rng;
 
@@ -163,15 +163,6 @@ impl Ctx<'_> {
 
 /// Events of the network world.
 pub enum NetEvent {
-    /// Change a link's shaping rate at a scheduled time (`tc qdisc
-    /// change` mid-run — the Carrascosa & Bellalta methodology of limiting
-    /// a live stream's link).
-    SetLinkRate {
-        /// The link to modify.
-        link: LinkId,
-        /// The new rate; `None` removes shaping.
-        rate: Option<BitRate>,
-    },
     /// Apply one [`ScenarioAction`] to a link — the generalized live
     /// reconfiguration behind [`Sim::apply_scenario`]. Applications are
     /// recorded as `link_scenario` telemetry events.
@@ -628,9 +619,6 @@ impl World for Network {
                 self.links[id.0 as usize].wakeup_scheduled = false;
                 self.pump_link(id, sched);
             }
-            NetEvent::SetLinkRate { link, rate } => {
-                self.apply_scenario_action(link, ScenarioAction::Rate(rate), sched);
-            }
             NetEvent::Scenario { link, action } => {
                 self.apply_scenario_action(link, action, sched);
             }
@@ -913,14 +901,6 @@ impl Sim {
         self.net.monitor().stats(flow).mean_goodput_mbps(from, to)
     }
 
-    /// Schedule a link-rate change at `at` (absolute sim time). Emulates
-    /// running `tc qdisc change` on the router mid-experiment.
-    pub fn schedule_link_rate(&mut self, link: LinkId, rate: Option<BitRate>, at: SimTime) {
-        self.engine
-            .scheduler()
-            .schedule_at(at, NetEvent::SetLinkRate { link, rate });
-    }
-
     /// Schedule one scenario action at `at` (absolute sim time).
     pub fn schedule_scenario_action(&mut self, link: LinkId, action: ScenarioAction, at: SimTime) {
         self.engine
@@ -954,6 +934,7 @@ mod tests {
     use super::*;
     use crate::apps::{CbrSource, SinkAgent};
     use crate::queue::QueueSpec;
+    use gsrepro_simcore::BitRate;
 
     fn two_node_sim(rate_mbps: u64, cbr_mbps: u64, seed: u64) -> (Sim, FlowId) {
         let down = LinkSpec::bottleneck(
@@ -1154,14 +1135,14 @@ mod tests {
         );
         let mut sim = b.build();
         // Cut the link to 5 Mb/s for the middle third.
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(5)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(5))),
             SimTime::from_secs(10),
         );
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(20)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(20))),
             SimTime::from_secs(20),
         );
         sim.run_until(SimTime::from_secs(30));
@@ -1594,8 +1575,9 @@ mod tests {
         let (mut sim, f, l) = unshaped_sim(NetworkBuilder::new(35).checks(true), lan_1ms(), 5);
         // 5 Mb/s offered into 2 Mb/s for two seconds: ~750 kB queues in the
         // LAN link's unlimited buffer.
-        sim.schedule_link_rate(l, Some(BitRate::from_mbps(2)), SimTime::from_secs(1));
-        sim.schedule_link_rate(l, None, SimTime::from_secs(3));
+        let two_mbps = ScenarioAction::Rate(Some(BitRate::from_mbps(2)));
+        sim.schedule_scenario_action(l, two_mbps, SimTime::from_secs(1));
+        sim.schedule_scenario_action(l, ScenarioAction::Rate(None), SimTime::from_secs(3));
         sim.run_until(SimTime::from_millis(2_999));
         assert!(
             sim.net.link(l).backlog() > Bytes(500_000),

@@ -39,45 +39,6 @@ pub struct QueuedPkt {
     pub enqueued_at: SimTime,
 }
 
-/// A buffering/drop policy for a link.
-///
-/// Queues never shape traffic — rate limiting is the link's token bucket —
-/// they only decide what to hold and what to drop. Entries dropped at
-/// enqueue are returned in `Err`; entries dropped at *dequeue* time (CoDel
-/// does this) are pushed into `dropped`. The caller owns drop accounting
-/// and must release each dropped entry's pool slot.
-pub trait Queue {
-    /// Offer an entry. `Err(item)` means it was dropped (tail drop or
-    /// overflow). The discipline stamps `enqueued_at = now` on acceptance.
-    fn enqueue(&mut self, item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt>;
-
-    /// Take the next entry to transmit. AQM disciplines may drop entries
-    /// here; they are appended to `dropped`.
-    fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<QueuedPkt>) -> Option<QueuedPkt>;
-
-    /// Wire size of the entry `dequeue` would return, without removing it.
-    /// AQM head drops may make this an over-estimate; the link only uses it
-    /// to size token-bucket waits, and re-checks after the actual dequeue.
-    fn peek_size(&self) -> Option<Bytes>;
-
-    /// Current occupancy in bytes.
-    fn len_bytes(&self) -> Bytes;
-
-    /// Current occupancy in packets.
-    fn len_pkts(&self) -> usize;
-
-    /// Configured capacity in bytes, if byte-limited.
-    fn capacity_bytes(&self) -> Option<Bytes>;
-
-    /// Change the byte limit at runtime (emulating `tc qdisc change ...
-    /// limit`). Overflow policy on a shrink: most-recently-queued entries
-    /// are evicted first (tail drop — the packets a smaller buffer would
-    /// never have admitted) until the backlog fits; evictions are appended
-    /// to `dropped` and the caller owns their pool slots. A packet-limited
-    /// discipline gains a byte limit alongside its packet limit.
-    fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>);
-}
-
 /// Declarative queue configuration, used by topology builders.
 #[derive(Clone, Debug)]
 pub enum QueueSpec {
@@ -179,13 +140,19 @@ impl QueueSpec {
     }
 }
 
-/// A concrete queue discipline, dispatched by `match` instead of vtable.
+/// A buffering/drop policy for a link: one of the concrete disciplines,
+/// dispatched by `match` instead of vtable.
 ///
-/// Links hold this enum rather than a `Box<dyn Queue>`: every packet pays
+/// Queues never shape traffic — rate limiting is the link's token bucket —
+/// they only decide what to hold and what to drop. Entries dropped at
+/// enqueue are returned in `Err`; entries dropped at *dequeue* time (CoDel
+/// does this) are pushed into `dropped`. The caller owns drop accounting
+/// and must release each dropped entry's pool slot.
+///
+/// Links hold this enum rather than a boxed trait object: every packet pays
 /// the enqueue/dequeue call, and with a closed set of disciplines a direct
 /// branch (almost always predicted — a link's discipline never changes)
-/// beats an indirect call the CPU cannot see through. The [`Queue`] trait
-/// remains for generic test harnesses; `Discipline` implements it too.
+/// beats an indirect call the CPU cannot see through.
 pub enum Discipline {
     /// Byte- or packet-limited FIFO tail-drop.
     DropTail(DropTailQueue),
@@ -206,49 +173,58 @@ macro_rules! dispatch {
 }
 
 impl Discipline {
-    /// See [`Queue::enqueue`].
+    /// Offer an entry. `Err(item)` means it was dropped (tail drop or
+    /// overflow). The discipline stamps `enqueued_at = now` on acceptance.
     #[inline]
     pub fn enqueue(&mut self, item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
         dispatch!(self, q => q.enqueue(item, now))
     }
 
-    /// See [`Queue::dequeue`].
+    /// Take the next entry to transmit. AQM disciplines may drop entries
+    /// here; they are appended to `dropped`.
     #[inline]
     pub fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<QueuedPkt>) -> Option<QueuedPkt> {
         dispatch!(self, q => q.dequeue(now, dropped))
     }
 
-    /// See [`Queue::peek_size`].
+    /// Wire size of the entry `dequeue` would return, without removing it.
+    /// AQM head drops may make this an over-estimate; the link only uses it
+    /// to size token-bucket waits, and re-checks after the actual dequeue.
     #[inline]
     pub fn peek_size(&self) -> Option<Bytes> {
         dispatch!(self, q => q.peek_size())
     }
 
-    /// See [`Queue::len_bytes`].
+    /// Current occupancy in bytes.
     #[inline]
     pub fn len_bytes(&self) -> Bytes {
         dispatch!(self, q => q.len_bytes())
     }
 
-    /// See [`Queue::len_pkts`].
+    /// Current occupancy in packets.
     #[inline]
     pub fn len_pkts(&self) -> usize {
         dispatch!(self, q => q.len_pkts())
     }
 
-    /// See [`Queue::capacity_bytes`].
+    /// Configured capacity in bytes, if byte-limited.
     #[inline]
     pub fn capacity_bytes(&self) -> Option<Bytes> {
         dispatch!(self, q => q.capacity_bytes())
     }
 
-    /// See [`Queue::set_byte_limit`].
+    /// Change the byte limit at runtime (emulating `tc qdisc change ...
+    /// limit`). Overflow policy on a shrink: most-recently-queued entries
+    /// are evicted first (tail drop — the packets a smaller buffer would
+    /// never have admitted) until the backlog fits; evictions are appended
+    /// to `dropped` and the caller owns their pool slots. A packet-limited
+    /// discipline gains a byte limit alongside its packet limit.
     pub fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>) {
         dispatch!(self, q => q.set_byte_limit(limit, dropped))
     }
 
     /// For the link's cut-through: when this is a drop-tail holding
-    /// nothing, whether [`Queue::enqueue`] would admit a `size`-byte
+    /// nothing, whether [`Discipline::enqueue`] would admit a `size`-byte
     /// packet; `None` for an AQM or any backlog.
     #[inline]
     pub(crate) fn empty_droptail_admits(&self, size: Bytes) -> Option<bool> {
@@ -258,36 +234,6 @@ impl Discipline {
             }
             _ => None,
         }
-    }
-}
-
-impl Queue for Discipline {
-    fn enqueue(&mut self, item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
-        Discipline::enqueue(self, item, now)
-    }
-
-    fn dequeue(&mut self, now: SimTime, dropped: &mut Vec<QueuedPkt>) -> Option<QueuedPkt> {
-        Discipline::dequeue(self, now, dropped)
-    }
-
-    fn peek_size(&self) -> Option<Bytes> {
-        Discipline::peek_size(self)
-    }
-
-    fn len_bytes(&self) -> Bytes {
-        Discipline::len_bytes(self)
-    }
-
-    fn len_pkts(&self) -> usize {
-        Discipline::len_pkts(self)
-    }
-
-    fn capacity_bytes(&self) -> Option<Bytes> {
-        Discipline::capacity_bytes(self)
-    }
-
-    fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>) {
-        Discipline::set_byte_limit(self, limit, dropped)
     }
 }
 
@@ -332,9 +278,7 @@ impl DropTailQueue {
             byte_limited: false,
         }
     }
-}
 
-impl Queue for DropTailQueue {
     fn enqueue(&mut self, mut item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
         if self.bytes.as_u64().saturating_add(item.size.as_u64()) > self.byte_limit.as_u64()
             || self.q.len() >= self.pkt_limit
@@ -459,9 +403,7 @@ impl CoDelQueue {
             Some((item, now < fat))
         }
     }
-}
 
-impl Queue for CoDelQueue {
     fn enqueue(&mut self, mut item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
         if self.bytes + item.size > self.limit {
             return Err(item);
@@ -625,9 +567,7 @@ impl FqCoDelQueue {
         // acceptable (RFC 8290 uses a similar stochastic hash).
         (flow.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) as usize % FQ_BUCKETS
     }
-}
 
-impl Queue for FqCoDelQueue {
     fn enqueue(&mut self, item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
         if self.bytes + item.size > self.limit {
             return Err(item);

@@ -2,7 +2,7 @@
 //! shaper: FIFO order, byte accounting, capacity respect, and AQM
 //! invariants across randomized workloads.
 
-use gsrepro_netsim::queue::{DropTailQueue, Queue, QueueSpec, QueuedPkt};
+use gsrepro_netsim::queue::{Discipline, DropTailQueue, QueueSpec, QueuedPkt};
 use gsrepro_netsim::wire::{Ecn, FlowId, PktRef};
 use gsrepro_simcore::{Bytes, SimTime};
 use proptest::prelude::*;
@@ -19,11 +19,11 @@ fn pkt(id: u64, flow: u32, size: u64) -> QueuedPkt {
     }
 }
 
-/// A randomized enqueue/dequeue schedule applied to any queue type.
+/// A randomized enqueue/dequeue schedule applied to any discipline.
 /// Returns (accepted, delivered + queued + aqm-dropped, aqm-dropped,
 /// delivered ids): the first two must match for a conserving queue.
 fn churn(
-    q: &mut dyn Queue,
+    q: &mut Discipline,
     ops: &[(bool, u16, u64)], // (enqueue?, flow, size 64..1500)
 ) -> (u64, u64, u64, Vec<u64>) {
     let mut accepted = 0u64;
@@ -58,7 +58,7 @@ fn churn(
 /// A conforming AQM CE-marks ECT packets instead of dropping them, so the
 /// conservation identity must close with `aqm_dropped == 0` and every
 /// would-be drop surfacing as a delivered CE-marked packet.
-fn churn_ect(q: &mut dyn Queue, ops: &[(bool, u16, u64)]) -> (u64, u64, u64, u64, Vec<u64>) {
+fn churn_ect(q: &mut Discipline, ops: &[(bool, u16, u64)]) -> (u64, u64, u64, u64, Vec<u64>) {
     let mut accepted = 0u64;
     let mut delivered = 0u64;
     let mut aqm_dropped = 0u64;
@@ -102,7 +102,7 @@ proptest! {
         ops in prop::collection::vec((any::<bool>(), any::<u16>(), 0u64..2000), 1..500),
         limit in 2_000u64..100_000,
     ) {
-        let mut q = DropTailQueue::bytes(Bytes(limit));
+        let mut q = Discipline::DropTail(DropTailQueue::bytes(Bytes(limit)));
         let (accepted, accounted, _dropped, out_ids) = churn(&mut q, &ops);
         // Every accepted packet is either delivered or still queued.
         prop_assert_eq!(accepted, accounted);

@@ -21,7 +21,6 @@ use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::{connect, Bbr, CcaKind, TcpSender};
 
 use crate::config::{Aqm, Condition, Timeline, EQUALIZED_RTT};
-use crate::metrics;
 use crate::report::TextTable;
 use crate::runner::run_many;
 
@@ -63,20 +62,11 @@ pub fn controller_swap(timeline: Timeline, iterations: u32, threads: usize) -> C
     let results = run_many(&conditions, iterations, threads);
     let cells = results
         .iter()
-        .map(|cr| {
-            let n = cr.runs.len().max(1) as f64;
-            let fairness = cr
-                .runs
-                .iter()
-                .map(|r| metrics::fairness(r, &cr.condition))
-                .sum::<f64>()
-                / n;
-            SwapCell {
-                profile: cr.condition.system,
-                controller: cr.condition.controller_override.expect("override set"),
-                cca: cr.condition.cca.expect("competing condition"),
-                fairness,
-            }
+        .map(|cr| SwapCell {
+            profile: cr.condition.system,
+            controller: cr.condition.controller_override.expect("override set"),
+            cca: cr.condition.cca.expect("competing condition"),
+            fairness: cr.fairness_mean(),
         })
         .collect();
     ControllerSwap { cells }
@@ -259,22 +249,11 @@ pub fn aqm_sweep(timeline: Timeline, iterations: u32, threads: usize) -> Vec<Aqm
     let results = run_many(&conditions, iterations, threads);
     results
         .iter()
-        .map(|cr| {
-            let n = cr.runs.len().max(1) as f64;
-            let fairness = cr
-                .runs
-                .iter()
-                .map(|r| metrics::fairness(r, &cr.condition))
-                .sum::<f64>()
-                / n;
-            let tl = &cr.condition.timeline;
-            let rtt = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop).mean();
-            AqmCell {
-                aqm: cr.condition.aqm,
-                system: cr.condition.system,
-                fairness,
-                rtt_ms: rtt,
-            }
+        .map(|cr| AqmCell {
+            aqm: cr.condition.aqm,
+            system: cr.condition.system,
+            fairness: cr.fairness_mean(),
+            rtt_ms: cr.rtt_pooled().mean(),
         })
         .collect()
 }

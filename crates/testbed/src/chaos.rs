@@ -33,9 +33,10 @@ use gsrepro_netsim::link::LinkId;
 use gsrepro_netsim::{LinkProfile, ScenarioAction, ScenarioGen, ScenarioSpec, ScenarioStep};
 use gsrepro_simcore::rng::{fnv1a, rng_for, FNV_OFFSET};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimError, SimTime, Watchdog};
+use gsrepro_tcp::conformance::ALL_KINDS;
 use gsrepro_tcp::CcaKind;
 
-use crate::config::{Aqm, Condition, Timeline};
+use crate::config::{Aqm, Condition, Timeline, AQMS};
 use crate::runner::{default_threads, panic_message, run_condition_guarded, run_jobs, RunView};
 use crate::topology::{BOTTLENECK_LINK, WAN_GAME_LINK};
 
@@ -273,29 +274,31 @@ impl Trial {
                 .map_err(|e| format!("{what} {v:?}: want f64 bits as 16 hex digits: {e}"))
         };
 
-        let system = match field("system")?.as_str() {
-            "stadia" => SystemKind::Stadia,
-            "geforce" => SystemKind::GeForce,
-            "luna" => SystemKind::Luna,
-            other => return Err(format!("unknown system {other:?}")),
-        };
+        // A label names the variant whose own `label()` prints it, so
+        // `parse` reads back whatever `serialize` can write.
+        fn by_label<T: Copy>(
+            what: &str,
+            all: &[T],
+            label: fn(T) -> &'static str,
+            text: &str,
+        ) -> Result<T, String> {
+            let found = all.iter().copied().find(|&v| label(v) == text);
+            found.ok_or_else(|| format!("unknown {what} {text:?}"))
+        }
+
+        let system = by_label(
+            "system",
+            &SystemKind::ALL,
+            SystemKind::label,
+            &field("system")?,
+        )?;
         let cca = match field("cca")?.as_str() {
             "solo" => None,
-            "reno" => Some(CcaKind::Reno),
-            "cubic" => Some(CcaKind::Cubic),
-            "bbr" => Some(CcaKind::Bbr),
-            "bbr2" => Some(CcaKind::Bbr2),
-            "vegas" => Some(CcaKind::Vegas),
-            other => return Err(format!("unknown cca {other:?}")),
+            other => Some(by_label("cca", &ALL_KINDS, CcaKind::label, other)?),
         };
         let capacity_mbps = parse_u64("capacity_mbps", &field("capacity_mbps")?)?;
         let queue_mult = parse_bits("queue_mult", &field("queue_mult")?)?;
-        let aqm = match field("aqm")?.as_str() {
-            "droptail" => Aqm::DropTail,
-            "codel" => Aqm::CoDel,
-            "fqcodel" => Aqm::FqCoDel,
-            other => return Err(format!("unknown aqm {other:?}")),
-        };
+        let aqm = by_label("aqm", &AQMS, Aqm::label, &field("aqm")?)?;
         let wan_jitter =
             SimDuration::from_nanos(parse_u64("wan_jitter_ns", &field("wan_jitter_ns")?)?);
         let scale = parse_bits("scale", &field("scale")?)?;
@@ -855,6 +858,31 @@ mod tests {
             // And the serialized form itself is a fixed point.
             assert_eq!(back.serialize(), text);
         }
+    }
+
+    #[test]
+    fn repro_codec_round_trips_every_label() {
+        // The sampler draws from the paper's grids; the codec must also
+        // carry every variant `label()` can print (Reno, Vegas, ...).
+        let base = quick_spec().sample_trial(0);
+        let ccas = ALL_KINDS.iter().map(|&c| Some(c)).chain([None]);
+        for cca in ccas {
+            for system in SystemKind::ALL {
+                for aqm in AQMS {
+                    let t = Trial {
+                        system,
+                        cca,
+                        aqm,
+                        ..base.clone()
+                    };
+                    let back = Trial::parse(&t.serialize()).unwrap_or_else(|e| panic!("{e}"));
+                    assert_eq!(back, t);
+                }
+            }
+        }
+        let unknown = base.serialize().replace("\ncca ", "\ncca new");
+        let err = Trial::parse(&unknown).unwrap_err();
+        assert!(err.starts_with("unknown cca \"new"), "{err}");
     }
 
     #[test]

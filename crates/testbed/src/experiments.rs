@@ -19,10 +19,9 @@ use std::fmt;
 
 use gsrepro_gamestream::SystemKind;
 use gsrepro_simcore::stats::{mean_ci95, Samples};
-use gsrepro_simcore::SimTime;
 use gsrepro_tcp::CcaKind;
 
-use crate::config::{Aqm, Grid, Timeline, CAPACITIES_MBPS, CCAS, QUEUE_MULTS};
+use crate::config::{Aqm, Condition, Grid, Timeline, CAPACITIES_MBPS, CCAS, QUEUE_MULTS};
 use crate::metrics;
 use crate::report::{heat_glyph, mean_sd, mean_sd2, Csv, TextTable};
 use crate::runner::{run_many_full, ConditionResult, TraceSpec};
@@ -78,6 +77,17 @@ impl ExperimentOpts {
             checks: false,
         }
     }
+
+    /// Run every condition with these options ([`run_many_full`]).
+    pub fn run(&self, conditions: &[Condition]) -> Vec<ConditionResult> {
+        run_many_full(
+            conditions,
+            self.iterations,
+            self.threads,
+            self.trace.as_ref(),
+            self.checks,
+        )
+    }
 }
 
 /// Results of the full competing-flow grid, shared by Figures 3-4 and
@@ -91,48 +101,21 @@ pub struct GridResults {
 
 /// Run the full grid (3 systems × 2 CCAs × 3 capacities × 3 queues).
 pub fn run_full_grid(opts: ExperimentOpts) -> GridResults {
-    let conditions = Grid::full(opts.timeline);
-    GridResults {
-        results: run_many_full(
-            &conditions,
-            opts.iterations,
-            opts.threads,
-            opts.trace.as_ref(),
-            opts.checks,
-        ),
-        opts,
-    }
+    let results = opts.run(&Grid::full(opts.timeline));
+    GridResults { results, opts }
 }
 
 /// Run the solo grid (no competing flow).
 pub fn run_solo_grid(opts: ExperimentOpts) -> GridResults {
-    let conditions = Grid::solo(opts.timeline);
-    GridResults {
-        results: run_many_full(
-            &conditions,
-            opts.iterations,
-            opts.threads,
-            opts.trace.as_ref(),
-            opts.checks,
-        ),
-        opts,
-    }
+    let results = opts.run(&Grid::solo(opts.timeline));
+    GridResults { results, opts }
 }
 
 /// Run the 3-D AQM scorecard grid (3 systems × 3 CCAs × 3 AQMs at the
 /// paper's 25 Mb/s / 2× BDP point).
 pub fn run_aqm3d_grid(opts: ExperimentOpts) -> GridResults {
-    let conditions = Grid::aqm3d(opts.timeline);
-    GridResults {
-        results: run_many_full(
-            &conditions,
-            opts.iterations,
-            opts.threads,
-            opts.trace.as_ref(),
-            opts.checks,
-        ),
-        opts,
-    }
+    let results = opts.run(&Grid::aqm3d(opts.timeline));
+    GridResults { results, opts }
 }
 
 /// A grid cell's identity: (system, competitor, capacity Mb/s, queue × BDP).
@@ -149,6 +132,19 @@ fn key_of(cr: &ConditionResult) -> CellKey<Option<CcaKind>> {
     (c.system, c.cca, c.capacity.as_mbps() as u64, c.queue_mult)
 }
 
+/// The result of the cell (system, competitor, capacity Mb/s, queue × BDP)
+/// among `results`, if it ran.
+pub fn find_cell(
+    results: &[ConditionResult],
+    system: SystemKind,
+    cca: Option<CcaKind>,
+    capacity_mbps: u64,
+    queue_mult: f64,
+) -> Option<&ConditionResult> {
+    let want = (system, cca, capacity_mbps, queue_mult);
+    results.iter().find(|r| is_cell(key_of(r), want))
+}
+
 impl GridResults {
     /// Find the condition result for a cell.
     pub fn get(
@@ -158,8 +154,7 @@ impl GridResults {
         capacity_mbps: u64,
         queue_mult: f64,
     ) -> Option<&ConditionResult> {
-        let want = (system, cca, capacity_mbps, queue_mult);
-        self.results.iter().find(|r| is_cell(key_of(r), want))
+        find_cell(&self.results, system, cca, capacity_mbps, queue_mult)
     }
 }
 
@@ -175,14 +170,7 @@ pub struct Table1 {
 
 /// Run Table 1: each system on a 1 Gb/s link, no competitor.
 pub fn table1(opts: ExperimentOpts) -> Table1 {
-    let conditions = Grid::table1(opts.timeline);
-    let results = run_many_full(
-        &conditions,
-        opts.iterations,
-        opts.threads,
-        opts.trace.as_ref(),
-        opts.checks,
-    );
+    let results = opts.run(&Grid::table1(opts.timeline));
     let tl = opts.timeline;
     let rows = results
         .iter()
@@ -239,21 +227,13 @@ pub struct Figure2 {
 
 /// Run Figure 2's slice of the grid.
 pub fn figure2(opts: ExperimentOpts) -> Figure2 {
-    let conditions = Grid::figure2(opts.timeline);
-    let results = run_many_full(
-        &conditions,
-        opts.iterations,
-        opts.threads,
-        opts.trace.as_ref(),
-        opts.checks,
-    );
+    let results = opts.run(&Grid::figure2(opts.timeline));
     let mut panels = Vec::new();
     for &cca in &CCAS {
         for &sys in &SystemKind::ALL {
             let mut series = Vec::new();
             for &q in &QUEUE_MULTS {
-                let want = (sys, Some(cca), 25, q);
-                if let Some(cr) = results.iter().find(|r| is_cell(key_of(r), want)) {
+                if let Some(cr) = find_cell(&results, sys, Some(cca), 25, q) {
                     series.push((q, cr.game_series_ci()));
                 }
             }
@@ -373,6 +353,8 @@ pub fn figure3(grid: &GridResults) -> Figure3 {
         let Some(cca) = cr.condition.cca else {
             continue;
         };
+        // Welford's running mean, not `fairness_mean`'s sum ÷ n: the two
+        // can differ in the last bit and the heatmap's digits are pinned.
         let ratios: Vec<f64> = cr
             .runs
             .iter()
@@ -502,57 +484,34 @@ fn response_recovery_means(cr: &ConditionResult) -> (f64, f64, f64, f64) {
 
 /// Reduce a full grid to Figure 4.
 pub fn figure4(grid: &GridResults) -> Figure4 {
-    struct Raw {
-        system: SystemKind,
-        cca: CcaKind,
-        capacity: u64,
-        queue: f64,
-        fairness: f64,
-        c: f64,
-        e: f64,
-        nr: f64,
-        nv: f64,
-    }
-    let mut raws = Vec::new();
-    for cr in &grid.results {
-        let Some(cca) = cr.condition.cca else {
-            continue;
-        };
-        let fair = cr.runs.iter().map(|r| metrics::fairness(r, &cr.condition));
-        let (c, nr, e, nv) = response_recovery_means(cr);
-        raws.push(Raw {
-            system: cr.condition.system,
-            cca,
-            capacity: cr.condition.capacity.as_mbps() as u64,
-            queue: cr.condition.queue_mult,
-            fairness: fair.sum::<f64>() / cr.runs.len().max(1) as f64,
-            c,
-            e,
-            nr,
-            nv,
-        });
-    }
-
-    // Normalize per CCA panel by the maximum response/recovery across all
-    // systems and conditions, as the paper does.
-    let mut points = Vec::new();
+    let mut points: Vec<Figure4Point> = Vec::new();
     for &cca in &CCAS {
-        let panel: Vec<&Raw> = raws.iter().filter(|r| r.cca == cca).collect();
-        let c_max = panel.iter().map(|r| r.c).fold(0.0, f64::max);
-        let e_max = panel.iter().map(|r| r.e).fold(0.0, f64::max);
-        for r in panel {
+        let first = points.len();
+        for cr in &grid.results {
+            if cr.condition.cca != Some(cca) {
+                continue;
+            }
+            let (c, nr, e, nv) = response_recovery_means(cr);
             points.push(Figure4Point {
-                system: r.system,
+                system: cr.condition.system,
                 cca,
-                capacity: r.capacity,
-                queue: r.queue,
-                fairness: r.fairness,
-                adaptiveness: metrics::adaptiveness(r.c, c_max, r.e, e_max),
-                response_s: r.c,
-                recovery_s: r.e,
-                never_responded: r.nr,
-                never_recovered: r.nv,
+                capacity: cr.condition.capacity.as_mbps() as u64,
+                queue: cr.condition.queue_mult,
+                fairness: cr.fairness_mean(),
+                adaptiveness: 0.0, // set below, once the panel's maxima are known
+                response_s: c,
+                recovery_s: e,
+                never_responded: nr,
+                never_recovered: nv,
             });
+        }
+        // Normalize per CCA panel by the maximum response/recovery across
+        // all systems and conditions, as the paper does.
+        let panel = &mut points[first..];
+        let c_max = panel.iter().map(|p| p.response_s).fold(0.0, f64::max);
+        let e_max = panel.iter().map(|p| p.recovery_s).fold(0.0, f64::max);
+        for p in panel {
+            p.adaptiveness = metrics::adaptiveness(p.response_s, c_max, p.recovery_s, e_max);
         }
     }
     Figure4 { points }
@@ -704,16 +663,15 @@ impl fmt::Display for QoeTable {
 }
 
 /// One row per cell of `grid`, in grid order: `cell` reduces a condition to
-/// its (mean, sd) over the window the competitor runs in — in a solo grid,
-/// the same stretch of steady gameplay, listed under cca "-".
+/// its (mean, sd) over [`ConditionResult::competitor_window`]; a solo
+/// grid's cells are listed under cca "-".
 fn qoe_table(
     title: &str,
     grid: &GridResults,
-    cell: impl Fn(&ConditionResult, SimTime, SimTime) -> (f64, f64),
+    cell: impl Fn(&ConditionResult) -> (f64, f64),
 ) -> QoeTable {
     let rows = grid.results.iter().map(|cr| {
-        let tl = &cr.condition.timeline;
-        let (mean, sd) = cell(cr, tl.iperf_start, tl.iperf_stop);
+        let (mean, sd) = cell(cr);
         let (system, cca, capacity, queue) = key_of(cr);
         let cca = cca.map_or("-", CcaKind::label).to_string();
         (capacity, queue, system, cca, mean, sd)
@@ -728,8 +686,8 @@ fn mean_and_sd(s: Samples) -> (f64, f64) {
     (s.mean(), s.stddev())
 }
 
-fn rtt_cell(cr: &ConditionResult, from: SimTime, to: SimTime) -> (f64, f64) {
-    mean_and_sd(cr.rtt_pooled(from, to))
+fn rtt_cell(cr: &ConditionResult) -> (f64, f64) {
+    mean_and_sd(cr.rtt_pooled())
 }
 
 /// Table 3: RTT without a competing flow. Measured over what would be the
@@ -748,9 +706,7 @@ pub fn table4(grid: &GridResults) -> QoeTable {
 /// Table 5: displayed frame rate with a competing flow.
 pub fn table5(grid: &GridResults) -> QoeTable {
     let title = "Table 5 — frame rate (f/s) with a competing TCP flow";
-    qoe_table(title, grid, |cr, from, to| {
-        mean_and_sd(cr.fps_pooled(from, to))
-    })
+    qoe_table(title, grid, |cr| mean_and_sd(cr.fps_pooled()))
 }
 
 /// One cell of the 3-D AQM scorecard: QoE of the game stream and fate of
@@ -793,18 +749,15 @@ pub fn aqm3d(grid: &GridResults) -> Aqm3dTable {
         let Some(cca) = cr.condition.cca else {
             continue;
         };
-        let tl = &cr.condition.timeline;
-        let (from, to) = (tl.iperf_start, tl.iperf_stop);
-        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len().max(1) as f64;
         rows.push(Aqm3dRow {
             system: cr.condition.system,
             cca,
             aqm: cr.condition.aqm,
-            game_mbps: mean(cr.game_means(from, to)),
-            iperf_mbps: mean(cr.iperf_means(from, to)),
-            rtt_ms: cr.rtt_pooled(from, to).mean(),
-            fps: cr.fps_pooled(from, to).mean(),
-            loss_pct: cr.loss_mean(from, to) * 100.0,
+            game_mbps: cr.game_mean(cr.competitor_window()),
+            iperf_mbps: cr.iperf_mean(cr.competitor_window()),
+            rtt_ms: cr.rtt_pooled().mean(),
+            fps: cr.fps_pooled().mean(),
+            loss_pct: cr.loss_mean() * 100.0,
             ce_marks: cr.runs.iter().map(|r| r.tcp_ce_marked).sum(),
             tcp_retx: cr.runs.iter().map(|r| r.tcp_retransmissions).sum(),
             tcp_drops: cr.runs.iter().map(|r| r.tcp_queue_drops).sum(),
@@ -884,20 +837,20 @@ impl fmt::Display for Aqm3dTable {
 
 /// Tech-report loss tables: game media loss with/without the competitor.
 pub fn loss_tables(solo: &GridResults, grid: &GridResults) -> (QoeTable, QoeTable) {
-    let loss_pct = |cr: &ConditionResult, from, to| (cr.loss_mean(from, to) * 100.0, 0.0);
+    let loss_pct = |cr: &ConditionResult| (cr.loss_mean() * 100.0, 0.0);
     (
         qoe_table("Loss (%) without a competing TCP flow", solo, loss_pct),
         qoe_table("Loss (%) with a competing TCP flow", grid, loss_pct),
     )
 }
 
-/// The technical report's response/recovery breakdown: per-condition mean
-/// response time C and recovery time E (Figure 4 shows only the combined
-/// adaptiveness; the report tabulates the parts).
 /// One row of the response/recovery table: (capacity, queue, system, cca,
 /// mean C s, never-responded fraction, mean E s, never-recovered fraction).
 pub type ResponseRecoveryRow = (u64, f64, SystemKind, CcaKind, f64, f64, f64, f64);
 
+/// The technical report's response/recovery breakdown: per-condition mean
+/// response time C and recovery time E (Figure 4 shows only the combined
+/// adaptiveness; the report tabulates the parts).
 pub struct ResponseRecoveryTable {
     /// One row per condition.
     pub rows: Vec<ResponseRecoveryRow>,
@@ -923,6 +876,35 @@ pub fn response_recovery(grid: &GridResults) -> ResponseRecoveryTable {
         ));
     }
     ResponseRecoveryTable { rows }
+}
+
+impl ResponseRecoveryTable {
+    /// CSV: one row per condition.
+    pub fn csv(&self) -> String {
+        let mut csv = Csv::new(&[
+            "capacity",
+            "queue",
+            "system",
+            "cca",
+            "response_s",
+            "never_resp",
+            "recovery_s",
+            "never_rec",
+        ]);
+        for &(cap, q, sys, cca, c, cn, e, en) in &self.rows {
+            csv.row(&[
+                cap.to_string(),
+                format!("{q}"),
+                sys.label().into(),
+                cca.label().into(),
+                format!("{c:.2}"),
+                format!("{cn:.2}"),
+                format!("{e:.2}"),
+                format!("{en:.2}"),
+            ]);
+        }
+        csv.finish()
+    }
 }
 
 impl fmt::Display for ResponseRecoveryTable {
@@ -973,28 +955,45 @@ pub fn harm_table(solo: &GridResults, grid: &GridResults) -> HarmTable {
         let Some(solo_cr) = solo.get(cr.condition.system, None, cap, q) else {
             continue;
         };
-        let tl = &cr.condition.timeline;
-        let window = (tl.iperf_start, tl.iperf_stop);
-
-        let mean = |v: Vec<f64>| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let solo_tp = mean(solo_cr.game_means(window.0, window.1));
-        let cont_tp = mean(cr.game_means(window.0, window.1));
-        let solo_rtt = solo_cr.rtt_pooled(window.0, window.1).mean();
-        let cont_rtt = cr.rtt_pooled(window.0, window.1).mean();
-        let solo_fps = solo_cr.fps_pooled(window.0, window.1).mean();
-        let cont_fps = cr.fps_pooled(window.0, window.1).mean();
-
+        let window = cr.competitor_window();
         rows.push((
             cap,
             q,
             cr.condition.system,
             cca,
-            crate::metrics::harm(solo_tp, cont_tp, true),
-            crate::metrics::harm(solo_rtt, cont_rtt, false),
-            crate::metrics::harm(solo_fps, cont_fps, true),
+            metrics::harm(solo_cr.game_mean(window), cr.game_mean(window), true),
+            metrics::harm(solo_cr.rtt_pooled().mean(), cr.rtt_pooled().mean(), false),
+            metrics::harm(solo_cr.fps_pooled().mean(), cr.fps_pooled().mean(), true),
         ));
     }
     HarmTable { rows }
+}
+
+impl HarmTable {
+    /// CSV: one row per competing condition.
+    pub fn csv(&self) -> String {
+        let mut csv = Csv::new(&[
+            "capacity",
+            "queue",
+            "system",
+            "cca",
+            "tput_harm",
+            "delay_harm",
+            "fps_harm",
+        ]);
+        for &(cap, q, sys, cca, ht, hd, hf) in &self.rows {
+            csv.row(&[
+                cap.to_string(),
+                format!("{q}"),
+                sys.label().into(),
+                cca.label().into(),
+                format!("{ht:.4}"),
+                format!("{hd:.4}"),
+                format!("{hf:.4}"),
+            ]);
+        }
+        csv.finish()
+    }
 }
 
 impl fmt::Display for HarmTable {
@@ -1049,6 +1048,34 @@ mod tests {
         let s = table2_text();
         assert!(s.contains("15, 25, or 35"));
         assert!(s.contains("0.5x, 2x, or 7x BDP"));
+    }
+
+    #[test]
+    fn find_cell_and_get_name_the_same_cell() {
+        let opts = ExperimentOpts::smoke();
+        for conditions in [Grid::full(opts.timeline), Grid::solo(opts.timeline)] {
+            let cell = |condition| ConditionResult {
+                condition,
+                runs: Vec::new(),
+            };
+            let grid = GridResults {
+                results: conditions.into_iter().map(cell).collect(),
+                opts: opts.clone(),
+            };
+            for cr in &grid.results {
+                let c = &cr.condition;
+                let (cap, q) = (c.capacity.as_mbps() as u64, c.queue_mult);
+                let found = find_cell(&grid.results, c.system, c.cca, cap, q);
+                assert!(std::ptr::eq(found.expect("on the grid"), cr));
+                assert!(std::ptr::eq(grid.get(c.system, c.cca, cap, q).unwrap(), cr));
+                // A multiple that went through arithmetic still matches...
+                let q_computed = q / 3.0 * 3.0;
+                assert!(find_cell(&grid.results, c.system, c.cca, cap, q_computed).is_some());
+                // ...an off-grid one, or another capacity, does not.
+                assert!(find_cell(&grid.results, c.system, c.cca, cap, q + 0.25).is_none());
+                assert!(find_cell(&grid.results, c.system, c.cca, cap + 1, q).is_none());
+            }
+        }
     }
 
     #[test]

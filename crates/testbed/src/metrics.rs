@@ -18,7 +18,7 @@
 use gsrepro_simcore::{SimDuration, SimTime};
 
 use crate::config::{Condition, Timeline};
-use crate::runner::RunResult;
+use crate::runner::{bin_window, RunResult};
 
 /// Centered moving average over `window` bins (window forced odd).
 pub fn smooth(bins: &[f64], window: usize) -> Vec<f64> {
@@ -95,17 +95,9 @@ pub fn settle_after(
     }
 }
 
-/// Target mean and σ of a binned series over `[from, to)`, using the same
-/// bin-midpoint windowing rule as [`RunResult::game_window`].
+/// Target mean and σ of a binned series over `[from, to)`.
 fn window_target(bins: &[f64], width: SimDuration, from: SimTime, to: SimTime) -> (f64, f64) {
-    let w = width.as_secs_f64();
-    let mut s = gsrepro_simcore::stats::Samples::new();
-    for (i, &v) in bins.iter().enumerate() {
-        let mid = (i as f64 + 0.5) * w;
-        if mid >= from.as_secs_f64() && mid < to.as_secs_f64() {
-            s.add(v);
-        }
-    }
+    let s = bin_window(bins, width, from, to);
     (s.mean(), s.stddev())
 }
 

@@ -66,9 +66,9 @@ use gsrepro_tcp::cca::bbr::Bbr;
 use gsrepro_tcp::{connect, CcaKind, TcpSender};
 
 use crate::metrics::jains_index;
-use crate::report::TextTable;
+use crate::report::{Csv, TextTable};
 use crate::runner;
-use crate::scorecard::{graded, Claim, Scorecard, Verdict};
+use crate::scorecard::{fraction_claim, Claim, Scorecard, Verdict};
 
 /// Queue multiple below which the deep-queue premise (`q ≫ BDP`) is
 /// considered violated and the model inapplicable. At `X = 2` the
@@ -576,6 +576,35 @@ impl OracleReport {
         t
     }
 
+    /// CSV of the same cells at full precision.
+    pub fn csv(&self) -> String {
+        let mut csv = Csv::new(&[
+            "capacity_mbps",
+            "base_rtt_ms",
+            "queue_mult",
+            "pred_loss_share",
+            "meas_loss_share",
+            "abs_err",
+            "jain",
+            "utilization",
+            "verdict",
+        ]);
+        for c in &self.cells {
+            csv.row(&[
+                c.cell.capacity_mbps.to_string(),
+                c.cell.base_rtt.as_millis_f64().to_string(),
+                c.cell.queue_mult.to_string(),
+                format!("{:.6}", c.prediction.loss_share),
+                format!("{:.6}", c.measured.loss_share),
+                format!("{:.6}", c.abs_err),
+                format!("{:.6}", c.measured.jain),
+                format!("{:.6}", c.measured.utilization),
+                c.verdict.label(),
+            ]);
+        }
+        csv.finish()
+    }
+
     /// Stable per-cell verdict lines — the snapshot payload. Includes
     /// the closed-form prediction (exact arithmetic, safe to pin) but
     /// not the measured floats (threshold-graded into the verdict, so
@@ -630,87 +659,62 @@ fn group_series(
 pub fn model_scorecard(report: &OracleReport) -> Scorecard {
     let mut claims = Vec::new();
 
-    {
-        let n = report.applicable().count();
-        let ok = report
+    let worst = report
+        .applicable()
+        .map(|c| c.abs_err)
+        .fold(0.0f64, f64::max);
+    claims.push(fraction_claim(
+        "MODEL-deep-within",
+        "deep-queue (X ≥ 2) Cubic-vs-BBR shares match the Ware stable root",
+        report
             .applicable()
-            .filter(|c| c.verdict == CellVerdict::Within)
-            .count();
-        let worst = report
-            .applicable()
-            .map(|c| c.abs_err)
-            .fold(0.0f64, f64::max);
-        claims.push(Claim {
-            id: "MODEL-deep-within",
-            statement: "deep-queue (X ≥ 2) Cubic-vs-BBR shares match the Ware stable root",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.66),
-            evidence: format!("{ok}/{n} cells within ±{MODEL_TOLERANCE}; worst |err| {worst:.3}"),
-        });
-    }
-    {
-        // Measured loss-based share must grow with queue depth within
-        // each (capacity, RTT) group — the model's central monotone
-        // prediction, checked on the measurements themselves.
-        let mut ok = 0;
-        let mut n = 0;
+            .map(|c| c.verdict == CellVerdict::Within),
+        (0.99, 0.66),
+        format_args!("cells within ±{MODEL_TOLERANCE}; worst |err| {worst:.3}"),
+    ));
+    // Per adjacent pair of deep cells, in queue order within each
+    // (capacity, RTT) group: whether `metric` does not fall (by > 0.05).
+    let steps_up = |metric: fn(&OracleCell) -> f64| {
+        let mut steps = Vec::new();
         for (cap, rtt) in cell_groups(report) {
-            let shares = group_series(report, cap, rtt, |c| c.measured.loss_share);
-            for w in shares.windows(2) {
-                n += 1;
-                if w[1].1 >= w[0].1 - 0.05 {
-                    ok += 1;
-                }
-            }
+            let series = group_series(report, cap, rtt, metric);
+            steps.extend(series.windows(2).map(|w| w[1].1 >= w[0].1 - 0.05));
         }
-        claims.push(Claim {
-            id: "MODEL-share-monotone",
-            statement: "measured loss-based share grows with queue depth (deep cells)",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.66),
-            evidence: format!("{ok}/{n} adjacent deep-cell pairs non-decreasing"),
-        });
-    }
-    {
-        // Below the validity region the crossover the paper leans on:
-        // shallow queues starve the loss-based flow, BBR dominates.
-        let mut ok = 0;
-        let mut n = 0;
-        for c in &report.cells {
-            if c.cell.queue_mult < DEEP_QUEUE_MIN_MULT {
-                n += 1;
-                if c.measured.bbr_share > 0.5 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "MODEL-shallow-bbr-dominates",
-            statement: "below the validity region (X < 2) BBR takes the majority share",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.5),
-            evidence: format!("{ok}/{n} shallow cells BBR-majority"),
-        });
-    }
-    {
-        // Jain's index must improve with queue depth: the model predicts
-        // shares of (p*, 1−p*) → J = 1/(2(p² + (1−p)²)/(p+(1−p))²)
-        // rising toward 1 as X grows.
-        let mut ok = 0;
-        let mut n = 0;
-        for (cap, rtt) in cell_groups(report) {
-            let jains = group_series(report, cap, rtt, |c| c.measured.jain);
-            for w in jains.windows(2) {
-                n += 1;
-                if w[1].1 >= w[0].1 - 0.05 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "MODEL-jain-improves",
-            statement: "Jain's index improves as queues deepen (shares approach fair)",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.5),
-            evidence: format!("{ok}/{n} deep-cell steps non-decreasing in Jain"),
-        });
-    }
+        steps
+    };
+    // Measured loss-based share must grow with queue depth within each
+    // (capacity, RTT) group — the model's central monotone prediction,
+    // checked on the measurements themselves.
+    claims.push(fraction_claim(
+        "MODEL-share-monotone",
+        "measured loss-based share grows with queue depth (deep cells)",
+        steps_up(|c| c.measured.loss_share),
+        (0.99, 0.66),
+        "adjacent deep-cell pairs non-decreasing",
+    ));
+    // Below the validity region the crossover the paper leans on:
+    // shallow queues starve the loss-based flow, BBR dominates.
+    claims.push(fraction_claim(
+        "MODEL-shallow-bbr-dominates",
+        "below the validity region (X < 2) BBR takes the majority share",
+        report
+            .cells
+            .iter()
+            .filter(|c| c.cell.queue_mult < DEEP_QUEUE_MIN_MULT)
+            .map(|c| c.measured.bbr_share > 0.5),
+        (0.99, 0.5),
+        "shallow cells BBR-majority",
+    ));
+    // Jain's index must improve with queue depth: the model predicts
+    // shares of (p*, 1−p*) → J = 1/(2(p² + (1−p)²)/(p+(1−p))²)
+    // rising toward 1 as X grows.
+    claims.push(fraction_claim(
+        "MODEL-jain-improves",
+        "Jain's index improves as queues deepen (shares approach fair)",
+        steps_up(|c| c.measured.jain),
+        (0.99, 0.5),
+        "deep-cell steps non-decreasing in Jain",
+    ));
     {
         // Structural: every cell carries a verdict, and inapplicable
         // verdicts appear exactly on the cells whose preconditions fail.

@@ -21,7 +21,7 @@ use gsrepro_simcore::{SchedStats, SimDuration, SimError, SimTime, TelemetryConfi
 use gsrepro_tcp::TcpSender;
 
 use crate::config::Condition;
-use crate::topology;
+use crate::{metrics, topology};
 
 /// Everything measured in one run of one condition.
 #[derive(Clone, Debug)]
@@ -79,27 +79,30 @@ pub struct RunResult {
     pub wall_secs: f64,
 }
 
-impl RunResult {
-    fn window_bins(&self, bins: &[f64], from: SimTime, to: SimTime) -> Samples {
-        let w = self.bin_width.as_secs_f64();
-        let mut s = Samples::new();
-        for (i, &v) in bins.iter().enumerate() {
-            let mid = (i as f64 + 0.5) * w;
-            if mid >= from.as_secs_f64() && mid < to.as_secs_f64() {
-                s.add(v);
-            }
+/// The values of a uniformly binned series whose bin *midpoints*
+/// `(i + 0.5)·width` fall in `[from, to)` — the one windowing rule behind
+/// every per-window number the testbed reports.
+pub fn bin_window(bins: &[f64], width: SimDuration, from: SimTime, to: SimTime) -> Samples {
+    let w = width.as_secs_f64();
+    let mut s = Samples::new();
+    for (i, &v) in bins.iter().enumerate() {
+        let mid = (i as f64 + 0.5) * w;
+        if mid >= from.as_secs_f64() && mid < to.as_secs_f64() {
+            s.add(v);
         }
-        s
     }
+    s
+}
 
+impl RunResult {
     /// Game goodput samples (Mb/s per bin) within `[from, to)`.
     pub fn game_window(&self, from: SimTime, to: SimTime) -> Samples {
-        self.window_bins(&self.game_bins_mbps, from, to)
+        bin_window(&self.game_bins_mbps, self.bin_width, from, to)
     }
 
     /// Competing-TCP goodput samples within `[from, to)`.
     pub fn iperf_window(&self, from: SimTime, to: SimTime) -> Samples {
-        self.window_bins(&self.iperf_bins_mbps, from, to)
+        bin_window(&self.iperf_bins_mbps, self.bin_width, from, to)
     }
 
     /// RTT samples within `[from, to)` (ms).
@@ -113,30 +116,20 @@ impl RunResult {
         s
     }
 
-    /// Mean displayed frame rate within `[from, to)`.
+    /// Displayed frame-rate samples (f/s per fps bin) within `[from, to)`.
     pub fn fps_window(&self, from: SimTime, to: SimTime) -> Samples {
-        let w = self.fps_bin_width.as_secs_f64();
-        let mut s = Samples::new();
-        for (i, &v) in self.fps_bins.iter().enumerate() {
-            let mid = (i as f64 + 0.5) * w;
-            if mid >= from.as_secs_f64() && mid < to.as_secs_f64() {
-                s.add(v);
-            }
-        }
-        s
+        bin_window(&self.fps_bins, self.fps_bin_width, from, to)
     }
 
     /// Game media loss rate within `[from, to)`.
     pub fn game_loss_window(&self, from: SimTime, to: SimTime) -> f64 {
-        let w = self.bin_width.as_secs_f64();
-        let (mut sent, mut dropped) = (0.0, 0.0);
-        for i in 0..self.game_sent_bins.len().max(self.game_dropped_bins.len()) {
-            let mid = (i as f64 + 0.5) * w;
-            if mid >= from.as_secs_f64() && mid < to.as_secs_f64() {
-                sent += self.game_sent_bins.get(i).copied().unwrap_or(0.0);
-                dropped += self.game_dropped_bins.get(i).copied().unwrap_or(0.0);
-            }
-        }
+        // Summed up from +0.0, not `sum()`'s −0.0: a run that dropped
+        // nothing has no dropped bins, and its loss must print as 0, not −0.
+        let total = |bins| {
+            let window = bin_window(bins, self.bin_width, from, to);
+            window.values().iter().fold(0.0, |sum, v| sum + v)
+        };
+        let (sent, dropped) = (total(&self.game_sent_bins), total(&self.game_dropped_bins));
         if sent <= 0.0 {
             0.0
         } else {
@@ -155,24 +148,39 @@ pub struct ConditionResult {
 }
 
 impl ConditionResult {
-    /// Per-run means of game goodput over a window (one sample per run).
-    pub fn game_means(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        self.runs
-            .iter()
-            .map(|r| r.game_window(from, to).mean())
-            .collect()
+    /// `[iperf_start, iperf_stop)`: the window the competitor runs in — in a
+    /// solo cell, the same stretch of steady gameplay. Every per-cell QoE
+    /// number (Tables 3–5, loss, harm, the AQM cube) is reduced over it.
+    pub fn competitor_window(&self) -> (SimTime, SimTime) {
+        let tl = &self.condition.timeline;
+        (tl.iperf_start, tl.iperf_stop)
     }
 
-    /// Per-run means of competing-TCP goodput over a window.
-    pub fn iperf_means(&self, from: SimTime, to: SimTime) -> Vec<f64> {
-        self.runs
-            .iter()
-            .map(|r| r.iperf_window(from, to).mean())
-            .collect()
+    /// Plain mean of one value per run.
+    fn mean_over_runs(&self, per_run: impl Fn(&RunResult) -> f64) -> f64 {
+        self.runs.iter().map(per_run).sum::<f64>() / self.runs.len().max(1) as f64
     }
 
-    /// Pooled RTT samples over a window across all runs.
-    pub fn rtt_pooled(&self, from: SimTime, to: SimTime) -> Samples {
+    /// Mean over runs of each run's mean game goodput (Mb/s) in the window
+    /// `[from, to)` — a [`Timeline`](crate::config::Timeline) window or
+    /// [`Self::competitor_window`].
+    pub fn game_mean(&self, (from, to): (SimTime, SimTime)) -> f64 {
+        self.mean_over_runs(|r| r.game_window(from, to).mean())
+    }
+
+    /// Mean over runs of each run's mean competing-TCP goodput in `[from, to)`.
+    pub fn iperf_mean(&self, (from, to): (SimTime, SimTime)) -> f64 {
+        self.mean_over_runs(|r| r.iperf_window(from, to).mean())
+    }
+
+    /// Mean over runs of [`metrics::fairness`].
+    pub fn fairness_mean(&self) -> f64 {
+        self.mean_over_runs(|r| metrics::fairness(r, &self.condition))
+    }
+
+    /// RTT samples of all runs pooled, over the competitor window.
+    pub fn rtt_pooled(&self) -> Samples {
+        let (from, to) = self.competitor_window();
         let mut s = Samples::new();
         for r in &self.runs {
             for v in r.rtt_window(from, to).values() {
@@ -182,8 +190,9 @@ impl ConditionResult {
         s
     }
 
-    /// Pooled frame-rate samples over a window across all runs.
-    pub fn fps_pooled(&self, from: SimTime, to: SimTime) -> Samples {
+    /// Frame-rate samples of all runs pooled, over the competitor window.
+    pub fn fps_pooled(&self) -> Samples {
+        let (from, to) = self.competitor_window();
         let mut s = Samples::new();
         for r in &self.runs {
             for v in r.fps_window(from, to).values() {
@@ -193,16 +202,10 @@ impl ConditionResult {
         s
     }
 
-    /// Mean game loss rate over a window across runs.
-    pub fn loss_mean(&self, from: SimTime, to: SimTime) -> f64 {
-        if self.runs.is_empty() {
-            return 0.0;
-        }
-        self.runs
-            .iter()
-            .map(|r| r.game_loss_window(from, to))
-            .sum::<f64>()
-            / self.runs.len() as f64
+    /// Mean over runs of the game loss rate in the competitor window.
+    pub fn loss_mean(&self) -> f64 {
+        let (from, to) = self.competitor_window();
+        self.mean_over_runs(|r| r.game_loss_window(from, to))
     }
 
     /// Telemetry counters merged across all runs of the condition.
@@ -1080,5 +1083,42 @@ mod tests {
         assert!(!r
             .rtt_window(t.original_window.0, t.original_window.1)
             .is_empty());
+
+        // Ragged loss series: a run whose last drop predates its last send
+        // has fewer dropped bins than sent bins (or none at all); a missing
+        // bin counts as zero.
+        let secs = SimTime::from_secs;
+        let mut r = r;
+        r.bin_width = SimDuration::from_secs(1);
+        r.game_sent_bins = vec![100.0; 4];
+        r.game_dropped_bins = vec![0.0, 10.0];
+        assert_eq!(r.game_loss_window(secs(0), secs(4)), 10.0 / 400.0);
+        let past_the_drops = r.game_loss_window(secs(2), secs(4));
+        assert!(past_the_drops == 0.0 && past_the_drops.is_sign_positive());
+        r.game_dropped_bins = vec![];
+        assert!(r.game_loss_window(secs(0), secs(4)).is_sign_positive());
+        r.game_sent_bins = vec![100.0];
+        r.game_dropped_bins = vec![0.0, 5.0];
+        assert_eq!(r.game_loss_window(secs(0), secs(2)), 5.0 / 100.0);
+        assert_eq!(r.game_loss_window(secs(1), secs(2)), 0.0, "nothing sent");
+    }
+
+    #[test]
+    fn bin_window_is_half_open_on_bin_midpoints() {
+        let width = SimDuration::from_secs(1); // midpoints 0.5, 1.5, 2.5, 3.5 s
+        let bins = [10.0, 20.0, 30.0, 40.0];
+        let window = |from, to| {
+            let (from, to) = (SimTime::from_millis(from), SimTime::from_millis(to));
+            bin_window(&bins, width, from, to)
+        };
+        // A midpoint exactly on `from` is in, exactly on `to` is out.
+        assert_eq!(window(1500, 3500).values(), [20.0, 30.0]);
+        assert_eq!(window(1501, 3501).values(), [30.0, 40.0]);
+        assert_eq!(window(0, 10_000).values(), bins);
+        // Empty windows: between two midpoints, zero-length, inverted.
+        assert!(window(1600, 2400).is_empty());
+        assert!(window(1500, 1500).is_empty());
+        assert!(window(3000, 1000).is_empty());
+        assert!(bin_window(&[], width, SimTime::ZERO, SimTime::from_secs(9)).is_empty());
     }
 }

@@ -11,7 +11,7 @@ use std::fmt;
 use gsrepro_gamestream::SystemKind;
 use gsrepro_tcp::CcaKind;
 
-use crate::config::{Aqm, CAPACITIES_MBPS, CCAS_3D, EQUALIZED_RTT, QUEUE_MULTS};
+use crate::config::{Aqm, CAPACITIES_MBPS, CCAS, CCAS_3D, EQUALIZED_RTT, QUEUE_MULTS};
 use crate::experiments::{aqm3d, figure3, figure4, GridResults};
 use crate::metrics;
 use crate::report::TextTable;
@@ -87,8 +87,7 @@ impl Scorecard {
 }
 
 /// Fraction-based verdict: PASS above `pass_at`, PARTIAL above `partial_at`.
-/// Shared with the model-oracle scorecard in [`crate::model`].
-pub(crate) fn graded(frac: f64, pass_at: f64, partial_at: f64) -> Verdict {
+fn graded(frac: f64, pass_at: f64, partial_at: f64) -> Verdict {
     if frac >= pass_at {
         Verdict::Pass
     } else if frac >= partial_at {
@@ -96,6 +95,37 @@ pub(crate) fn graded(frac: f64, pass_at: f64, partial_at: f64) -> Verdict {
     } else {
         Verdict::Fail
     }
+}
+
+/// The commonest claim shape: of the `cells` examined (`true` where the
+/// finding holds), grade the fraction that hold against `(pass_at,
+/// partial_at)` and report `"{ok}/{n} {what}"` as the evidence. Shared with
+/// the model-oracle scorecard in [`crate::model`].
+pub(crate) fn fraction_claim(
+    id: &'static str,
+    statement: &'static str,
+    cells: impl IntoIterator<Item = bool>,
+    (pass_at, partial_at): (f64, f64),
+    what: impl fmt::Display,
+) -> Claim {
+    let (mut ok, mut n) = (0usize, 0usize);
+    for holds in cells {
+        n += 1;
+        ok += usize::from(holds);
+    }
+    Claim {
+        id,
+        statement,
+        verdict: graded(ok as f64 / n.max(1) as f64, pass_at, partial_at),
+        evidence: format!("{ok}/{n} {what}"),
+    }
+}
+
+/// Every (capacity, queue) cell of the paper's grid at the given queue sizes.
+fn cap_by_queue(queues: &[f64]) -> impl Iterator<Item = (u64, f64)> + '_ {
+    CAPACITIES_MBPS
+        .iter()
+        .flat_map(move |&cap| queues.iter().map(move |&q| (cap, q)))
 }
 
 /// Build the scorecard from a solo grid and a competing grid.
@@ -109,138 +139,71 @@ pub fn scorecard(solo: &GridResults, grid: &GridResults) -> Scorecard {
     // unconstrained run; the table1 binary reports the measured values.)
 
     // -- Solo behaviour ----------------------------------------------------
-    {
-        let mut ok = 0;
-        let mut n = 0;
-        let mut worst: f64 = 0.0;
-        for cr in &solo.results {
-            let tl = &cr.condition.timeline;
-            let loss = cr.loss_mean(tl.iperf_start, tl.iperf_stop);
-            n += 1;
-            if loss < 0.02 {
-                ok += 1;
-            }
-            worst = worst.max(loss);
-        }
-        claims.push(Claim {
-            id: "solo-loss",
-            statement: "without a competing flow, loss rates are near zero",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.95, 0.8),
-            evidence: format!("{ok}/{n} solo cells < 2% loss; worst {:.1}%", worst * 100.0),
-        });
-    }
-    {
-        let mut ok = 0;
-        let mut n = 0;
-        for cr in &solo.results {
-            let tl = &cr.condition.timeline;
-            let rtt = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop).mean();
-            n += 1;
-            if (14.0..40.0).contains(&rtt) {
-                ok += 1;
-            }
-        }
-        claims.push(Claim {
-            id: "solo-rtt",
-            statement: "solo RTTs stay low (≈16-35 ms), never at the queue limit",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.95, 0.8),
-            evidence: format!("{ok}/{n} solo cells in 14-40 ms"),
-        });
-    }
+    let solo_loss: Vec<f64> = solo.results.iter().map(|cr| cr.loss_mean()).collect();
+    let worst = solo_loss.iter().copied().fold(0.0, f64::max);
+    claims.push(fraction_claim(
+        "solo-loss",
+        "without a competing flow, loss rates are near zero",
+        solo_loss.iter().map(|&loss| loss < 0.02),
+        (0.95, 0.8),
+        format_args!("solo cells < 2% loss; worst {:.1}%", worst * 100.0),
+    ));
+    claims.push(fraction_claim(
+        "solo-rtt",
+        "solo RTTs stay low (≈16-35 ms), never at the queue limit",
+        solo.results
+            .iter()
+            .map(|cr| (14.0..40.0).contains(&cr.rtt_pooled().mean())),
+        (0.95, 0.8),
+        "solo cells in 14-40 ms",
+    ));
 
     // -- Figure 3: fairness pattern ----------------------------------------
     let cell = |sys, cca, cap, q| f3.cell(sys, cca, cap, q).unwrap_or(f64::NAN);
-    {
-        // Stadia vs Cubic: more than fair at small/medium queues.
-        let mut ok = 0;
-        for &cap in &CAPACITIES_MBPS {
-            for &q in &[0.5, 2.0] {
-                if cell(SystemKind::Stadia, CcaKind::Cubic, cap, q) > 0.0 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "F3-stadia-cubic",
-            statement: "Stadia takes more than its fair share from Cubic (small/medium queues)",
-            verdict: graded(ok as f64 / 6.0, 0.99, 0.66),
-            evidence: format!("{ok}/6 cells warm"),
-        });
-    }
-    {
-        // Stadia / Luna cool at 7x vs Cubic.
-        let mut ok = 0;
-        for &cap in &CAPACITIES_MBPS {
-            for sys in [SystemKind::Stadia, SystemKind::Luna] {
-                if cell(sys, CcaKind::Cubic, cap, 7.0) < 0.0 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "F3-bloat-cool",
-            statement: "large (7x) queues flip Stadia and Luna below fair vs Cubic",
-            verdict: graded(ok as f64 / 6.0, 0.99, 0.66),
-            evidence: format!("{ok}/6 cells cool at 7x"),
-        });
-    }
-    {
-        // GeForce always below fair, vs both CCAs.
-        let mut ok = 0;
-        let mut n = 0;
-        for &cca in &[CcaKind::Cubic, CcaKind::Bbr] {
-            for &cap in &CAPACITIES_MBPS {
-                for &q in &QUEUE_MULTS {
-                    n += 1;
-                    if cell(SystemKind::GeForce, cca, cap, q) < 0.0 {
-                        ok += 1;
-                    }
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "F3-geforce-defers",
-            statement: "GeForce always gets less than its fair share",
-            verdict: graded(ok as f64 / n as f64, 0.99, 0.8),
-            evidence: format!("{ok}/{n} cells cool"),
-        });
-    }
-    {
-        // Luna ≈ fair vs Cubic at 0.5x/2x.
-        let mut ok = 0;
-        for &cap in &CAPACITIES_MBPS {
-            for &q in &[0.5, 2.0] {
-                if cell(SystemKind::Luna, CcaKind::Cubic, cap, q).abs() < 0.2 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "F3-luna-cubic-fair",
-            statement: "Luna shares roughly fairly with Cubic (small/medium queues)",
-            verdict: graded(ok as f64 / 6.0, 0.99, 0.66),
-            evidence: format!("{ok}/6 cells within ±0.2 of fair"),
-        });
-    }
-    {
-        // Luna loses its fair share vs BBR.
-        let mut ok = 0;
-        let mut n = 0;
-        for &cap in &CAPACITIES_MBPS {
-            for &q in &QUEUE_MULTS {
-                n += 1;
-                if cell(SystemKind::Luna, CcaKind::Bbr, cap, q) < 0.05 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "F3-luna-bbr",
-            statement: "Luna loses its fair share to BBR",
-            verdict: graded(ok as f64 / n as f64, 0.99, 0.6),
-            evidence: format!("{ok}/{n} cells at/below fair"),
-        });
-    }
+    claims.push(fraction_claim(
+        "F3-stadia-cubic",
+        "Stadia takes more than its fair share from Cubic (small/medium queues)",
+        cap_by_queue(&[0.5, 2.0])
+            .map(|(cap, q)| cell(SystemKind::Stadia, CcaKind::Cubic, cap, q) > 0.0),
+        (0.99, 0.66),
+        "cells warm",
+    ));
+    claims.push(fraction_claim(
+        "F3-bloat-cool",
+        "large (7x) queues flip Stadia and Luna below fair vs Cubic",
+        CAPACITIES_MBPS.iter().flat_map(|&cap| {
+            [SystemKind::Stadia, SystemKind::Luna]
+                .map(|sys| cell(sys, CcaKind::Cubic, cap, 7.0) < 0.0)
+        }),
+        (0.99, 0.66),
+        "cells cool at 7x",
+    ));
+    claims.push(fraction_claim(
+        "F3-geforce-defers",
+        "GeForce always gets less than its fair share",
+        CCAS.iter().flat_map(|&cca| {
+            cap_by_queue(&QUEUE_MULTS)
+                .map(move |(cap, q)| cell(SystemKind::GeForce, cca, cap, q) < 0.0)
+        }),
+        (0.99, 0.8),
+        "cells cool",
+    ));
+    claims.push(fraction_claim(
+        "F3-luna-cubic-fair",
+        "Luna shares roughly fairly with Cubic (small/medium queues)",
+        cap_by_queue(&[0.5, 2.0])
+            .map(|(cap, q)| cell(SystemKind::Luna, CcaKind::Cubic, cap, q).abs() < 0.2),
+        (0.99, 0.66),
+        "cells within ±0.2 of fair",
+    ));
+    claims.push(fraction_claim(
+        "F3-luna-bbr",
+        "Luna loses its fair share to BBR",
+        cap_by_queue(&QUEUE_MULTS)
+            .map(|(cap, q)| cell(SystemKind::Luna, CcaKind::Bbr, cap, q) < 0.05),
+        (0.99, 0.6),
+        "cells at/below fair",
+    ));
     {
         // Luna-BBR coolest at small queue + high capacity.
         let coolest = cell(SystemKind::Luna, CcaKind::Bbr, 35, 0.5);
@@ -291,115 +254,91 @@ pub fn scorecard(solo: &GridResults, grid: &GridResults) -> Scorecard {
             evidence: format!("mean |fairness|: bbr {bbr:.2} vs cubic {cubic:.2}"),
         });
     }
-    {
-        // Stadia vs BBR at 7x is warmer than vs Cubic at 7x.
-        let mut ok = 0;
-        for &cap in &CAPACITIES_MBPS {
-            let c7 = cell(SystemKind::Stadia, CcaKind::Cubic, cap, 7.0);
-            let b7 = cell(SystemKind::Stadia, CcaKind::Bbr, cap, 7.0);
-            if b7 > c7 {
-                ok += 1;
-            }
-        }
-        claims.push(Claim {
-            id: "F3-stadia-7x-warmer-bbr",
-            statement: "at 7x queues Stadia is warmer vs BBR than vs Cubic (BBR's inflight cap)",
-            verdict: graded(ok as f64 / 3.0, 0.99, 0.5),
-            evidence: format!("{ok}/3 capacities"),
-        });
-    }
+    claims.push(fraction_claim(
+        "F3-stadia-7x-warmer-bbr",
+        "at 7x queues Stadia is warmer vs BBR than vs Cubic (BBR's inflight cap)",
+        CAPACITIES_MBPS.iter().map(|&cap| {
+            cell(SystemKind::Stadia, CcaKind::Bbr, cap, 7.0)
+                > cell(SystemKind::Stadia, CcaKind::Cubic, cap, 7.0)
+        }),
+        (0.99, 0.5),
+        "capacities",
+    ));
 
     // -- Table 4: RTT signatures -------------------------------------------
-    {
-        // vs Cubic, RTT ≈ base + full-queue delay.
-        let mut ok = 0;
-        let mut n = 0;
-        for cr in &grid.results {
-            if cr.condition.cca != Some(CcaKind::Cubic) {
-                continue;
-            }
-            let tl = &cr.condition.timeline;
-            let rtt = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop).mean();
+    let vs_cubic = || {
+        grid.results
+            .iter()
+            .filter(|cr| cr.condition.cca == Some(CcaKind::Cubic))
+    };
+    claims.push(fraction_claim(
+        "T4-cubic-queue-limit",
+        "with Cubic competing, RTT sits near the queue-size limit",
+        vs_cubic().map(|cr| {
+            // RTT ≈ base + full-queue delay.
+            let rtt = cr.rtt_pooled().mean();
             let qdelay = cr
                 .condition
                 .capacity
                 .tx_time(cr.condition.queue_bytes())
                 .as_millis_f64();
             let limit = EQUALIZED_RTT.as_millis_f64() + qdelay;
-            n += 1;
             // "Consistently at the limit dictated by the queue size":
             // within 35% of it for medium/large queues, above base always.
             if cr.condition.queue_mult >= 2.0 {
-                if rtt > 0.6 * limit && rtt < 1.1 * limit {
-                    ok += 1;
-                }
-            } else if rtt > EQUALIZED_RTT.as_millis_f64() {
-                ok += 1;
+                rtt > 0.6 * limit && rtt < 1.1 * limit
+            } else {
+                rtt > EQUALIZED_RTT.as_millis_f64()
             }
-        }
-        claims.push(Claim {
-            id: "T4-cubic-queue-limit",
-            statement: "with Cubic competing, RTT sits near the queue-size limit",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.9, 0.7),
-            evidence: format!("{ok}/{n} cells near limit"),
-        });
-    }
+        }),
+        (0.9, 0.7),
+        "cells near limit",
+    ));
     {
         // vs BBR at 7x, RTT about half of the Cubic value.
         let mut ratios = Vec::new();
         for &sys in &SystemKind::ALL {
             for &cap in &CAPACITIES_MBPS {
-                let get = |cca| {
-                    grid.get(sys, Some(cca), cap, 7.0).map(|cr| {
-                        let tl = &cr.condition.timeline;
-                        cr.rtt_pooled(tl.iperf_start, tl.iperf_stop).mean()
-                    })
+                let rtt = |cca| {
+                    let cr = grid.get(sys, Some(cca), cap, 7.0)?;
+                    Some(cr.rtt_pooled().mean())
                 };
-                if let (Some(c), Some(b)) = (get(CcaKind::Cubic), get(CcaKind::Bbr)) {
+                if let (Some(c), Some(b)) = (rtt(CcaKind::Cubic), rtt(CcaKind::Bbr)) {
                     if c > 0.0 {
                         ratios.push(b / c);
                     }
                 }
             }
         }
-        let ok = ratios.iter().filter(|&&r| (0.3..0.8).contains(&r)).count();
         let mean = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
-        claims.push(Claim {
-            id: "T4-bbr-half-rtt",
-            statement: "at 7x queues, RTT vs BBR is about half the RTT vs Cubic",
-            verdict: graded(ok as f64 / ratios.len().max(1) as f64, 0.85, 0.5),
-            evidence: format!("{ok}/{} ratios in 0.3-0.8, mean {mean:.2}", ratios.len()),
-        });
+        claims.push(fraction_claim(
+            "T4-bbr-half-rtt",
+            "at 7x queues, RTT vs BBR is about half the RTT vs Cubic",
+            ratios.iter().map(|r| (0.3..0.8).contains(r)),
+            (0.85, 0.5),
+            format_args!("ratios in 0.3-0.8, mean {mean:.2}"),
+        ));
     }
 
     // -- Figure 4 / response dynamics ---------------------------------------
-    {
-        // Response is generally faster than recovery.
-        let mut faster = 0;
-        let mut n = 0;
-        for cr in &grid.results {
-            if cr.condition.cca.is_none() {
-                continue;
-            }
-            let tl = &cr.condition.timeline;
-            let mut c_sum = 0.0;
-            let mut e_sum = 0.0;
-            for r in &cr.runs {
-                c_sum += metrics::response_time(r, tl).secs;
-                e_sum += metrics::recovery_time(r, tl).secs;
-            }
-            n += 1;
-            if c_sum <= e_sum {
-                faster += 1;
-            }
-        }
-        claims.push(Claim {
-            id: "F4-response-lt-recovery",
-            statement: "response to a flow's arrival is faster than recovery after it leaves",
-            verdict: graded(faster as f64 / n.max(1) as f64, 0.7, 0.5),
-            evidence: format!("{faster}/{n} conditions respond faster than they recover"),
-        });
-    }
+    claims.push(fraction_claim(
+        "F4-response-lt-recovery",
+        "response to a flow's arrival is faster than recovery after it leaves",
+        grid.results
+            .iter()
+            .filter(|cr| cr.condition.cca.is_some())
+            .map(|cr| {
+                let tl = &cr.condition.timeline;
+                let (mut c_sum, mut e_sum) = (0.0, 0.0);
+                for r in &cr.runs {
+                    c_sum += metrics::response_time(r, tl).secs;
+                    e_sum += metrics::recovery_time(r, tl).secs;
+                }
+                c_sum <= e_sum
+            }),
+        (0.7, 0.5),
+        "conditions respond faster than they recover",
+    ));
     {
         // GeForce has the lowest adaptiveness centroid per panel... paper:
         // "Stadia has generally the best adaptiveness".
@@ -419,28 +358,13 @@ pub fn scorecard(solo: &GridResults, grid: &GridResults) -> Scorecard {
     }
 
     // -- Table 5: frame rates -----------------------------------------------
-    {
-        // Frame rates ≥ ~50 vs Cubic.
-        let mut ok = 0;
-        let mut n = 0;
-        for cr in &grid.results {
-            if cr.condition.cca != Some(CcaKind::Cubic) {
-                continue;
-            }
-            let tl = &cr.condition.timeline;
-            let fps = cr.fps_pooled(tl.iperf_start, tl.iperf_stop).mean();
-            n += 1;
-            if fps >= 48.0 {
-                ok += 1;
-            }
-        }
-        claims.push(Claim {
-            id: "T5-cubic-fps-high",
-            statement: "competing with Cubic, frame rates stay high (≈50+ f/s)",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.9, 0.7),
-            evidence: format!("{ok}/{n} cells ≥ 48 f/s"),
-        });
-    }
+    claims.push(fraction_claim(
+        "T5-cubic-fps-high",
+        "competing with Cubic, frame rates stay high (≈50+ f/s)",
+        vs_cubic().map(|cr| cr.fps_pooled().mean() >= 48.0),
+        (0.9, 0.7),
+        "cells ≥ 48 f/s",
+    ));
     {
         // Frame rates degrade vs BBR at small/medium queues; GeForce most
         // resilient.
@@ -449,8 +373,7 @@ pub fn scorecard(solo: &GridResults, grid: &GridResults) -> Scorecard {
             let mut n = 0.0f64;
             for &cap in &CAPACITIES_MBPS {
                 if let Some(cr) = grid.get(sys, Some(cca), cap, q) {
-                    let tl = &cr.condition.timeline;
-                    s += cr.fps_pooled(tl.iperf_start, tl.iperf_stop).mean();
+                    s += cr.fps_pooled().mean();
                     n += 1.0;
                 }
             }
@@ -490,148 +413,89 @@ pub fn scorecard(solo: &GridResults, grid: &GridResults) -> Scorecard {
 /// bottleneck — and an ECN-capable BBRv2 competitor — should change.
 pub fn aqm_scorecard(grid: &GridResults) -> Scorecard {
     let t = aqm3d(grid);
-    let mut claims = Vec::new();
     let systems = SystemKind::ALL;
+    let sys_cca = || {
+        systems
+            .iter()
+            .flat_map(|&sys| CCAS_3D.iter().map(move |&cca| (sys, cca)))
+    };
+    // A (system, cca) pair's drop-tail row and its row under `aqm`, when
+    // both cells ran.
+    let versus_droptail =
+        |sys, cca, aqm| Some((t.get(sys, cca, Aqm::DropTail)?, t.get(sys, cca, aqm)?));
+    // BBRv2 over CoDel: the ECN path must carry the congestion signal.
+    let bbr2_codel: Vec<_> = systems
+        .iter()
+        .filter_map(|&sys| versus_droptail(sys, CcaKind::Bbr2, Aqm::CoDel))
+        .collect();
 
-    // CoDel keeps the standing queue (and therefore RTT) below drop-tail
-    // for every (system, cca) pair — the core AQM promise.
-    {
-        let mut ok = 0;
-        let mut n = 0;
-        for &sys in &systems {
-            for &cca in &CCAS_3D {
-                let (Some(dt), Some(cd)) =
-                    (t.get(sys, cca, Aqm::DropTail), t.get(sys, cca, Aqm::CoDel))
-                else {
-                    continue;
-                };
-                n += 1;
-                if cd.rtt_ms < dt.rtt_ms {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "AQM-codel-cuts-rtt",
-            statement: "CoDel lowers competing-window RTT below drop-tail in every cell",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.7),
-            evidence: format!("{ok}/{n} (system, cca) pairs lower"),
-        });
-    }
-
-    // BBRv2 over CoDel: the ECN path must carry the congestion signal —
-    // CE marks present, and (marks being gentler than drops) queue delay
-    // still below the drop-tail twin.
-    {
-        let mut marked = 0;
-        let mut lower_rtt = 0;
-        let mut n = 0;
-        for &sys in &systems {
-            let (Some(dt), Some(cd)) = (
-                t.get(sys, CcaKind::Bbr2, Aqm::DropTail),
-                t.get(sys, CcaKind::Bbr2, Aqm::CoDel),
-            ) else {
-                continue;
-            };
-            n += 1;
-            if cd.ce_marks > 0 {
-                marked += 1;
-            }
-            if cd.rtt_ms < dt.rtt_ms {
-                lower_rtt += 1;
-            }
-        }
-        claims.push(Claim {
-            id: "AQM-bbr2-ecn-marks",
-            statement: "an ECN-capable BBRv2 competitor gets CE-marked by CoDel",
-            verdict: graded(marked as f64 / n.max(1) as f64, 0.99, 0.5),
-            evidence: format!("{marked}/{n} systems with CE marks"),
-        });
-        claims.push(Claim {
-            id: "AQM-bbr2-codel-delay",
-            statement: "BBRv2-vs-CoDel cells show reduced queue delay vs drop-tail",
-            verdict: graded(lower_rtt as f64 / n.max(1) as f64, 0.99, 0.5),
-            evidence: format!("{lower_rtt}/{n} systems lower RTT under CoDel"),
-        });
-    }
-
-    // ECN means the marked flow needs no loss to yield: BBRv2 over the
-    // AQMs retransmits (far) less than over drop-tail.
-    {
-        let mut ok = 0;
-        let mut n = 0;
-        for &sys in &systems {
-            for aqm in [Aqm::CoDel, Aqm::FqCoDel] {
-                let (Some(dt), Some(aq)) = (
-                    t.get(sys, CcaKind::Bbr2, Aqm::DropTail),
-                    t.get(sys, CcaKind::Bbr2, aqm),
-                ) else {
-                    continue;
-                };
-                n += 1;
-                if aq.tcp_retx <= dt.tcp_retx {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "AQM-bbr2-fewer-retx",
-            statement: "marking instead of dropping leaves BBRv2 with no extra retransmissions",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.99, 0.66),
-            evidence: format!("{ok}/{n} AQM cells at/below the drop-tail count"),
-        });
-    }
-
-    // FQ-CoDel isolates the game flow from the competitor: frame rates at
-    // least hold relative to the shared drop-tail queue, for every CCA.
-    {
-        let mut ok = 0;
-        let mut n = 0;
-        for &sys in &systems {
-            for &cca in &CCAS_3D {
-                let (Some(dt), Some(fq)) = (
-                    t.get(sys, cca, Aqm::DropTail),
-                    t.get(sys, cca, Aqm::FqCoDel),
-                ) else {
-                    continue;
-                };
-                n += 1;
-                if fq.fps >= dt.fps - 2.0 {
-                    ok += 1;
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "AQM-fq-isolates-fps",
-            statement: "FQ-CoDel's per-flow queues keep frame rates at or above drop-tail",
-            verdict: graded(ok as f64 / n.max(1) as f64, 0.9, 0.6),
-            evidence: format!("{ok}/{n} cells hold frame rate"),
-        });
-    }
-
-    // Drop-tail is the only discipline that ever CE-marks nothing; the
-    // ECN accounting must stay silent there even with BBRv2 competing.
-    {
-        let mut clean = 0;
-        let mut n = 0;
-        for &sys in &systems {
-            for &cca in &CCAS_3D {
-                if let Some(dt) = t.get(sys, cca, Aqm::DropTail) {
-                    n += 1;
-                    if dt.ce_marks == 0 {
-                        clean += 1;
-                    }
-                }
-            }
-        }
-        claims.push(Claim {
-            id: "AQM-droptail-never-marks",
-            statement: "drop-tail cells never CE-mark (ECN is an AQM behaviour)",
-            verdict: graded(clean as f64 / n.max(1) as f64, 0.99, 0.99),
-            evidence: format!("{clean}/{n} drop-tail cells mark-free"),
-        });
-    }
-
+    let claims = vec![
+        // CoDel keeps the standing queue (and therefore RTT) below drop-tail
+        // for every (system, cca) pair — the core AQM promise.
+        fraction_claim(
+            "AQM-codel-cuts-rtt",
+            "CoDel lowers competing-window RTT below drop-tail in every cell",
+            sys_cca()
+                .filter_map(|(sys, cca)| versus_droptail(sys, cca, Aqm::CoDel))
+                .map(|(dt, cd)| cd.rtt_ms < dt.rtt_ms),
+            (0.99, 0.7),
+            "(system, cca) pairs lower",
+        ),
+        // CE marks present, and (marks being gentler than drops) queue delay
+        // still below the drop-tail twin.
+        fraction_claim(
+            "AQM-bbr2-ecn-marks",
+            "an ECN-capable BBRv2 competitor gets CE-marked by CoDel",
+            bbr2_codel.iter().map(|(_, cd)| cd.ce_marks > 0),
+            (0.99, 0.5),
+            "systems with CE marks",
+        ),
+        fraction_claim(
+            "AQM-bbr2-codel-delay",
+            "BBRv2-vs-CoDel cells show reduced queue delay vs drop-tail",
+            bbr2_codel.iter().map(|(dt, cd)| cd.rtt_ms < dt.rtt_ms),
+            (0.99, 0.5),
+            "systems lower RTT under CoDel",
+        ),
+        // ECN means the marked flow needs no loss to yield: BBRv2 over the
+        // AQMs retransmits (far) less than over drop-tail.
+        fraction_claim(
+            "AQM-bbr2-fewer-retx",
+            "marking instead of dropping leaves BBRv2 with no extra retransmissions",
+            systems
+                .iter()
+                .flat_map(|&sys| {
+                    [Aqm::CoDel, Aqm::FqCoDel]
+                        .into_iter()
+                        .filter_map(move |aqm| versus_droptail(sys, CcaKind::Bbr2, aqm))
+                })
+                .map(|(dt, aq)| aq.tcp_retx <= dt.tcp_retx),
+            (0.99, 0.66),
+            "AQM cells at/below the drop-tail count",
+        ),
+        // FQ-CoDel isolates the game flow from the competitor: frame rates
+        // at least hold relative to the shared drop-tail queue, for every CCA.
+        fraction_claim(
+            "AQM-fq-isolates-fps",
+            "FQ-CoDel's per-flow queues keep frame rates at or above drop-tail",
+            sys_cca()
+                .filter_map(|(sys, cca)| versus_droptail(sys, cca, Aqm::FqCoDel))
+                .map(|(dt, fq)| fq.fps >= dt.fps - 2.0),
+            (0.9, 0.6),
+            "cells hold frame rate",
+        ),
+        // Drop-tail is the only discipline that ever CE-marks nothing; the
+        // ECN accounting must stay silent there even with BBRv2 competing.
+        fraction_claim(
+            "AQM-droptail-never-marks",
+            "drop-tail cells never CE-mark (ECN is an AQM behaviour)",
+            sys_cca()
+                .filter_map(|(sys, cca)| t.get(sys, cca, Aqm::DropTail))
+                .map(|dt| dt.ce_marks == 0),
+            (0.99, 0.99),
+            "drop-tail cells mark-free",
+        ),
+    ];
     Scorecard { claims }
 }
 

@@ -9,14 +9,13 @@
 
 use gsrepro_testbed::config::{Aqm, Condition, Timeline};
 use gsrepro_testbed::report::{mean_sd, TextTable};
-use gsrepro_testbed::{metrics, run_many, CcaKind, SystemKind};
+use gsrepro_testbed::{run_many, CcaKind, SystemKind};
 
 fn main() {
     let timeline = Timeline::scaled(0.35);
-    let aqms = [Aqm::DropTail, Aqm::CoDel, Aqm::FqCoDel];
 
     let mut conditions = Vec::new();
-    for &aqm in &aqms {
+    for aqm in [Aqm::DropTail, Aqm::CoDel, Aqm::FqCoDel] {
         for &sys in &SystemKind::ALL {
             conditions.push(
                 Condition::new(sys, Some(CcaKind::Cubic), 25, 7.0)
@@ -37,29 +36,16 @@ fn main() {
         "fairness (game-tcp)/cap",
         "frame rate (f/s)",
     ]);
-    for &aqm in &aqms {
-        for &sys in &SystemKind::ALL {
-            let cr = results
-                .iter()
-                .find(|r| r.condition.aqm == aqm && r.condition.system == sys)
-                .expect("condition present");
-            let tl = &cr.condition.timeline;
-            let rtt = cr.rtt_pooled(tl.iperf_start, tl.iperf_stop);
-            let fair: f64 = cr
-                .runs
-                .iter()
-                .map(|r| metrics::fairness(r, &cr.condition))
-                .sum::<f64>()
-                / cr.runs.len() as f64;
-            let fps = cr.fps_pooled(tl.iperf_start, tl.iperf_stop);
-            t.row(vec![
-                aqm.label().to_string(),
-                sys.label().to_string(),
-                mean_sd(rtt.mean(), rtt.stddev()),
-                format!("{fair:+.2}"),
-                format!("{:.1}", fps.mean()),
-            ]);
-        }
+    // One row per condition, in the (qdisc, system) order they were built in.
+    for cr in &results {
+        let rtt = cr.rtt_pooled();
+        t.row(vec![
+            cr.condition.aqm.label().to_string(),
+            cr.condition.system.label().to_string(),
+            mean_sd(rtt.mean(), rtt.stddev()),
+            format!("{:+.2}", cr.fairness_mean()),
+            format!("{:.1}", cr.fps_pooled().mean()),
+        ]);
     }
     println!("{}", t.render());
     println!("expectation: CoDel/FQ-CoDel cut the bloated-queue RTT from ~110 ms toward");

@@ -8,7 +8,7 @@
 //! ```
 
 use gsrepro_gamestream::{self as gamestream, StreamClient, StreamServer, SystemKind};
-use gsrepro_netsim::{LinkId, LinkSpec, NetworkBuilder};
+use gsrepro_netsim::{LinkId, LinkSpec, NetworkBuilder, ScenarioAction};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 
@@ -56,9 +56,9 @@ fn main() {
 
     let mut sim = b.build();
     for &(at, cap) in stair {
-        sim.schedule_link_rate(
+        sim.schedule_scenario_action(
             bottleneck,
-            Some(BitRate::from_mbps(cap)),
+            ScenarioAction::Rate(Some(BitRate::from_mbps(cap))),
             SimTime::from_secs(at),
         );
     }

@@ -63,14 +63,11 @@ fn main() {
         );
         println!("  {}", sparkline(&vals, 25.0));
         let tl = &cr.condition.timeline;
-        let before = cr.game_means(tl.original_window.0, tl.original_window.1);
-        let during = cr.game_means(tl.fairness_window.0, tl.fairness_window.1);
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
         println!(
             "  before {:.1} Mb/s   during {:.1} Mb/s   tcp during {:.1} Mb/s",
-            mean(&before),
-            mean(&during),
-            mean(&cr.iperf_means(tl.fairness_window.0, tl.fairness_window.1)),
+            cr.game_mean(tl.original_window),
+            cr.game_mean(tl.fairness_window),
+            cr.iperf_mean(tl.fairness_window),
         );
     }
 }

@@ -33,7 +33,23 @@ pub struct Command {
     run: fn(Args),
 }
 
-/// Flags of every command that runs experiment grids (see [`experiment_opts`]).
+/// Flags of a command that sizes a sweep of runs (see [`sweep_opts`]).
+const SWEEP: &[&str] = &["--full", "--smoke", "--iters N", "--threads N", "--quiet"];
+
+/// [`SWEEP`] plus the per-run instruments, for a command whose runs go
+/// through [`ExperimentOpts::run`] (see [`traced_opts`]).
+const TRACED: &[&str] = &[
+    "--full",
+    "--smoke",
+    "--iters N",
+    "--threads N",
+    "--trace DIR",
+    "--checks",
+    "--quiet",
+];
+
+/// [`TRACED`] plus `--csv`, for a grid command with a table or series to
+/// dump (see [`experiment_opts`]).
 const GRID: &[&str] = &[
     "--full",
     "--smoke",
@@ -56,11 +72,12 @@ const fn grid(name: &'static str, about: &'static str, run: fn(Args)) -> Command
 
 /// The dispatch table, in `--help` order.
 pub const COMMANDS: &[Command] = &[
-    grid(
-        "table1",
-        "Table 1: unconstrained steady-state bitrates",
-        paper::table1,
-    ),
+    Command {
+        name: "table1",
+        about: "Table 1: unconstrained steady-state bitrates",
+        flags: TRACED,
+        run: paper::table1,
+    },
     Command {
         name: "table2",
         about: "Table 2: the experimental parameters (no simulation)",
@@ -112,41 +129,53 @@ pub const COMMANDS: &[Command] = &[
         "throughput, delay and frame-rate harm vs the solo run (Ware et al.)",
         paper::harm,
     ),
-    grid(
-        "scorecard",
-        "PASS/PARTIAL/FAIL verdict for every encoded paper claim",
-        paper::scorecard,
-    ),
+    Command {
+        name: "scorecard",
+        about: "PASS/PARTIAL/FAIL verdict for every encoded paper claim",
+        flags: TRACED,
+        run: paper::scorecard,
+    },
     grid(
         "scorecard3d",
         "system x CCA x qdisc QoE table and the graded AQM claims",
         paper::scorecard3d,
     ),
-    grid(
-        "full_reproduction",
-        "every table and figure, sharing the expensive grids",
-        paper::full_reproduction,
-    ),
-    grid(
-        "ablation",
-        "DESIGN.md ablations: controller swap, BBR cwnd gain, qdisc sweep",
-        studies::ablation,
-    ),
-    grid(
-        "sensitivity",
-        "Figure 3 fairness signs under increasing WAN jitter",
-        studies::sensitivity,
-    ),
-    grid(
-        "model_oracle",
-        "Cubic-vs-BBR shares graded against the Ware inflight-cap model",
-        studies::model_oracle,
-    ),
-    grid(
-        "multiflow",
-        "a game stream against 1-4 competing Cubic flows",
-        multiflow::multiflow,
-    ),
+    Command {
+        name: "full_reproduction",
+        about: "every table and figure, sharing the expensive grids",
+        flags: TRACED,
+        run: paper::full_reproduction,
+    },
+    Command {
+        name: "ablation",
+        about: "DESIGN.md ablations: controller swap, BBR cwnd gain, qdisc sweep",
+        flags: SWEEP,
+        run: studies::ablation,
+    },
+    Command {
+        name: "sensitivity",
+        about: "Figure 3 fairness signs under increasing WAN jitter",
+        flags: SWEEP,
+        run: studies::sensitivity,
+    },
+    Command {
+        name: "model_oracle",
+        about: "Cubic-vs-BBR shares graded against the Ware inflight-cap model",
+        flags: &[
+            "--smoke",
+            "--threads N",
+            "--csv PATH",
+            "--checks",
+            "--quiet",
+        ],
+        run: studies::model_oracle,
+    },
+    Command {
+        name: "multiflow",
+        about: "a game stream against 1-4 competing Cubic flows",
+        flags: &["--smoke"],
+        run: multiflow::multiflow,
+    },
     grid(
         "dynamic_paths",
         "settling time after bottleneck rate steps",
@@ -374,9 +403,8 @@ impl Args {
     }
 }
 
-/// Read the flags shared by every grid command ([`GRID`]). Returns the
-/// experiment options and the `--csv` path.
-pub(crate) fn experiment_opts(args: Args) -> (ExperimentOpts, Option<String>) {
+/// Read the [`SWEEP`] flags: timeline, iterations and threads.
+pub(crate) fn sweep_opts(args: &Args) -> ExperimentOpts {
     let mut opts = if args.flag("--smoke") {
         ExperimentOpts::smoke()
     } else {
@@ -391,6 +419,15 @@ pub(crate) fn experiment_opts(args: Args) -> (ExperimentOpts, Option<String>) {
     if let Some(n) = args.value("--threads") {
         opts.threads = n;
     }
+    // The CLI keeps the per-grid throughput line on stderr; library users
+    // (tests, the fleet engine) default to silence.
+    gsrepro_testbed::runner::set_grid_log(!args.flag("--quiet"));
+    opts
+}
+
+/// Read the [`TRACED`] flags: [`sweep_opts`] plus `--trace` and `--checks`.
+pub(crate) fn traced_opts(args: &Args) -> ExperimentOpts {
+    let mut opts = sweep_opts(args);
     if let Some(dir) = args.value::<String>("--trace") {
         // Create (and thereby validate) the directory up front, for the
         // same reason as --csv.
@@ -400,10 +437,12 @@ pub(crate) fn experiment_opts(args: Args) -> (ExperimentOpts, Option<String>) {
         opts.trace = Some(TraceSpec::new(dir));
     }
     opts.checks = args.flag("--checks");
-    // The CLI keeps the per-grid throughput line on stderr; library users
-    // (tests, the fleet engine) default to silence.
-    gsrepro_testbed::runner::set_grid_log(!args.flag("--quiet"));
-    (opts, args.csv())
+    opts
+}
+
+/// Read the [`GRID`] flags: [`traced_opts`] and the `--csv` path.
+pub(crate) fn experiment_opts(args: Args) -> (ExperimentOpts, Option<String>) {
+    (traced_opts(&args), args.csv())
 }
 
 /// Write `contents` to the `--csv` path, if one was given.

@@ -20,7 +20,7 @@ use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_testbed::config::{Condition, PathScenario};
 use gsrepro_testbed::metrics::{settle_after, SettleTime};
 use gsrepro_testbed::report::{Csv, TextTable};
-use gsrepro_testbed::runner::{run_many_full, RunResult};
+use gsrepro_testbed::runner::{bin_window, RunResult};
 
 use crate::cli::{experiment_opts, write_csv, Args};
 
@@ -53,17 +53,8 @@ fn bin_rtt(rtt: &[(f64, f64)], end_s: f64) -> Vec<f64> {
 /// target is the stable tail of the segment itself: mean ± sd over its
 /// last 40% (by then every system has reached its new operating point).
 fn settle(bins: &[f64], width: SimDuration, from: SimTime, to: SimTime) -> SettleTime {
-    let w = width.as_secs_f64();
-    let (f, t) = (from.as_secs_f64(), to.as_secs_f64());
-    let tail_from = f + 0.6 * (t - f);
-    let mut s = Samples::new();
-    for (i, &v) in bins.iter().enumerate() {
-        let mid = (i as f64 + 0.5) * w;
-        if mid >= tail_from && mid < t {
-            s.add(v);
-        }
-    }
-    settle_after(bins, width, from, to, s.mean(), s.stddev())
+    let tail = bin_window(bins, width, from + (to - from).mul_f64(0.6), to);
+    settle_after(bins, width, from, to, tail.mean(), tail.stddev())
 }
 
 /// Per-series settling for one run and one disturbance window.
@@ -98,13 +89,7 @@ pub fn dynamic_paths(args: Args) {
                 .with_scenario(scenario)
         })
         .collect();
-    let results = run_many_full(
-        &conditions,
-        opts.iterations,
-        opts.threads,
-        opts.trace.as_ref(),
-        opts.checks,
-    );
+    let results = opts.run(&conditions);
 
     // Disturbance windows: each scan runs to the next disturbance (or the
     // timeline end for the last one).

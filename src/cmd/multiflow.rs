@@ -8,10 +8,11 @@ use gsrepro_netsim::{LinkSpec, NetworkBuilder};
 use gsrepro_simcore::rng::stream_id;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::{self as tcp, CcaKind, TcpSender};
+use gsrepro_testbed::experiments::ExperimentOpts;
 use gsrepro_testbed::metrics::jains_index;
 use gsrepro_testbed::report::TextTable;
 
-use crate::cli::{experiment_opts, Args};
+use crate::cli::Args;
 
 /// Returns (game goodput, total TCP goodput, Jain's index over the
 /// game + per-TCP-flow goodputs).
@@ -64,8 +65,12 @@ fn run(system: SystemKind, n_flows: u32, secs: u64, seed: u64) -> (f64, f64, f64
 }
 
 pub fn multiflow(args: Args) {
-    let (opts, _) = experiment_opts(args);
-    let secs = (opts.timeline.end.as_secs_f64() / 2.0).max(120.0) as u64;
+    let timeline = if args.flag("--smoke") {
+        ExperimentOpts::smoke().timeline
+    } else {
+        ExperimentOpts::quick().timeline
+    };
+    let secs = (timeline.end.as_secs_f64() / 2.0).max(120.0) as u64;
     println!("game share vs number of competing Cubic flows (25 Mb/s, 2x BDP)\n");
     let mut t = TextTable::new(vec![
         "system",

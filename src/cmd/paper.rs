@@ -5,11 +5,10 @@
 use gsrepro_testbed::experiments as ex;
 use gsrepro_testbed::{report, scorecard as sc};
 
-use crate::cli::{experiment_opts, write_csv, Args};
+use crate::cli::{experiment_opts, traced_opts, write_csv, Args};
 
 pub fn table1(args: Args) {
-    let (opts, _) = experiment_opts(args);
-    let t1 = ex::table1(opts);
+    let t1 = ex::table1(traced_opts(&args));
     println!("Table 1 — game system bitrates, unconstrained (paper: Stadia 27.5 (2.3), GeForce 24.5 (1.8), Luna 23.7 (0.9))\n");
     println!("{t1}");
 }
@@ -82,16 +81,7 @@ pub fn response_recovery(args: Args) {
     let (opts, csv) = experiment_opts(args);
     let t = ex::response_recovery(&ex::run_full_grid(opts));
     println!("{t}");
-    let mut out =
-        String::from("capacity,queue,system,cca,response_s,never_resp,recovery_s,never_rec\n");
-    for (cap, q, sys, cca, c, cn, e, en) in &t.rows {
-        out.push_str(&format!(
-            "{cap},{q},{},{},{c:.2},{cn:.2},{e:.2},{en:.2}\n",
-            sys.label(),
-            cca.label()
-        ));
-    }
-    write_csv(&csv, &out);
+    write_csv(&csv, &t.csv());
 }
 
 pub fn harm(args: Args) {
@@ -102,19 +92,11 @@ pub fn harm(args: Args) {
     let grid = ex::run_full_grid(opts);
     let harm = ex::harm_table(&solo, &grid);
     println!("{harm}");
-    let mut out = String::from("capacity,queue,system,cca,tput_harm,delay_harm,fps_harm\n");
-    for (cap, q, sys, cca, ht, hd, hf) in &harm.rows {
-        out.push_str(&format!(
-            "{cap},{q},{},{},{ht:.4},{hd:.4},{hf:.4}\n",
-            sys.label(),
-            cca.label()
-        ));
-    }
-    write_csv(&csv, &out);
+    write_csv(&csv, &harm.csv());
 }
 
 pub fn scorecard(args: Args) {
-    let (opts, _) = experiment_opts(args);
+    let opts = traced_opts(&args);
     eprintln!("running solo grid...");
     let solo = ex::run_solo_grid(opts.clone());
     eprintln!("running competing grid...");
@@ -133,7 +115,7 @@ pub fn scorecard3d(args: Args) {
 }
 
 pub fn full_reproduction(args: Args) {
-    let (opts, _) = experiment_opts(args);
+    let opts = traced_opts(&args);
     eprintln!(
         "full reproduction: {} iterations/condition, {} threads (paper: 15 iterations)",
         opts.iterations, opts.threads

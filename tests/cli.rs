@@ -39,12 +39,52 @@ fn bad_invocations_exit_2_with_usage() {
         &["table2", "stray"],
         &["fleet", "--sessions"],
         &["chaos", "--trials", "0"],
+        &["ablation", "--checks"],
+        &["multiflow", "--iters", "1"],
+        &["model_oracle", "--full"],
         &[],
     ] {
         let out = gsrepro(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
         assert!(out.stdout.is_empty(), "{args:?}");
         assert!(text(&out.stderr).contains("usage: gsrepro"), "{args:?}");
+    }
+}
+
+#[test]
+fn a_flag_the_command_never_reads_is_rejected_before_it_can_clobber() {
+    // `--csv` used to be accepted by every grid command and validated by
+    // truncating the file, including on commands that write no CSV.
+    let path = std::env::temp_dir().join(format!("gsrepro-cli-keep-{}.csv", std::process::id()));
+    std::fs::write(&path, "keep\n").unwrap();
+    let out = gsrepro(&["table1", "--csv", path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    assert!(text(&out.stderr).contains("usage: gsrepro table1"));
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), "keep\n");
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
+fn every_command_accepts_every_flag_its_usage_declares() {
+    for c in COMMANDS {
+        let usage = gsrepro(&[c.name, "--help"]);
+        assert!(usage.status.success(), "{}", c.name);
+        let first = text(&usage.stdout).lines().next().unwrap().to_string();
+        let declared = first
+            .strip_prefix(&format!("usage: gsrepro {}", c.name))
+            .unwrap_or_else(|| panic!("{first}"));
+        // `[--iters N]` takes a value, `[--smoke]` is a switch, `<dir>` is
+        // a positional; a trailing `--help` stops before anything runs.
+        let mut line: Vec<&str> = declared
+            .split([' ', '[', ']'])
+            .filter(|tok| !tok.is_empty())
+            .collect();
+        line.insert(0, c.name);
+        line.push("--help");
+        let out = gsrepro(&line);
+        assert!(out.status.success(), "{line:?}: {}", text(&out.stderr));
+        assert_eq!(out.stdout, usage.stdout, "{line:?}");
     }
 }
 
