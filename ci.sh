@@ -11,6 +11,9 @@ cargo fmt --check
 echo "== cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (broken or private intra-doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== cargo build --release"
 cargo build --release
 # Every gate below that runs the simulator calls this one binary.

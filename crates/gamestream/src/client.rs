@@ -50,22 +50,11 @@ impl StreamClientConfig {
 }
 
 struct PartialFrame {
-    /// Data chunks received.
+    /// Distinct chunks received.
     received: u16,
-    /// Parity chunks received.
-    parity_received: u16,
-    /// Data chunks in the frame.
+    /// Chunks in the frame.
     chunk_count: u16,
     frame_ts: SimTime,
-}
-
-impl PartialFrame {
-    /// The frame can be decoded: with RS-style erasure coding, *any*
-    /// `chunk_count` pieces out of the `chunk_count + parity_count` sent
-    /// reconstruct the frame.
-    fn decodable(&self) -> bool {
-        self.received + self.parity_received >= self.chunk_count
-    }
 }
 
 /// The streaming client agent.
@@ -73,8 +62,12 @@ pub struct StreamClient {
     cfg: StreamClientConfig,
     report_seq: u64,
 
-    // Frame assembly.
+    // Frame assembly. A path delivers a flow in send order and the server
+    // sends frames one after another, so a chunk whose `seq` is not above
+    // `max_seq_seen` is a duplicate, and a chunk of a frame below
+    // `expired_below` arrived after that frame was skipped.
     partial: BTreeMap<u64, PartialFrame>,
+    expired_below: u64,
     displayed_frames: u64,
     skipped_frames: u64,
     /// Displayed-frame counts in 1 s bins (the paper's frame-rate metric).
@@ -94,7 +87,6 @@ pub struct StreamClient {
 
     // Lifetime counters.
     total_packets: u64,
-    total_bytes: Bytes,
 }
 
 impl StreamClient {
@@ -104,6 +96,7 @@ impl StreamClient {
             cfg,
             report_seq: 0,
             partial: BTreeMap::new(),
+            expired_below: 0,
             displayed_frames: 0,
             skipped_frames: 0,
             fps_bins: TimeBinned::new(SimDuration::from_secs(1)),
@@ -116,7 +109,6 @@ impl StreamClient {
             window_owd: Vec::new(),
             last_media_ts: None,
             total_packets: 0,
-            total_bytes: Bytes::ZERO,
         }
     }
 
@@ -135,6 +127,11 @@ impl StreamClient {
         &self.fps_bins
     }
 
+    /// How long past its capture a frame may complete and still display.
+    pub fn display_deadline(&self) -> SimDuration {
+        self.cfg.display_deadline
+    }
+
     /// Mean displayed frame rate over `[from, to)`.
     pub fn mean_fps(&self, from: SimTime, to: SimTime) -> f64 {
         self.fps_bins.mean_over(from, to, 1.0)
@@ -143,11 +140,6 @@ impl StreamClient {
     /// Media packets received.
     pub fn total_packets(&self) -> u64 {
         self.total_packets
-    }
-
-    /// Media bytes received.
-    pub fn total_bytes(&self) -> Bytes {
-        self.total_bytes
     }
 
     /// Minimum observed one-way delay.
@@ -178,18 +170,13 @@ impl StreamClient {
     }
 
     fn expire_stale_frames(&mut self, now: SimTime) {
-        let deadline = self.cfg.display_deadline;
-        let stale: Vec<(u64, bool)> = self
-            .partial
-            .iter()
-            .filter(|(_, f)| now.saturating_since(f.frame_ts) > deadline)
-            .map(|(&id, f)| (id, f.decodable()))
-            .collect();
-        for (id, decodable) in stale {
-            self.partial.remove(&id);
-            // A decodable frame that merely waited past its deadline for
-            // the tail parity still counts as skipped: it missed display.
-            let _ = decodable;
+        // Frames are captured in id order, so the stale ones come first.
+        while let Some(oldest) = self.partial.first_entry() {
+            if now.saturating_since(oldest.get().frame_ts) <= self.cfg.display_deadline {
+                break;
+            }
+            self.expired_below = oldest.key() + 1;
+            oldest.remove();
             self.skipped_frames += 1;
         }
     }
@@ -253,7 +240,6 @@ impl Agent for StreamClient {
         let now = ctx.now();
 
         self.total_packets += 1;
-        self.total_bytes += pkt.size;
         self.window_received += 1;
         self.window_bytes += pkt.size;
 
@@ -261,6 +247,7 @@ impl Agent for StreamClient {
         if self.window_base_seq.is_none() {
             self.window_base_seq = Some(chunk.seq);
         }
+        let duplicate = self.max_seq_seen.is_some_and(|m| chunk.seq <= m);
         self.max_seq_seen = Some(self.max_seq_seen.map_or(chunk.seq, |m| m.max(chunk.seq)));
 
         // Delay accounting.
@@ -273,24 +260,20 @@ impl Agent for StreamClient {
             .push((now.as_secs_f64(), owd.as_millis_f64()));
         self.last_media_ts = Some(pkt.sent_at);
 
-        // Frame assembly with FEC-aware decodability.
+        // Frame assembly: decide as soon as every chunk is in.
+        if duplicate || chunk.frame_id < self.expired_below {
+            return;
+        }
         let frame = self
             .partial
             .entry(chunk.frame_id)
             .or_insert_with(|| PartialFrame {
                 received: 0,
-                parity_received: 0,
                 chunk_count: chunk.chunk_count,
                 frame_ts: chunk.frame_ts,
             });
-        if chunk.is_parity {
-            frame.parity_received += 1;
-        } else {
-            frame.received += 1;
-        }
-        // Decide as soon as enough pieces are in (any `chunk_count` of the
-        // data+parity set reconstructs the frame).
-        if frame.decodable() {
+        frame.received += 1;
+        if frame.received == frame.chunk_count {
             let on_time = now.saturating_since(frame.frame_ts) <= self.cfg.display_deadline;
             self.partial.remove(&chunk.frame_id);
             if on_time {

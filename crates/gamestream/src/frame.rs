@@ -91,14 +91,9 @@ impl FrameSource {
         }
     }
 
-    /// Frame interval at the nominal (maximum) frame rate.
+    /// Frame interval at the nominal frame rate.
     pub fn interval(&self) -> gsrepro_simcore::SimDuration {
-        Self::interval_for(self.cfg.fps)
-    }
-
-    /// Frame interval for an arbitrary frame rate (encoder fps tiers).
-    pub fn interval_for(fps: u32) -> gsrepro_simcore::SimDuration {
-        gsrepro_simcore::SimDuration::from_nanos(1_000_000_000 / fps.max(1) as u64)
+        gsrepro_simcore::SimDuration::from_nanos(1_000_000_000 / self.cfg.fps.max(1) as u64)
     }
 
     /// Nominal frames per second.
@@ -109,17 +104,10 @@ impl FrameSource {
     /// Produce the next frame, sized against `target` bitrate at the
     /// nominal frame rate.
     pub fn next_frame(&mut self, target: BitRate) -> Frame {
-        let fps = self.cfg.fps;
-        self.next_frame_at(target, fps)
-    }
-
-    /// Produce the next frame, sized for `fps` frames per second (the
-    /// encoder may run a reduced-fps tier at low bitrates).
-    pub fn next_frame_at(&mut self, target: BitRate, fps: u32) -> Frame {
         let id = self.next_id;
         self.next_id += 1;
 
-        let budget = target.as_bps() as f64 / 8.0 / fps.max(1) as f64;
+        let budget = target.as_bps() as f64 / 8.0 / self.cfg.fps.max(1) as f64;
         let key = id.is_multiple_of(self.cfg.gop as u64);
         let base = if key {
             budget * self.delta_norm * self.cfg.key_scale

@@ -9,38 +9,6 @@
 
 use gsrepro_simcore::BitRate;
 
-/// Encoder frame-rate policy: commercial encoders trade frame rate for
-/// per-frame quality at the bottom of their bitrate range (Stadia's and
-/// Luna's low tiers run below 60 f/s), while GeForce Now is known to scale
-/// *resolution* and keep the frame rate — the paper's Table 5 shows exactly
-/// that split under BBR competition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FpsPolicy {
-    /// Below this encoder rate the reduced tier engages; `None` = always
-    /// full rate.
-    pub threshold: Option<(BitRate, u32)>,
-}
-
-impl FpsPolicy {
-    /// Always the nominal frame rate (GeForce-style resolution scaling).
-    pub const FULL: FpsPolicy = FpsPolicy { threshold: None };
-
-    /// Reduced tier below `rate`.
-    pub fn reduced_below(rate: BitRate, fps: u32) -> Self {
-        FpsPolicy {
-            threshold: Some((rate, fps)),
-        }
-    }
-
-    /// The frame rate to encode at for the given target rate.
-    pub fn fps_for(&self, rate: BitRate, nominal: u32) -> u32 {
-        match self.threshold {
-            Some((thresh, fps)) if rate < thresh => fps,
-            _ => nominal,
-        }
-    }
-}
-
 /// Wire-vs-payload overhead of the media stream: each ≤1200-byte chunk
 /// carries 28 bytes of UDP/IP header, so the on-the-wire bitrate the paper
 /// measured with Wireshark exceeds the encoder rate by ≈2.3%. Profile
@@ -108,8 +76,6 @@ pub struct SystemProfile {
     /// Which controller archetype drives the encoder. Normally matches
     /// `kind`; the ablation benches deliberately mismatch them.
     pub controller: ControllerKind,
-    /// Frame-rate tiering at low bitrates.
-    pub fps_policy: FpsPolicy,
 }
 
 /// Selector for the controller archetype (swappable for ablations).
@@ -139,11 +105,6 @@ impl SystemProfile {
                     ..FrameSourceConfig::default()
                 },
                 controller: ControllerKind::Gcc,
-                // The paper's Table 5 shows ≈58-60 f/s at bloated queues
-                // even at low bitrates, so the default profile keeps the
-                // frame rate and scales quality instead; the tiered policy
-                // remains available via `FpsPolicy::reduced_below`.
-                fps_policy: FpsPolicy::FULL,
             },
             SystemKind::GeForce => SystemProfile {
                 kind,
@@ -157,9 +118,6 @@ impl SystemProfile {
                     ..FrameSourceConfig::default()
                 },
                 controller: ControllerKind::DelayConservative,
-                // GeForce scales resolution and holds 60 f/s (paper: "more
-                // resilient frame rates").
-                fps_policy: FpsPolicy::FULL,
             },
             SystemKind::Luna => SystemProfile {
                 kind,
@@ -171,8 +129,6 @@ impl SystemProfile {
                     ..FrameSourceConfig::default()
                 },
                 controller: ControllerKind::Tfrc,
-                // See the Stadia note: full rate by default.
-                fps_policy: FpsPolicy::FULL,
             },
         }
     }

@@ -17,21 +17,6 @@ use gsrepro_simcore::{Bytes, SimDuration};
 
 use crate::controller::{ControllerEvent, FeedbackSnapshot, RateController};
 use crate::frame::FrameSource;
-use crate::profile::FpsPolicy;
-
-/// Forward-error-correction configuration. Real WebRTC-based streamers
-/// (Stadia among them) protect media with FEC so isolated packet losses do
-/// not cost whole frames. Modelled as systematic erasure coding: one
-/// parity chunk per `data_per_parity` data chunks, and a frame is
-/// recoverable as long as the number of missing data chunks does not
-/// exceed the parity chunks received (Reed-Solomon-style, documented
-/// simplification). The encoder budget is scaled down so media + parity
-/// together match the controller's target rate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FecConfig {
-    /// Data chunks per parity chunk (10 → ~10% overhead).
-    pub data_per_parity: u16,
-}
 
 const TOK_FRAME: u64 = 0;
 const TOK_CHUNK: u64 = 1;
@@ -47,7 +32,7 @@ const PACER_FACTOR: f64 = 1.15;
 /// as their slots come up, so the pacer's queue holds one of these per frame
 /// rather than a ready-made `PacketSpec` per chunk.
 struct PacedFrame {
-    /// The next chunk to send: data chunks first, then parity.
+    /// The next chunk to send.
     next: MediaChunk,
     /// Media bytes not yet packetised.
     remaining: u64,
@@ -60,8 +45,6 @@ pub struct StreamServer {
     client_agent: AgentId,
     source: FrameSource,
     controller: Box<dyn RateController>,
-    fps_policy: FpsPolicy,
-    fec: Option<FecConfig>,
     next_seq: u64,
     frames_sent: u64,
     /// Frames with chunks awaiting their paced transmission slot.
@@ -84,33 +67,12 @@ impl StreamServer {
         source: FrameSource,
         controller: Box<dyn RateController>,
     ) -> Self {
-        Self::with_fps_policy(
-            flow,
-            client_node,
-            client_agent,
-            source,
-            controller,
-            FpsPolicy::FULL,
-        )
-    }
-
-    /// New server with an explicit encoder frame-rate policy.
-    pub fn with_fps_policy(
-        flow: FlowId,
-        client_node: NodeId,
-        client_agent: AgentId,
-        source: FrameSource,
-        controller: Box<dyn RateController>,
-        fps_policy: FpsPolicy,
-    ) -> Self {
         StreamServer {
             flow,
             client_node,
             client_agent,
             source,
             controller,
-            fps_policy,
-            fec: None,
             next_seq: 0,
             frames_sent: 0,
             pending: VecDeque::new(),
@@ -131,29 +93,9 @@ impl StreamServer {
         &self.rate_trace
     }
 
-    /// Enable forward error correction (builder style).
-    pub fn with_fec(mut self, fec: FecConfig) -> Self {
-        assert!(fec.data_per_parity > 0, "FEC group must be positive");
-        self.fec = Some(fec);
-        self
-    }
-
-    /// The encoder's current frame rate per the fps policy.
-    pub fn current_fps(&self) -> u32 {
-        self.fps_policy
-            .fps_for(self.controller.current(), self.source.fps())
-    }
-
     fn send_frame(&mut self, ctx: &mut Ctx) {
         let target = self.controller.current();
-        let fps = self.fps_policy.fps_for(target, self.source.fps());
-        // With FEC the encoder leaves room for the parity overhead so the
-        // wire rate still matches the controller target.
-        let encode_target = match self.fec {
-            Some(f) => target.mul_f64(f.data_per_parity as f64 / (f.data_per_parity as f64 + 1.0)),
-            None => target,
-        };
-        let frame = self.source.next_frame_at(encode_target, fps);
+        let frame = self.source.next_frame(target);
         self.frames_sent += 1;
 
         let mtu = MEDIA_MTU.as_u64();
@@ -161,24 +103,17 @@ impl StreamServer {
         let now = ctx.now();
         ctx.telemetry()
             .frame(now, self.flow.0, frame.size.as_u64(), chunk_count as u64);
-        let parity_count = match self.fec {
-            Some(f) => chunk_count.div_ceil(f.data_per_parity),
-            None => 0,
-        };
         self.pending.push_back(PacedFrame {
             next: MediaChunk {
                 seq: self.next_seq,
                 frame_id: frame.id,
                 chunk_index: 0,
                 chunk_count,
-                parity_count,
-                is_parity: false,
                 frame_ts: now,
-                key_frame: frame.key,
             },
             remaining: frame.size.as_u64(),
         });
-        self.next_seq += (chunk_count + parity_count) as u64;
+        self.next_seq += chunk_count as u64;
 
         // Continuous pacing at PACER_FACTOR × the current encoder rate:
         // the spacing between chunk transmissions follows the chunk wire
@@ -193,16 +128,11 @@ impl StreamServer {
     fn send_next_chunk(&mut self, ctx: &mut Ctx) {
         if let Some(frame) = self.pending.front_mut() {
             let chunk = frame.next;
-            // A parity chunk is a full one; a data chunk takes what is left.
-            let mut payload = MEDIA_MTU.as_u64();
-            if !chunk.is_parity {
-                payload = payload.min(frame.remaining);
-                frame.remaining -= payload;
-            }
+            let payload = MEDIA_MTU.as_u64().min(frame.remaining);
+            frame.remaining -= payload;
             frame.next.seq += 1;
             frame.next.chunk_index += 1;
-            frame.next.is_parity = frame.next.chunk_index >= chunk.chunk_count;
-            if frame.next.chunk_index == chunk.chunk_count + chunk.parity_count {
+            if frame.next.chunk_index == chunk.chunk_count {
                 self.pending.pop_front();
             }
             ctx.send(PacketSpec {
@@ -271,8 +201,7 @@ impl Agent for StreamServer {
         match token {
             TOK_FRAME => {
                 self.send_frame(ctx);
-                let fps = self.current_fps();
-                ctx.set_timer(FrameSource::interval_for(fps), TOK_FRAME);
+                ctx.set_timer(self.source.interval(), TOK_FRAME);
             }
             TOK_CHUNK => {
                 self.chunk_timer_armed = false;

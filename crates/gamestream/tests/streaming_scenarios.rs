@@ -138,59 +138,60 @@ fn controller_override_changes_behaviour() {
     );
 }
 
-#[test]
-fn fec_recovers_frames_under_random_loss() {
-    // 3% random wire loss on an otherwise clean link: without FEC most
-    // multi-chunk frames lose a packet; with 10% FEC nearly all recover.
-    let fps_with = |fec: Option<gsrepro_gamestream::server::FecConfig>| {
-        let capacity = BitRate::from_mbps(40);
-        let down = LinkSpec::bottleneck(
-            capacity,
-            capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(2.0),
-            SimDuration::from_micros(8_250),
+/// Luna alone on a 200 Mb/s link that duplicates each media packet with
+/// probability `dup`: `(displayed, skipped, sent, mean fps over 5-20 s)`.
+fn duplicated_stream(dup: f64) -> (u64, u64, u64, f64) {
+    let capacity = BitRate::from_mbps(200);
+    let down = LinkSpec::bottleneck(
+        capacity,
+        capacity.bdp(SimDuration::from_micros(16_500)).mul_f64(2.0),
+        SimDuration::from_micros(8_250),
+    )
+    .with_duplication(dup);
+    let (mut b, s, c) = NetworkBuilder::dumbbell(71, down);
+    let media = b.flow("media");
+    let feedback = b.flow("feedback");
+    let profile = SystemKind::Luna.profile();
+    let (client, server) = connect(&mut b, c, s, feedback, |client| {
+        StreamServer::new(
+            media,
+            c,
+            client,
+            profile.build_source(71, stream_id("frames")),
+            profile.build_controller(),
         )
-        .with_loss(0.03);
-        let (mut b, s, c) = NetworkBuilder::dumbbell(71, down);
-        let media = b.flow("media");
-        let feedback = b.flow("feedback");
-        let profile = SystemKind::Luna.profile();
-        let (client, _) = connect(&mut b, c, s, feedback, |client| {
-            let server = StreamServer::new(
-                media,
-                c,
-                client,
-                profile.build_source(71, stream_id("frames")),
-                profile.build_controller(),
-            );
-            match fec {
-                Some(f) => server.with_fec(f),
-                None => server,
-            }
-        });
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(20));
-        let cl: &StreamClient = sim.net.agent(client);
-        cl.mean_fps(SimTime::from_secs(5), SimTime::from_secs(20))
-    };
-    let plain = fps_with(None);
-    let fec = fps_with(Some(gsrepro_gamestream::server::FecConfig {
-        data_per_parity: 10,
-    }));
-    // (The unprotected stream also adapts its bitrate down under loss,
-    // which partially masks the frame damage — hence "visibly below 60"
-    // rather than a collapse.)
+    });
+    let mut sim = b.build();
+    sim.run_until(SimTime::from_secs(20));
+    let cl: &StreamClient = sim.net.agent(client);
+    let sv: &StreamServer = sim.net.agent(server);
+    let fps = cl.mean_fps(SimTime::from_secs(5), SimTime::from_secs(20));
+    (
+        cl.displayed_frames(),
+        cl.skipped_frames(),
+        sv.frames_sent(),
+        fps,
+    )
+}
+
+#[test]
+fn every_chunk_duplicated_still_displays_each_frame_once() {
+    let (displayed, skipped, sent, fps) = duplicated_stream(1.0);
     assert!(
-        plain < 55.0,
-        "3% loss should visibly hurt un-protected fps: {plain}"
+        displayed + skipped <= sent,
+        "{displayed} + {skipped} > {sent}"
     );
+    assert!(fps <= 60.5 && fps > 57.0, "fps {fps}");
+}
+
+#[test]
+fn sparse_duplicates_never_decide_a_frame_twice() {
+    let (displayed, skipped, sent, fps) = duplicated_stream(0.05);
     assert!(
-        fec > plain + 5.0,
-        "FEC must recover frames: {fec} vs {plain}"
+        displayed + skipped <= sent,
+        "{displayed} + {skipped} > {sent}"
     );
-    assert!(
-        fec > 55.0,
-        "FEC-protected stream should stay near 60: {fec}"
-    );
+    assert!(fps <= 60.5 && fps > 57.0, "fps {fps}");
 }
 
 proptest! {

@@ -256,7 +256,7 @@ impl Link {
     }
 
     /// Whether the link is currently up (outages are injected by
-    /// [`Link::set_up`]).
+    /// `Link::set_up`).
     pub fn is_up(&self) -> bool {
         self.up
     }

@@ -4,8 +4,8 @@
 //! <bytes>`), sized at 0.5x, 2x, or 7x the bandwidth-delay product
 //! ([`DropTailQueue`]). The paper's future-work section asks how the systems
 //! would behave under Active Queue Management; [`CoDelQueue`] (RFC 8289) and
-//! [`FqCoDelQueue`] (RFC 8290) answer that in the `aqm_future_work` example
-//! and the ablation benches.
+//! [`FqCoDelQueue`] (RFC 8290) answer that in `gsrepro ablation`'s AQM
+//! sweep and the 3-D AQM scorecard.
 //!
 //! Queues never see full [`crate::wire::Packet`]s: packet storage lives in
 //! the network's [`crate::wire::PacketPool`] and disciplines shuffle

@@ -242,19 +242,12 @@ pub struct MediaChunk {
     pub seq: u64,
     /// Frame this chunk belongs to.
     pub frame_id: u64,
-    /// Chunk index within the frame, `0..chunk_count` for data chunks;
-    /// parity chunks continue the numbering after the data.
+    /// Chunk index within the frame, `0..chunk_count`.
     pub chunk_index: u16,
-    /// Number of *data* chunks in the frame.
+    /// Number of chunks in the frame.
     pub chunk_count: u16,
-    /// Number of parity (FEC) chunks accompanying the frame.
-    pub parity_count: u16,
-    /// True for a parity chunk (forward error correction).
-    pub is_parity: bool,
     /// Capture timestamp of the frame at the server.
     pub frame_ts: SimTime,
-    /// True for intra-coded (key) frames, which are larger.
-    pub key_frame: bool,
 }
 
 /// The game client's periodic receiver report (RTCP-RR-like, 100 ms cadence

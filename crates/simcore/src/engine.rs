@@ -14,9 +14,9 @@
 //!
 //! # Data layout (the hot path)
 //!
-//! Events are parked in a slab of [`Entry`]s (payload + timestamp + seq +
+//! Events are parked in a slab of `Entry`s (payload + timestamp + seq +
 //! intrusive chain links, plus a free list); the ordering structures move
-//! only fixed-size [`Key`]s — `(SimTime, seq, slot)`, 24 bytes regardless of
+//! only fixed-size `Key`s — `(SimTime, seq, slot)`, 24 bytes regardless of
 //! how large the event type is.
 //!
 //! The queue itself is a **hierarchical timing wheel** rather than a single
@@ -24,7 +24,7 @@
 //!
 //! * Time is bucketed into ticks of `2^TICK_SHIFT` ns (65.5 µs). Each wheel
 //!   level has 256 slots covering 256x the span of the level below, and
-//!   [`LEVELS`] levels span every tick a [`SimTime`] can hold — including
+//!   `LEVELS` levels span every tick a [`SimTime`] can hold — including
 //!   `SimTime::MAX` "armed but never firing" timers, which park in the top
 //!   level. A per-level 256-bit occupancy bitmap makes "find the next
 //!   non-empty slot" a scan of four words and one `trailing_zeros`.

@@ -17,7 +17,7 @@
 //! * [`stats`] — online mean/variance, confidence intervals, time-binned
 //!   series,
 //! * [`telemetry`] — a flight-recorder trace bus: typed per-flow events,
-//!   bounded rings, counters, CSV/JSONL export; a no-op when disabled,
+//!   bounded rings, counters, CSV export; a no-op when disabled,
 //! * [`checks`] — runtime invariant oracles behind the same
 //!   zero-cost-when-disabled discipline; an enabled run panics with a
 //!   structured report on the first violated conservation law.

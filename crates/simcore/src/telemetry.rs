@@ -16,10 +16,10 @@
 //! retransmits, controller backoffs, loss-interval closes) always record.
 //!
 //! Export is deterministic: rings merge stable-sorted by timestamp, ties
-//! broken by flow id, preserving each flow's own order. CSV and JSONL
-//! writers pair with hand-rolled parsers ([`parse_csv`], [`parse_jsonl`])
-//! so traces round-trip without external dependencies, and
-//! [`validate_events`] checks schema invariants for CI gates.
+//! broken by flow id, preserving each flow's own order. The CSV writer
+//! pairs with a hand-rolled parser ([`parse_csv`]) so traces round-trip
+//! without external dependencies, and [`validate_events`] checks schema
+//! invariants for CI gates.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -102,7 +102,7 @@ impl EventKind {
         EventKind::EcnMark,
     ];
 
-    /// Stable wire name (CSV `kind` column, JSONL `"kind"` value).
+    /// Stable wire name (the CSV `kind` column).
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Cwnd => "cwnd",
@@ -347,11 +347,6 @@ impl Telemetry {
     pub fn to_csv(&self) -> String {
         events_to_csv(&self.events())
     }
-
-    /// Export the merged trace as JSON Lines.
-    pub fn to_jsonl(&self) -> String {
-        events_to_jsonl(&self.events())
-    }
 }
 
 /// The recording handle threaded through hot paths. Disabled (the
@@ -536,24 +531,6 @@ pub fn events_to_csv(events: &[TelemetryEvent]) -> String {
     out
 }
 
-/// Render events as JSON Lines, one fixed-shape object per line:
-/// `{"t_s":..,"flow":..,"kind":"..","a":..,"b":..}`.
-pub fn events_to_jsonl(events: &[TelemetryEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 72);
-    for e in events {
-        let _ = writeln!(
-            out,
-            "{{\"t_s\":{:.9},\"flow\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-            e.at.as_secs_f64(),
-            e.flow,
-            e.kind.name(),
-            e.a,
-            e.b
-        );
-    }
-    out
-}
-
 fn parse_t_s(s: &str, line_no: usize) -> Result<SimTime, String> {
     let t: f64 = s
         .parse()
@@ -585,55 +562,6 @@ pub fn parse_csv(input: &str) -> Result<Vec<TelemetryEvent>, String> {
         else {
             return Err(format!("line {n}: expected 5 fields: {line:?}"));
         };
-        out.push(TelemetryEvent {
-            at: parse_t_s(t, n)?,
-            flow: flow
-                .parse()
-                .map_err(|_| format!("line {n}: bad flow {flow:?}"))?,
-            kind: EventKind::from_name(kind)
-                .ok_or_else(|| format!("line {n}: unknown kind {kind:?}"))?,
-            a: a.parse().map_err(|_| format!("line {n}: bad a {a:?}"))?,
-            b: b.parse().map_err(|_| format!("line {n}: bad b {b:?}"))?,
-        });
-    }
-    Ok(out)
-}
-
-/// Pull `"key":value` out of one JSONL object, tolerating field order.
-fn json_value<'a>(line: &'a str, key: &str, line_no: usize) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("line {line_no}: missing {key:?}"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("line {line_no}: unterminated {key:?}"))?;
-    Ok(rest[..end].trim())
-}
-
-/// Parse a trace produced by [`events_to_jsonl`].
-pub fn parse_jsonl(input: &str) -> Result<Vec<TelemetryEvent>, String> {
-    let mut out = Vec::new();
-    for (i, line) in input.lines().enumerate() {
-        let n = i + 1;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {n}: not a JSON object: {line:?}"));
-        }
-        let t = json_value(line, "t_s", n)?;
-        let flow = json_value(line, "flow", n)?;
-        let kind = json_value(line, "kind", n)?;
-        let a = json_value(line, "a", n)?;
-        let b = json_value(line, "b", n)?;
-        let kind = kind
-            .strip_prefix('"')
-            .and_then(|k| k.strip_suffix('"'))
-            .ok_or_else(|| format!("line {n}: kind must be a string: {kind:?}"))?;
         out.push(TelemetryEvent {
             at: parse_t_s(t, n)?,
             flow: flow
@@ -765,19 +693,12 @@ mod tests {
             103_124,
             2,
         ));
-        let events = t.events();
-        let parsed = parse_csv(&t.to_csv()).unwrap();
-        assert_eq!(parsed, events);
-    }
-
-    #[test]
-    fn jsonl_round_trips_exactly() {
-        let mut t = Telemetry::new(TelemetryConfig::default());
         for &k in &EventKind::ALL {
-            t.record(ev(1_000_000_007, 3, k, 42, 7));
+            t.record(ev(539_999_999_999, 3, k, u64::MAX, u64::MAX));
         }
         let events = t.events();
-        let parsed = parse_jsonl(&t.to_jsonl()).unwrap();
+        assert_eq!(events.len(), 3 + KIND_COUNT);
+        let parsed = parse_csv(&t.to_csv()).unwrap();
         assert_eq!(parsed, events);
     }
 
@@ -788,18 +709,6 @@ mod tests {
         assert!(parse_csv("t_s,flow,kind,a,b\n1.0,0,cwnd,1\n").is_err());
         assert!(parse_csv("t_s,flow,kind,a,b\n1.0,0,warp,1,2\n").is_err());
         assert!(parse_csv("t_s,flow,kind,a,b\n-1.0,0,cwnd,1,2\n").is_err());
-        assert!(parse_jsonl("not json\n").is_err());
-        assert!(parse_jsonl("{\"t_s\":1.0,\"flow\":0}\n").is_err());
-        assert!(
-            parse_jsonl("{\"t_s\":1.0,\"flow\":0,\"kind\":\"warp\",\"a\":1,\"b\":2}\n").is_err()
-        );
-    }
-
-    #[test]
-    fn jsonl_parse_tolerates_field_order() {
-        let line = "{\"kind\":\"rto\",\"b\":2,\"a\":1,\"flow\":5,\"t_s\":0.5}\n";
-        let events = parse_jsonl(line).unwrap();
-        assert_eq!(events, vec![ev(500_000_000, 5, EventKind::Rto, 1, 2)]);
     }
 
     #[test]

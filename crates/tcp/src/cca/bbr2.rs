@@ -10,16 +10,16 @@
 //!   at the level where trouble appeared); `inflight_lo` is a cautious
 //!   short-term cap cut multiplicatively on each loss or ECN round and
 //!   reset at the start of every probe cycle. Outside active probing the
-//!   window keeps [`HEADROOM`] under `inflight_hi`, which is what keeps a
+//!   window keeps `HEADROOM` under `inflight_hi`, which is what keeps a
 //!   CoDel standing queue shallow.
 //! * **Loss and ECN as signals.** Unlike v1, `on_congestion_event` cuts
-//!   `inflight_lo` by [`BETA`] and latches `inflight_hi`; `on_ecn` (the
+//!   `inflight_lo` by `BETA` and latches `inflight_hi`; `on_ecn` (the
 //!   RFC 3168 ECE echo, at most one cut per propagation delay) does the
 //!   same without waiting for a drop, so against a marking AQM the sender
 //!   yields *before* the queue overflows.
 //! * **PROBE_UP / DOWN / CRUISE / REFRACTORY cycling** replaces the v1
 //!   eight-phase gain cycle: drain below target (DOWN at gain 0.9), cruise
-//!   with headroom (CRUISE at 1.0 for [`CRUISE_WAIT`]), refill the pipe
+//!   with headroom (CRUISE at 1.0 for `CRUISE_WAIT`), refill the pipe
 //!   with bounds relaxed (REFRACTORY for one `rt_prop`), then probe above
 //!   the ceiling (UP at 1.25).
 //!

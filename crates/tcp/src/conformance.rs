@@ -27,8 +27,11 @@
 //! one-line bug — a wrong Cubic β, a skipped PROBE_RTT floor, a shifted
 //! Vegas band — produces a diff. The kit proves that by construction: the
 //! conformance tests run each controller with a perturbed constant
-//! ([`Cubic::with_beta`], [`Reno::with_beta`], [`Vegas::with_band`],
-//! [`Bbr::with_cwnd_gain`], [`Bbr2::with_beta`]) and assert the fixture
+//! ([`Cubic::with_beta`](crate::Cubic::with_beta),
+//! [`Reno::with_beta`](crate::Reno::with_beta),
+//! [`Vegas::with_band`](crate::Vegas::with_band),
+//! [`Bbr::with_cwnd_gain`](crate::Bbr::with_cwnd_gain),
+//! [`Bbr2::with_beta`](crate::Bbr2::with_beta)) and assert the fixture
 //! check *fails*.
 //!
 //! Regenerate fixtures with `GSREPRO_BLESS=1 cargo test -p gsrepro-tcp`,

@@ -89,7 +89,7 @@ pub struct TcpSender {
     running: bool,
     /// `None` = unlimited bulk data (iperf). `Some(budget)` = application-
     /// limited: only bytes queued via [`TcpSender::queue_app_bytes`] may be
-    /// sent. Used by request/response applications such as DASH video.
+    /// sent.
     app_budget: Option<u64>,
     next_seq: u64,
     snd_una: u64,
@@ -202,18 +202,6 @@ impl TcpSender {
     /// Unsent application budget (app-limited mode).
     pub fn app_budget(&self) -> u64 {
         self.app_budget.unwrap_or(0)
-    }
-
-    /// The sender's configuration.
-    pub fn config(&self) -> &TcpSenderConfig {
-        &self.cfg
-    }
-
-    /// Kick the send loop. Wrapper applications call this after queueing
-    /// new app bytes — an idle sender has no pending ack or timer to wake
-    /// it otherwise.
-    pub fn poke(&mut self, ctx: &mut Ctx) {
-        self.try_send(ctx);
     }
 
     /// Bytes acknowledged as delivered end-to-end.

@@ -28,12 +28,10 @@
 
 pub mod cca;
 pub mod conformance;
-pub mod dash;
 pub mod endpoint;
 pub mod scoreboard;
 
 pub use cca::{bbr::Bbr, bbr2::Bbr2, cubic::Cubic, reno::Reno, vegas::Vegas};
 pub use cca::{AckInfo, CcaKind, CongestionControl};
 pub use conformance::{AckRun, AckScript, TracePoint};
-pub use dash::{DashConfig, DashServer};
 pub use endpoint::{connect, TcpReceiver, TcpSender, TcpSenderConfig};

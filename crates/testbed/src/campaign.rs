@@ -1,7 +1,7 @@
 //! Fleet-scale campaign engine: run very large {condition × seed} sweeps
 //! with flat memory and resumable checkpoints.
 //!
-//! [`crate::runner::run_many_full`] materialises a [`RunResult`] per
+//! [`crate::runner::run_many_full`] materialises a [`RunResult`](crate::runner::RunResult) per
 //! session, which is fine for the paper's 15-iteration grids but not for
 //! 100k-session fleet sweeps. A campaign instead:
 //!

@@ -245,22 +245,17 @@ impl ConditionResult {
     }
 }
 
-/// Where and how per-run telemetry traces are exported.
+/// Where per-run telemetry traces are exported.
 #[derive(Clone, Debug)]
 pub struct TraceSpec {
-    /// Directory receiving one `<label>-i<iter>.csv` and `.jsonl` per run.
+    /// Directory receiving one `<label>-i<iter>.csv` per run.
     pub dir: PathBuf,
-    /// Recorder configuration (ring capacity, sampling interval).
-    pub config: TelemetryConfig,
 }
 
 impl TraceSpec {
     /// Trace into `dir` with the default recorder configuration.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        TraceSpec {
-            dir: dir.into(),
-            config: TelemetryConfig::default(),
-        }
+        TraceSpec { dir: dir.into() }
     }
 }
 
@@ -414,7 +409,7 @@ impl RunView<'_> {
 /// "stream a few scalars into bounded sketches") build on.
 ///
 /// With `trace` set, the flight recorder observes the run and its per-flow
-/// rings are flushed to `<trace.dir>/<label>-i<iter>.{csv,jsonl}` before
+/// rings are flushed to `<trace.dir>/<label>-i<iter>.csv` before
 /// returning. With `checks` on, the network audits packet/token
 /// conservation, queue bounds and telemetry agreement throughout the run,
 /// and the runner adds a testbed-level oracle on top: every encoder rate
@@ -467,7 +462,8 @@ fn run_condition_core<R>(
     sink: impl FnOnce(&RunView) -> R,
 ) -> Result<R, SimError> {
     let started = std::time::Instant::now();
-    let mut tb = topology::build_full(cond, iter, trace.map(|t| t.config), checks);
+    let recorder = trace.map(|_| TelemetryConfig::default());
+    let mut tb = topology::build_full(cond, iter, recorder, checks);
     // Run slightly past the end so the final bins fill.
     let until = cond.timeline.end + SimDuration::from_secs(1);
     match guard {
@@ -514,6 +510,35 @@ fn run_condition_core<R>(
                 );
             }
         }
+
+        // Frame-accounting oracle: the client decides each frame the server
+        // sent at most once, and a bin displays no more frames than were
+        // captured in it or within one display deadline before it.
+        let client: &StreamClient = tb.sim.net.agent(tb.client);
+        let who = || format!("{} client", cond.system.label());
+        let sent = server.frames_sent();
+        let decided = client.displayed_frames() + client.skipped_frames();
+        if decided > sent {
+            gsrepro_simcore::checks::fail(
+                now,
+                "frame-accounting",
+                who(),
+                format!("{decided} frames displayed or skipped, {sent} sent"),
+            );
+        }
+        let bins = client.fps_bins();
+        let window = bins.width() + client.display_deadline();
+        let most = (window.as_secs_f64() * profile.frames.fps as f64).floor() + 1.0;
+        for (i, &shown) in bins.bins().iter().enumerate() {
+            if shown > most {
+                gsrepro_simcore::checks::fail(
+                    now,
+                    "frame-accounting",
+                    who(),
+                    format!("{shown} frames displayed in fps bin {i}, at most {most} captured"),
+                );
+            }
+        }
     }
 
     let out = {
@@ -533,13 +558,9 @@ fn run_condition_core<R>(
 
     if let Some(spec) = trace {
         if let Some(tel) = tb.sim.net.telemetry_mut().telemetry_mut() {
-            let stem = format!("{}-i{}", cond.label(), iter);
-            let csv_path = spec.dir.join(format!("{stem}.csv"));
-            std::fs::write(&csv_path, tel.to_csv())
-                .unwrap_or_else(|e| panic!("writing trace {}: {e}", csv_path.display()));
-            let jsonl_path = spec.dir.join(format!("{stem}.jsonl"));
-            std::fs::write(&jsonl_path, tel.to_jsonl())
-                .unwrap_or_else(|e| panic!("writing trace {}: {e}", jsonl_path.display()));
+            let path = spec.dir.join(format!("{}-i{}.csv", cond.label(), iter));
+            std::fs::write(&path, tel.to_csv())
+                .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
         }
     }
     Ok(out)
@@ -792,6 +813,7 @@ mod tests {
     use super::*;
     use crate::config::{Condition, Timeline};
     use gsrepro_gamestream::SystemKind;
+    use gsrepro_simcore::telemetry::{parse_csv, EventKind, TelemetryEvent};
     use gsrepro_tcp::CcaKind;
 
     fn quick_cond() -> Condition {
@@ -897,9 +919,25 @@ mod tests {
         assert_eq!(s.mean(), 60.0);
     }
 
+    /// The events of the one file a single traced run of `cond` left in
+    /// `dir`, which must be its `.csv` and nothing else.
+    fn only_trace(dir: &std::path::Path, cond: &Condition) -> Vec<TelemetryEvent> {
+        let csv = format!("{}-i0.csv", cond.label());
+        let files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(
+            files,
+            std::slice::from_ref(&csv),
+            "a traced run writes one .csv only"
+        );
+        parse_csv(&std::fs::read_to_string(dir.join(csv)).unwrap()).unwrap()
+    }
+
     #[test]
     fn tracing_does_not_perturb_the_simulation() {
-        use gsrepro_simcore::telemetry::{parse_csv, parse_jsonl, validate_events, EventKind};
+        use gsrepro_simcore::telemetry::validate_events;
 
         let cond = quick_cond();
         let plain = run_condition(&cond, 0);
@@ -920,14 +958,9 @@ mod tests {
         assert_eq!(plain.events_processed, traced.events_processed);
         assert!(traced.telemetry.recorded > 0, "traced run recorded nothing");
 
-        // And the exported files round-trip through both codecs.
-        let stem = dir.join(format!("{}-i0", cond.label()));
-        let csv = std::fs::read_to_string(stem.with_extension("csv")).unwrap();
-        let from_csv = parse_csv(&csv).unwrap();
+        // And the exported file parses and validates.
+        let from_csv = only_trace(&dir, &cond);
         validate_events(&from_csv).unwrap();
-        let jsonl = std::fs::read_to_string(stem.with_extension("jsonl")).unwrap();
-        let from_jsonl = parse_jsonl(&jsonl).unwrap();
-        assert_eq!(from_csv, from_jsonl);
         assert!(from_csv.iter().any(|e| e.kind == EventKind::Cwnd));
         assert!(from_csv.iter().any(|e| e.kind == EventKind::EncoderRate));
         assert!(from_csv.iter().any(|e| e.kind == EventKind::QueueDepth));
@@ -937,7 +970,6 @@ mod tests {
     #[test]
     fn tracing_does_not_perturb_an_ecn_marked_run() {
         use crate::config::Aqm;
-        use gsrepro_simcore::telemetry::{parse_jsonl, EventKind};
 
         // BBRv2 over CoDel: an ECN-capable sender on a marking AQM, so
         // the run exercises the CE/ECE signal path end to end while the
@@ -966,10 +998,7 @@ mod tests {
         // Telemetry's mark counter agrees with the monitor-derived field,
         // and every mark made it into the exported trace.
         assert_eq!(traced.telemetry.ecn_marks, traced.tcp_ce_marked);
-        let jsonl =
-            std::fs::read_to_string(dir.join(format!("{}-i0.jsonl", cond.label()))).unwrap();
-        let marks = parse_jsonl(&jsonl)
-            .unwrap()
+        let marks = only_trace(&dir, &cond)
             .iter()
             .filter(|e| e.kind == EventKind::EcnMark)
             .count() as u64;
@@ -1009,7 +1038,6 @@ mod tests {
     #[test]
     fn scenario_run_is_deterministic_and_trace_transparent() {
         use crate::config::PathScenario;
-        use gsrepro_simcore::telemetry::{parse_jsonl, EventKind};
         use gsrepro_simcore::BitRate;
 
         // Solo Stadia on a 25 Mb/s path that steps down to 10 Mb/s across
@@ -1044,12 +1072,7 @@ mod tests {
 
         // Both schedule applications were recorded in the trace.
         assert_eq!(traced.telemetry.scenario_steps, 2);
-        // Scenario labels contain dots (fractional seconds), so build the
-        // full file name rather than going through `with_extension`.
-        let jsonl =
-            std::fs::read_to_string(dir.join(format!("{}-i0.jsonl", cond.label()))).unwrap();
-        let events = parse_jsonl(&jsonl).unwrap();
-        let steps = events
+        let steps = only_trace(&dir, &cond)
             .iter()
             .filter(|e| e.kind == EventKind::LinkScenario)
             .count();

@@ -145,13 +145,12 @@ pub fn build_full(
     }
     let (client, server) =
         gamestream::connect(&mut b, game_client, game_server, feedback_flow, |c| {
-            StreamServer::with_fps_policy(
+            StreamServer::new(
                 game_flow,
                 game_client,
                 c,
                 profile.build_source(seed, stream_id("frames")),
                 profile.build_controller(),
-                profile.fps_policy,
             )
         });
 

@@ -6,7 +6,7 @@
 //! --help` prints that command's flags, and an unknown command or flag
 //! exits 2 with the same text on stderr.
 //!
-//! A command declares its flags once, in [`COMMANDS`]. [`Args::parse`]
+//! A command declares its flags once, in [`COMMANDS`]. `Args::parse`
 //! walks the command line left to right against that declaration (a flag
 //! that takes a value binds the next token, whatever it looks like) and
 //! rejects everything else; the command then reads what was given by name.

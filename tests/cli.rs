@@ -1,5 +1,5 @@
 //! The `gsrepro` binary from the outside: help, bad invocations, and the
-//! two subcommands cheap enough to run under `cargo test`.
+//! subcommands cheap enough to run under `cargo test`.
 
 use std::process::{Command, Output};
 
@@ -103,4 +103,66 @@ fn conformance_passes_on_the_committed_fixtures() {
     let out = gsrepro(&["conformance"]);
     assert!(out.status.success(), "{}", text(&out.stderr));
     assert!(text(&out.stdout).contains("controllers match their golden fixtures"));
+}
+
+#[test]
+fn validate_trace_checks_each_csv_on_its_own() {
+    const RUN: &str = "luna-cubic-b25-q2-i0.csv";
+    const HEADER: &str = "t_s,flow,kind,a,b\n";
+    let competing = format!(
+        "{HEADER}0.000000000,4294967295,queue_depth,1500,2\n\
+         0.010000000,0,enc_rate,25000000,0\n\
+         0.020000000,4,cwnd,14480,18446744073709551615\n"
+    );
+    let regressing = format!(
+        "{HEADER}0.020000000,4294967295,queue_depth,1500,2\n\
+         0.010000000,0,enc_rate,25000000,0\n\
+         0.030000000,4,cwnd,14480,0\n"
+    );
+    let unknown_kind = competing.replace("cwnd", "warp");
+    // (trace written into a fresh dir, extra argument, expected exit code,
+    // expected stdout, text the stderr must contain)
+    let cases = [
+        (
+            Some(&competing),
+            None,
+            0,
+            "validate_trace: 1 runs OK (3 events)\n",
+            "",
+        ),
+        (Some(&regressing), None, 1, "", RUN),
+        (Some(&unknown_kind), None, 1, "", RUN),
+        (None, None, 1, "", "no .csv traces"),
+        (
+            Some(&competing),
+            Some("--require-scenario"),
+            1,
+            "",
+            "link_scenario",
+        ),
+    ];
+    for (i, (trace, extra, code, stdout, stderr)) in cases.into_iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("gsrepro-cli-trace-{}-{i}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        if let Some(trace) = trace {
+            std::fs::write(dir.join(RUN), trace).unwrap();
+        }
+        let mut args = vec!["validate_trace", dir.to_str().unwrap()];
+        args.extend(extra);
+        let out = gsrepro(&args);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(code),
+            "case {i}: {}",
+            text(&out.stderr)
+        );
+        assert_eq!(text(&out.stdout), stdout, "case {i}");
+        assert!(
+            text(&out.stderr).contains(stderr),
+            "case {i}: {}",
+            text(&out.stderr)
+        );
+    }
 }
