@@ -32,7 +32,7 @@ echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all fiv
 # through the crates' public items, so nothing above builds it: a crate API
 # change could break it silently. run.sh also checks every digest and that
 # what it printed is what BENCHMARK.json declares.
-cargo test -q --manifest-path benchmark/Cargo.toml --offline
+cargo test -q --manifest-path benchmark/Cargo.toml --offline --locked
 bash benchmark/run.sh --smoke
 
 echo "== CCA conformance kit (golden step-response fixtures)"

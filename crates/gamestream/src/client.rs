@@ -21,33 +21,10 @@ const TOK_REPORT: u64 = 0;
 /// Wire size of one receiver report.
 pub const FEEDBACK_SIZE: Bytes = Bytes(88);
 
-/// Configuration of the client.
-#[derive(Clone, Debug)]
-pub struct StreamClientConfig {
-    /// Flow id for the feedback direction.
-    pub feedback_flow: FlowId,
-    /// Server node.
-    pub server_node: NodeId,
-    /// Server agent.
-    pub server_agent: AgentId,
-    /// Receiver-report cadence (all three systems ≈ 100 ms).
-    pub report_interval: SimDuration,
-    /// A frame missing data this long past its capture time is skipped.
-    pub display_deadline: SimDuration,
-}
-
-impl StreamClientConfig {
-    /// Standard client: 100 ms reports, 250 ms display deadline.
-    pub fn new(feedback_flow: FlowId, server_node: NodeId, server_agent: AgentId) -> Self {
-        StreamClientConfig {
-            feedback_flow,
-            server_node,
-            server_agent,
-            report_interval: SimDuration::from_millis(100),
-            display_deadline: SimDuration::from_millis(250),
-        }
-    }
-}
+/// Receiver-report cadence (all three systems ≈ 100 ms).
+const REPORT_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// A frame missing data this long past its capture time is skipped.
+const DISPLAY_DEADLINE: SimDuration = SimDuration::from_millis(250);
 
 struct PartialFrame {
     /// Distinct chunks received.
@@ -59,7 +36,10 @@ struct PartialFrame {
 
 /// The streaming client agent.
 pub struct StreamClient {
-    cfg: StreamClientConfig,
+    /// Flow id for the feedback direction.
+    feedback_flow: FlowId,
+    server_node: NodeId,
+    server_agent: AgentId,
     report_seq: u64,
 
     // Frame assembly. A path delivers a flow in send order and the server
@@ -90,10 +70,13 @@ pub struct StreamClient {
 }
 
 impl StreamClient {
-    /// New client.
-    pub fn new(cfg: StreamClientConfig) -> Self {
+    /// New client, reporting on `feedback_flow` to `(server_node,
+    /// server_agent)`.
+    pub fn new(feedback_flow: FlowId, server_node: NodeId, server_agent: AgentId) -> Self {
         StreamClient {
-            cfg,
+            feedback_flow,
+            server_node,
+            server_agent,
             report_seq: 0,
             partial: BTreeMap::new(),
             expired_below: 0,
@@ -129,7 +112,7 @@ impl StreamClient {
 
     /// How long past its capture a frame may complete and still display.
     pub fn display_deadline(&self) -> SimDuration {
-        self.cfg.display_deadline
+        DISPLAY_DEADLINE
     }
 
     /// Mean displayed frame rate over `[from, to)`.
@@ -172,7 +155,7 @@ impl StreamClient {
     fn expire_stale_frames(&mut self, now: SimTime) {
         // Frames are captured in id order, so the stale ones come first.
         while let Some(oldest) = self.partial.first_entry() {
-            if now.saturating_since(oldest.get().frame_ts) <= self.cfg.display_deadline {
+            if now.saturating_since(oldest.get().frame_ts) <= DISPLAY_DEADLINE {
                 break;
             }
             self.expired_below = oldest.key() + 1;
@@ -182,7 +165,7 @@ impl StreamClient {
     }
 
     fn send_report(&mut self, ctx: &mut Ctx) {
-        let interval = self.cfg.report_interval.as_secs_f64();
+        let interval = REPORT_INTERVAL.as_secs_f64();
         let recv_rate = BitRate((self.window_bytes.bits() as f64 / interval) as u64);
 
         let loss = match (self.window_base_seq, self.max_seq_seen) {
@@ -212,9 +195,9 @@ impl StreamClient {
         };
         self.report_seq += 1;
         ctx.send(PacketSpec {
-            flow: self.cfg.feedback_flow,
-            dst: self.cfg.server_node,
-            dst_agent: self.cfg.server_agent,
+            flow: self.feedback_flow,
+            dst: self.server_node,
+            dst_agent: self.server_agent,
             size: FEEDBACK_SIZE,
             ecn: Ecn::NotEct,
             payload: Payload::Feedback(fb),
@@ -230,7 +213,7 @@ impl StreamClient {
 
 impl Agent for StreamClient {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(self.cfg.report_interval, TOK_REPORT);
+        ctx.set_timer(REPORT_INTERVAL, TOK_REPORT);
     }
 
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
@@ -274,7 +257,7 @@ impl Agent for StreamClient {
             });
         frame.received += 1;
         if frame.received == frame.chunk_count {
-            let on_time = now.saturating_since(frame.frame_ts) <= self.cfg.display_deadline;
+            let on_time = now.saturating_since(frame.frame_ts) <= DISPLAY_DEADLINE;
             self.partial.remove(&chunk.frame_id);
             if on_time {
                 self.displayed_frames += 1;
@@ -289,7 +272,7 @@ impl Agent for StreamClient {
         if token == TOK_REPORT {
             self.expire_stale_frames(ctx.now());
             self.send_report(ctx);
-            ctx.set_timer(self.cfg.report_interval, TOK_REPORT);
+            ctx.set_timer(REPORT_INTERVAL, TOK_REPORT);
         }
     }
 }
@@ -299,7 +282,7 @@ mod tests {
     use super::*;
 
     fn client() -> StreamClient {
-        StreamClient::new(StreamClientConfig::new(FlowId(1), NodeId(0), AgentId(0)))
+        StreamClient::new(FlowId(1), NodeId(0), AgentId(0))
     }
 
     #[test]

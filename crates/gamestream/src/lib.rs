@@ -46,7 +46,6 @@ pub use frame::FrameSource;
 pub use profile::{SystemKind, SystemProfile};
 pub use server::StreamServer;
 
-use client::StreamClientConfig;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, NodeId};
 use gsrepro_netsim::wire::FlowId;
 
@@ -62,7 +61,9 @@ pub fn connect(
     server: impl FnOnce(AgentId) -> StreamServer,
 ) -> (AgentId, AgentId) {
     b.add_pair(client_node, server_node, |client, srv| {
-        let cfg = StreamClientConfig::new(feedback, server_node, srv);
-        (Box::new(StreamClient::new(cfg)), Box::new(server(client)))
+        (
+            Box::new(StreamClient::new(feedback, server_node, srv)),
+            Box::new(server(client)),
+        )
     })
 }

@@ -10,7 +10,7 @@
 //!
 //! * [`wire`] — packet and payload definitions (TCP segments, media chunks,
 //!   stream feedback, ping echoes),
-//! * [`queue`] — buffering/drop policies: byte- or packet-limited drop-tail
+//! * [`queue`] — buffering/drop policies: byte-limited drop-tail
 //!   (what the paper's router ran), plus CoDel and FQ-CoDel for the paper's
 //!   future-work AQM question,
 //! * [`link`] — unidirectional links with exact integer token-bucket

@@ -524,7 +524,7 @@ mod tests {
         assert_eq!(l.delivered_pkts(), 1);
         assert_eq!(l.delivered_bytes(), Bytes(1_000));
         assert_eq!(l.backlog(), Bytes::ZERO);
-        let mut none = lan_with(QueueSpec::DropTailPkts { limit: 0 });
+        let mut none = lan_with(QueueSpec::DropTail { limit: Bytes(0) });
         assert_eq!(none.cut_through(Bytes(100)), Some(false), "no packet fits");
         assert_eq!(none.delivered_pkts(), 0);
     }

@@ -852,20 +852,20 @@ pub struct Sim {
 
 impl Sim {
     /// Advance simulated time to `until` (exclusive; see
-    /// [`Engine::run_until`]). When invariant oracles are enabled
+    /// [`Engine::run_until`]) under [`Watchdog::default`], panicking with
+    /// the [`SimError`] text on a trip. When invariant oracles are enabled
     /// ([`NetworkBuilder::checks`]), the whole network is audited at the
     /// end of the segment.
     pub fn run_until(&mut self, until: SimTime) {
-        self.engine.run_until(&mut self.net, until);
-        if self.net.checks.is_enabled() {
-            self.net.audit(self.engine.now());
+        if let Err(e) = self.run_until_guarded(until, &Watchdog::default()) {
+            panic!("{e}");
         }
     }
 
-    /// [`Self::run_until`] under a [`Watchdog`]: a runaway or livelocked
-    /// run aborts gracefully into a structured [`SimError`] instead of
-    /// spinning. The end-of-segment audit only runs on success — an
-    /// abandoned simulation is allowed to be mid-flight inconsistent.
+    /// [`Self::run_until`] under an explicit [`Watchdog`]: a runaway or
+    /// livelocked run aborts gracefully into a structured [`SimError`]
+    /// instead of spinning. The end-of-segment audit only runs on success
+    /// — an abandoned simulation is allowed to be mid-flight inconsistent.
     pub fn run_until_guarded(&mut self, until: SimTime, dog: &Watchdog) -> Result<(), SimError> {
         self.engine.run_until_guarded(&mut self.net, until, dog)?;
         if self.net.checks.is_enabled() {
@@ -918,10 +918,11 @@ impl Sim {
 
     /// [`Self::apply_scenario`] with validation up front: a spec that
     /// would trip a link-layer assertion mid-run (probability outside
-    /// `[0, 1]`, zero shaped rate) is rejected as a structured
-    /// [`SimError::InvalidScenario`] before anything is scheduled.
+    /// `[0, 1]`, zero shaped rate) or index past the network's links is
+    /// rejected as a structured [`SimError::InvalidScenario`] before
+    /// anything is scheduled.
     pub fn try_apply_scenario(&mut self, spec: &ScenarioSpec) -> Result<(), SimError> {
-        spec.validate()?;
+        spec.validate_for(self.net.links.len())?;
         for step in &spec.steps {
             self.schedule_scenario_action(step.link, step.action, step.at);
         }

@@ -47,11 +47,6 @@ pub enum QueueSpec {
         /// Maximum queued bytes (the `tbf limit`).
         limit: Bytes,
     },
-    /// Packet-limited FIFO tail-drop.
-    DropTailPkts {
-        /// Maximum queued packets.
-        limit: usize,
-    },
     /// CoDel (RFC 8289) with a byte-limited backstop.
     CoDel {
         /// Hard byte limit (CoDel still needs a finite buffer).
@@ -109,7 +104,7 @@ impl QueueSpec {
     pub fn with_mtu(mut self, new_mtu: Bytes) -> Self {
         match &mut self {
             QueueSpec::CoDel { mtu, .. } | QueueSpec::FqCoDel { mtu, .. } => *mtu = new_mtu,
-            QueueSpec::DropTail { .. } | QueueSpec::DropTailPkts { .. } => {}
+            QueueSpec::DropTail { .. } => {}
         }
         self
     }
@@ -118,9 +113,6 @@ impl QueueSpec {
     pub fn build(&self) -> Discipline {
         match *self {
             QueueSpec::DropTail { limit } => Discipline::DropTail(DropTailQueue::bytes(limit)),
-            QueueSpec::DropTailPkts { limit } => {
-                Discipline::DropTail(DropTailQueue::packets(limit))
-            }
             QueueSpec::CoDel {
                 limit,
                 target,
@@ -154,7 +146,7 @@ impl QueueSpec {
 /// branch (almost always predicted — a link's discipline never changes)
 /// beats an indirect call the CPU cannot see through.
 pub enum Discipline {
-    /// Byte- or packet-limited FIFO tail-drop.
+    /// Byte-limited FIFO tail-drop.
     DropTail(DropTailQueue),
     /// CoDel (RFC 8289).
     CoDel(CoDelQueue),
@@ -207,7 +199,8 @@ impl Discipline {
         dispatch!(self, q => q.len_pkts())
     }
 
-    /// Configured capacity in bytes, if byte-limited.
+    /// Configured capacity in bytes. Every discipline is byte-limited, so
+    /// this is always `Some`; the repo benchmark reads the `Option`.
     #[inline]
     pub fn capacity_bytes(&self) -> Option<Bytes> {
         dispatch!(self, q => q.capacity_bytes())
@@ -217,8 +210,7 @@ impl Discipline {
     /// limit`). Overflow policy on a shrink: most-recently-queued entries
     /// are evicted first (tail drop — the packets a smaller buffer would
     /// never have admitted) until the backlog fits; evictions are appended
-    /// to `dropped` and the caller owns their pool slots. A packet-limited
-    /// discipline gains a byte limit alongside its packet limit.
+    /// to `dropped` and the caller owns their pool slots.
     pub fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>) {
         dispatch!(self, q => q.set_byte_limit(limit, dropped))
     }
@@ -229,9 +221,7 @@ impl Discipline {
     #[inline]
     pub(crate) fn empty_droptail_admits(&self, size: Bytes) -> Option<bool> {
         match self {
-            Discipline::DropTail(q) if q.q.is_empty() => {
-                Some(size <= q.byte_limit && q.pkt_limit > 0)
-            }
+            Discipline::DropTail(q) if q.q.is_empty() => Some(size <= q.byte_limit),
             _ => None,
         }
     }
@@ -241,17 +231,11 @@ impl Discipline {
 // Drop-tail
 // ---------------------------------------------------------------------------
 
-/// FIFO tail-drop queue, limited by bytes (like `tbf limit`) or by packets.
-///
-/// Absent limits are stored as `u64::MAX` / `usize::MAX` sentinels rather
-/// than `Option`s: the admission test on the per-packet hot path is then two
-/// unconditional compares instead of two discriminant branches.
+/// FIFO tail-drop queue, limited by bytes (like `tbf limit`).
 pub struct DropTailQueue {
     q: VecDeque<QueuedPkt>,
     bytes: Bytes,
     byte_limit: Bytes,
-    pkt_limit: usize,
-    byte_limited: bool,
 }
 
 impl DropTailQueue {
@@ -263,26 +247,11 @@ impl DropTailQueue {
             q: VecDeque::new(),
             bytes: Bytes::ZERO,
             byte_limit: limit,
-            pkt_limit: usize::MAX,
-            byte_limited: true,
-        }
-    }
-
-    /// Packet-limited drop-tail.
-    pub fn packets(limit: usize) -> Self {
-        DropTailQueue {
-            q: VecDeque::new(),
-            bytes: Bytes::ZERO,
-            byte_limit: Bytes(u64::MAX),
-            pkt_limit: limit,
-            byte_limited: false,
         }
     }
 
     fn enqueue(&mut self, mut item: QueuedPkt, now: SimTime) -> Result<(), QueuedPkt> {
-        if self.bytes.as_u64().saturating_add(item.size.as_u64()) > self.byte_limit.as_u64()
-            || self.q.len() >= self.pkt_limit
-        {
+        if self.bytes + item.size > self.byte_limit {
             return Err(item);
         }
         item.enqueued_at = now;
@@ -310,12 +279,11 @@ impl DropTailQueue {
     }
 
     fn capacity_bytes(&self) -> Option<Bytes> {
-        self.byte_limited.then_some(self.byte_limit)
+        Some(self.byte_limit)
     }
 
     fn set_byte_limit(&mut self, limit: Bytes, dropped: &mut Vec<QueuedPkt>) {
         self.byte_limit = limit;
-        self.byte_limited = true;
         while self.bytes > limit {
             let item = self.q.pop_back().expect("backlog implies entries");
             self.bytes -= item.size;
@@ -759,15 +727,6 @@ mod tests {
     }
 
     #[test]
-    fn drop_tail_packet_limit() {
-        let mut q = DropTailQueue::packets(2);
-        assert!(q.enqueue(pkt(1, 1), SimTime::ZERO).is_ok());
-        assert!(q.enqueue(pkt(1, 1), SimTime::ZERO).is_ok());
-        assert!(q.enqueue(pkt(1, 1), SimTime::ZERO).is_err());
-        assert_eq!(q.capacity_bytes(), None);
-    }
-
-    #[test]
     fn enqueue_stamps_sojourn_clock() {
         let mut q = DropTailQueue::bytes(Bytes(10_000));
         let mut item = pkt(1, 100);
@@ -1076,7 +1035,6 @@ mod tests {
     fn queue_spec_builds_each_variant() {
         let specs = [
             QueueSpec::DropTail { limit: Bytes(1000) },
-            QueueSpec::DropTailPkts { limit: 10 },
             QueueSpec::codel_default(Bytes(1000)),
             QueueSpec::fq_codel_default(Bytes(1000)),
         ];

@@ -34,7 +34,8 @@
 //!   trip an assertion deep inside the link layer mid-run — a
 //!   probability outside `[0, 1]` (or NaN) and a zero shaping rate —
 //!   converting those panics into a structured
-//!   [`SimError::InvalidScenario`].
+//!   [`SimError::InvalidScenario`]; [`crate::Sim::try_apply_scenario`]
+//!   also rejects a step on a link the network lacks.
 
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimError, SimRng, SimTime};
 
@@ -153,20 +154,18 @@ impl ScenarioSpec {
         self.step(at, link, ScenarioAction::QueueLimit(limit))
     }
 
-    /// Times of all steps, sorted ascending — the disturbance instants a
-    /// settling-time analysis scans from.
-    pub fn disturbance_times(&self) -> Vec<SimTime> {
-        let mut ts: Vec<SimTime> = self.steps.iter().map(|s| s.at).collect();
-        ts.sort();
-        ts
-    }
-
     /// Reject steps that would trip an assertion deep inside the link
     /// layer mid-run: probabilities outside `[0, 1]` (or NaN) and zero
     /// shaping rates. Everything else — past times, zero-duration
     /// windows, overlapping windows, zero queue limits — has documented
     /// semantics (see the module docs) and passes.
     pub fn validate(&self) -> Result<(), SimError> {
+        self.validate_for(usize::MAX)
+    }
+
+    /// [`Self::validate`] for a network of `links` links: a step naming a
+    /// link the network lacks is rejected too.
+    pub(crate) fn validate_for(&self, links: usize) -> Result<(), SimError> {
         for (i, st) in self.steps.iter().enumerate() {
             let reject = |what: String| {
                 Err(SimError::InvalidScenario {
@@ -177,6 +176,9 @@ impl ScenarioSpec {
                     ),
                 })
             };
+            if st.link.0 as usize >= links {
+                return reject(format!("no such link (the network has {links})"));
+            }
             match st.action {
                 ScenarioAction::Loss(p) if !(0.0..=1.0).contains(&p) => {
                     return reject(format!("loss probability {p} outside [0, 1]"));
@@ -380,9 +382,8 @@ mod tests {
         assert_eq!(s.steps[1].action, ScenarioAction::Up(false));
         assert_eq!(s.steps[2].action, ScenarioAction::Up(true));
         assert_eq!(s.steps[5].action, ScenarioAction::QueueLimit(Bytes(10_000)));
-        let ts = s.disturbance_times();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(ts[0], SimTime::from_secs(100));
+        assert!(s.steps.windows(2).all(|w| w[0].at <= w[1].at));
+        assert_eq!(s.steps[0].at, SimTime::from_secs(100));
     }
 
     #[test]

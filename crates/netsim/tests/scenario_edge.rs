@@ -160,6 +160,32 @@ fn invalid_probabilities_and_rates_are_rejected_structurally() {
 }
 
 #[test]
+fn steps_on_a_missing_link_are_rejected_structurally() {
+    let (mut sim, f, _) = overloaded_sim(1);
+    // The network has links 0 and 1; scheduling a step on link 99 would
+    // index out of bounds when it fires.
+    let spec = ScenarioSpec::new().outage(SimTime::from_secs(1), SimTime::from_secs(2), LinkId(99));
+    assert!(spec.validate().is_ok(), "validate alone knows no network");
+    let err = sim
+        .try_apply_scenario(&spec)
+        .expect_err("link 99 does not exist");
+    assert_eq!(
+        err,
+        SimError::InvalidScenario {
+            detail: "step 0 (link 99 at t=1000000000ns): no such link (the network has 2)".into()
+        }
+    );
+    // Nothing was scheduled: the run is the plain one.
+    sim.run_until(SimTime::from_secs(3));
+    let (mut plain, f2, _) = overloaded_sim(1);
+    plain.run_until(SimTime::from_secs(3));
+    assert_eq!(
+        sim.net.monitor().stats(f).delivered_pkts,
+        plain.net.monitor().stats(f2).delivered_pkts
+    );
+}
+
+#[test]
 #[should_panic(expected = "ends before it starts")]
 fn inverted_windows_are_rejected_at_build_time() {
     let _ = ScenarioSpec::new().outage(SimTime::from_secs(2), SimTime::from_secs(1), LinkId(0));

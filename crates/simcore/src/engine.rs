@@ -740,29 +740,28 @@ impl<W: World> Engine<W> {
         self.sched.stats
     }
 
-    /// Run until the queue is empty or simulated time would exceed `until`.
+    /// Run until the queue is empty or simulated time would exceed `until`,
+    /// under [`Watchdog::default`].
     ///
     /// Events with timestamp exactly `until` are **not** delivered, so
     /// consecutive `run_until` calls partition time into half-open intervals
-    /// `[start, until)`. On return the clock rests at `until` (or at the last
-    /// event time if the queue drained first).
+    /// `[start, until)`. On return the clock rests at `until`.
+    ///
+    /// # Panics
+    /// Panics with the [`SimError`] text if the run trips the watchdog: a
+    /// runaway or livelocked simulation fails instead of hanging.
     pub fn run_until(&mut self, world: &mut W, until: SimTime) {
-        while let Some((time, event)) = self.sched.pop_next_before(Some(until)) {
-            self.sched.now = time;
-            self.events_processed += 1;
-            world.handle(event, &mut self.sched);
-        }
-        if self.sched.now < until {
-            self.sched.now = until;
+        if let Err(e) = self.run_until_guarded(world, until, &Watchdog::default()) {
+            panic!("{e}");
         }
     }
 
-    /// [`Self::run_until`] under a [`Watchdog`]: aborts gracefully into a
-    /// structured [`SimError`] if the run exceeds its event budget or
-    /// delivers `livelock_window` consecutive events without simulated
-    /// time advancing. For any run that stays inside the budgets this is
-    /// bit-identical to the unguarded loop — the guards only read
-    /// counters the engine already maintains.
+    /// The event loop: deliver every event before `until` in `(time, seq)`
+    /// order, aborting into a structured [`SimError`] if the run exceeds
+    /// `dog`'s event budget or delivers `livelock_window` consecutive
+    /// events without simulated time advancing. The guards only read
+    /// counters the engine already maintains, so they never change what a
+    /// run that stays inside the budgets delivers.
     ///
     /// Budgets are counted per call, so segmented driving
     /// (`run_until_guarded(.., t1)` then `(.., t2)`) grants each segment
@@ -807,7 +806,7 @@ impl<W: World> Engine<W> {
         Ok(())
     }
 
-    /// Run until the queue is empty.
+    /// Run until the queue is empty (see [`Self::run_until`]).
     pub fn run_to_completion(&mut self, world: &mut W) {
         self.run_until(world, SimTime::MAX);
     }
@@ -1276,6 +1275,26 @@ mod tests {
         );
         // Abandoned well before the event budget: the livelock fired first.
         assert!(eng.events_processed() <= 501);
+    }
+
+    #[test]
+    fn plain_run_until_panics_on_livelock_instead_of_hanging() {
+        let at = SimTime::from_millis(2);
+        let panicked = std::panic::catch_unwind(|| {
+            let mut w = Recorder { log: vec![] };
+            let mut eng = Engine::new();
+            eng.scheduler().schedule_at(at, Ev::Spin);
+            eng.run_until(&mut w, SimTime::from_secs(1));
+        })
+        .expect_err("a same-instant self-rescheduling world must not hang");
+        let msg = panicked
+            .downcast_ref::<String>()
+            .expect("the panic carries the SimError text");
+        let want = SimError::Livelock {
+            window: Watchdog::DEFAULT_LIVELOCK_WINDOW,
+            at,
+        };
+        assert_eq!(*msg, want.to_string());
     }
 
     #[test]

@@ -304,84 +304,6 @@ impl Samples {
     }
 }
 
-/// Fixed-width histogram over a bounded range; out-of-range samples clamp
-/// into the edge buckets. Used for RTT and frame-interval distributions.
-#[derive(Clone, Debug)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    count: u64,
-}
-
-impl Histogram {
-    /// A histogram of `buckets` equal-width bins over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `hi <= lo` or `buckets == 0`.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo, "histogram range must be positive");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Histogram {
-            lo,
-            hi,
-            buckets: vec![0; buckets],
-            count: 0,
-        }
-    }
-
-    /// Record one sample (clamped into the edge buckets).
-    pub fn add(&mut self, x: f64) {
-        let n = self.buckets.len();
-        let pos = (x - self.lo) / (self.hi - self.lo) * n as f64;
-        let idx = (pos.floor().max(0.0) as usize).min(n - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Lower edge of bucket `i`.
-    pub fn bucket_lo(&self, i: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * i as f64 / self.buckets.len() as f64
-    }
-
-    /// Approximate quantile from the bucket midpoints (0 if empty).
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        let w = (self.hi - self.lo) / self.buckets.len() as f64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return self.bucket_lo(i) + w / 2.0;
-            }
-        }
-        self.hi
-    }
-
-    /// ASCII sparkline of the distribution (one glyph per bucket).
-    pub fn sparkline(&self) -> String {
-        const GLYPHS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        self.buckets
-            .iter()
-            .map(|&c| GLYPHS[(c * 7).div_ceil(max).min(7) as usize])
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,51 +463,6 @@ mod tests {
         assert_eq!(s.quantile(0.25), 2.0);
         assert_eq!(s.mean(), 3.0);
         assert!(Samples::new().quantile(0.5) == 0.0);
-    }
-
-    #[test]
-    fn histogram_basic() {
-        let mut h = Histogram::new(0.0, 100.0, 10);
-        for v in [5.0, 15.0, 15.5, 95.0] {
-            h.add(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[1], 2);
-        assert_eq!(h.buckets()[9], 1);
-        assert_eq!(h.bucket_lo(1), 10.0);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.add(-100.0);
-        h.add(1e9);
-        assert_eq!(h.buckets()[0], 1);
-        assert_eq!(h.buckets()[4], 1);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 100.0, 100);
-        for i in 0..100 {
-            h.add(i as f64);
-        }
-        assert!((h.quantile(0.5) - 50.0).abs() < 2.0);
-        assert!((h.quantile(0.99) - 99.0).abs() < 2.0);
-        assert_eq!(Histogram::new(0.0, 1.0, 4).quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_sparkline_shape() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        for _ in 0..8 {
-            h.add(0.5);
-        }
-        h.add(2.5);
-        let s = h.sparkline();
-        assert_eq!(s.chars().count(), 4);
-        assert!(s.starts_with('█'));
     }
 
     #[test]

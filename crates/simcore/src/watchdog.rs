@@ -5,11 +5,12 @@
 //! re-rate cascade, or a livelock where handlers keep rescheduling at
 //! the same instant) must not hang the whole fleet. The [`Watchdog`]
 //! carries two budgets; [`crate::Engine::run_until_guarded`] checks them
-//! inside the event loop and aborts *gracefully* into a structured
-//! [`SimError`] instead of spinning forever. The guarded loop is
-//! bit-identical to the unguarded one for any run that stays inside the
-//! budgets: the checks observe counters the engine already maintains and
-//! consume no randomness.
+//! inside the engine's one event loop and aborts *gracefully* into a
+//! structured [`SimError`] instead of spinning forever. Every run is
+//! guarded: [`crate::Engine::run_until`] is that loop under
+//! [`Watchdog::default`], panicking with the error text on a trip. The
+//! checks observe counters the engine already maintains and consume no
+//! randomness, so a run that stays inside the budgets is unchanged by them.
 
 use crate::time::SimTime;
 

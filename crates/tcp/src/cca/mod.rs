@@ -43,6 +43,8 @@ pub struct AckInfo {
     pub round: u64,
     /// True if the sender had no data to send when the acked segment was
     /// transmitted (rate samples taken then should not lower bw estimates).
+    /// The bulk sender is never app-limited and always passes `false`; the
+    /// field stays for the controllers' own tests and the repo benchmark.
     pub app_limited: bool,
 }
 

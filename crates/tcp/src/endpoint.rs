@@ -1,8 +1,9 @@
 //! TCP sender and receiver agents.
 //!
 //! [`TcpSender`] is a bulk-data sender (the paper's iperf server): an
-//! unlimited application source, window- and optionally pacing-limited,
-//! with SACK-based loss recovery and an RFC 6298 retransmission timer.
+//! unlimited application source that sends full [`TCP_MSS`] segments over
+//! its active window, window- and optionally pacing-limited, with
+//! SACK-based loss recovery and an RFC 6298 retransmission timer.
 //! [`TcpReceiver`] is the iperf client: it acks every arriving segment
 //! immediately, echoing the segment's transmit timestamp and up to three
 //! SACK blocks.
@@ -51,8 +52,6 @@ pub struct TcpSenderConfig {
     pub dst_agent: AgentId,
     /// Congestion-control algorithm.
     pub cca: CcaKind,
-    /// Maximum segment size (payload bytes). Default [`TCP_MSS`].
-    pub mss: Bytes,
     /// When the bulk transfer starts (the paper starts iperf at 185 s).
     pub start_at: SimTime,
     /// When the sender stops offering new data (370 s in the paper).
@@ -67,7 +66,6 @@ impl TcpSenderConfig {
             dst,
             dst_agent,
             cca,
-            mss: TCP_MSS,
             start_at: SimTime::ZERO,
             stop_at: SimTime::MAX,
         }
@@ -87,10 +85,6 @@ pub struct TcpSender {
     cca: Box<dyn CongestionControl>,
 
     running: bool,
-    /// `None` = unlimited bulk data (iperf). `Some(budget)` = application-
-    /// limited: only bytes queued via [`TcpSender::queue_app_bytes`] may be
-    /// sent.
-    app_budget: Option<u64>,
     next_seq: u64,
     snd_una: u64,
     /// Everything sent and neither acked nor SACKed.
@@ -141,7 +135,7 @@ pub struct TcpSender {
 impl TcpSender {
     /// Create a sender; the controller is built from `cfg.cca`.
     pub fn new(cfg: TcpSenderConfig) -> Self {
-        let cca = cfg.cca.build(cfg.mss.as_u64());
+        let cca = cfg.cca.build(TCP_MSS.as_u64());
         Self::with_controller(cfg, cca)
     }
 
@@ -153,7 +147,6 @@ impl TcpSender {
             cfg,
             cca,
             running: false,
-            app_budget: None,
             next_seq: 0,
             snd_una: 0,
             board: Scoreboard::default(),
@@ -177,31 +170,6 @@ impl TcpSender {
             rto_events: 0,
             fast_retransmit_events: 0,
         }
-    }
-
-    /// Switch to application-limited mode: the sender only transmits bytes
-    /// that have been queued with [`TcpSender::queue_app_bytes`]. Call
-    /// before the simulation starts.
-    pub fn set_app_limited(&mut self) {
-        self.app_budget = Some(0);
-    }
-
-    /// Queue `bytes` of application data for transmission (app-limited
-    /// mode only; a no-op in bulk mode, which is already unlimited).
-    /// Returns the new outstanding budget.
-    pub fn queue_app_bytes(&mut self, bytes: u64) -> u64 {
-        match self.app_budget.as_mut() {
-            Some(b) => {
-                *b += bytes;
-                *b
-            }
-            None => 0,
-        }
-    }
-
-    /// Unsent application budget (app-limited mode).
-    pub fn app_budget(&self) -> u64 {
-        self.app_budget.unwrap_or(0)
     }
 
     /// Bytes acknowledged as delivered end-to-end.
@@ -248,10 +216,6 @@ impl TcpSender {
     /// The congestion controller (diagnostics).
     pub fn cca(&self) -> &dyn CongestionControl {
         self.cca.as_ref()
-    }
-
-    fn mss(&self) -> u64 {
-        self.cfg.mss.as_u64()
     }
 
     fn cur_rto(&self) -> SimDuration {
@@ -376,26 +340,10 @@ impl TcpSender {
                 self.send_segment(ctx, seq, len, true);
                 len
             } else {
-                // Priority 2: new data.
-                if now >= self.cfg.stop_at {
+                // Priority 2: new data, always a full segment.
+                let len = TCP_MSS.as_u64();
+                if now >= self.cfg.stop_at || self.board.pipe() + len > cwnd {
                     break;
-                }
-                let len = match self.app_budget {
-                    None => self.mss(),
-                    Some(budget) => {
-                        // App-limited: send full segments while the budget
-                        // lasts, then a final runt, then stop.
-                        if budget == 0 {
-                            break;
-                        }
-                        budget.min(self.mss())
-                    }
-                };
-                if self.board.pipe() + len > cwnd {
-                    break;
-                }
-                if let Some(b) = self.app_budget.as_mut() {
-                    *b -= len;
                 }
                 let seq = self.next_seq;
                 self.next_seq += len;
@@ -457,7 +405,7 @@ impl TcpSender {
         // segment already retransmitted (see `Scoreboard::mark_lost`).
         let newly_lost = self.board.mark_lost(
             self.highest_sacked,
-            2 * self.mss(),
+            2 * TCP_MSS.as_u64(),
             (self.dupacks >= 3).then_some(self.snd_una),
             now,
             self.srtt.unwrap_or(INITIAL_RTO),
@@ -507,7 +455,7 @@ impl TcpSender {
             // overestimation/standing-queue behaviour measured by Hock et
             // al. Guarded against hole-fill cumacks, whose byte jumps are
             // not wire-rate evidence (Karn's rule again).
-            let mss = self.mss();
+            let mss = TCP_MSS.as_u64();
             let hole_fill = newly_delivered > 2 * mss || acked.newest.is_some_and(|n| n.retx > 0);
             let mut delivery_rate = flight_rate;
             if hole_fill {
@@ -631,11 +579,8 @@ impl Agent for TcpSender {
     }
 }
 
-/// TCP receiver agent: acks with timestamp echo and SACK. By default every
-/// data segment is acked immediately; [`TcpReceiver::with_delayed_acks`]
-/// switches to Linux-style delayed acks (ack every second full segment, or
-/// after 40 ms, whichever first — out-of-order data is always acked at
-/// once so loss recovery is never delayed).
+/// TCP receiver agent: acks every data segment immediately, with timestamp
+/// echo and SACK.
 pub struct TcpReceiver {
     ack_flow: FlowId,
     peer_node: NodeId,
@@ -645,24 +590,12 @@ pub struct TcpReceiver {
     ooo: BTreeMap<u64, u64>,
     bytes_received: u64,
     segments_received: u64,
-    delayed_acks: bool,
-    /// Segments received since the last ack was sent (delayed-ack mode).
-    unacked_segments: u32,
-    /// Timestamp to echo when the delayed-ack timer fires.
-    pending_ts: Option<SimTime>,
-    /// Most recent data seq, for SACK block ordering on a delayed ack.
-    pending_recent_seq: u64,
-    delack_timer_armed: bool,
     /// A CE-marked data segment arrived since the last ack went out; the
-    /// next ack (immediate or delayed) echoes it as ECE (RFC 3168 § 6.1).
+    /// next ack echoes it as ECE (RFC 3168 § 6.1).
     ce_pending: bool,
     /// Total CE-marked data segments seen (diagnostics).
     ce_received: u64,
 }
-
-/// Delayed-ack timeout (Linux: ~40 ms).
-const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
-const TOK_DELACK: u64 = 10;
 
 impl TcpReceiver {
     /// Acks are sent on `ack_flow` to `(peer_node, peer_agent)`.
@@ -675,20 +608,9 @@ impl TcpReceiver {
             ooo: BTreeMap::new(),
             bytes_received: 0,
             segments_received: 0,
-            delayed_acks: false,
-            unacked_segments: 0,
-            pending_ts: None,
-            pending_recent_seq: 0,
-            delack_timer_armed: false,
             ce_pending: false,
             ce_received: 0,
         }
-    }
-
-    /// Enable Linux-style delayed acks.
-    pub fn with_delayed_acks(mut self) -> Self {
-        self.delayed_acks = true;
-        self
     }
 
     /// In-order bytes received so far.
@@ -761,16 +683,6 @@ impl TcpReceiver {
 }
 
 impl Agent for TcpReceiver {
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx) {
-        if token == TOK_DELACK {
-            self.delack_timer_armed = false;
-            if let Some(ts) = self.pending_ts {
-                let seq = self.pending_recent_seq;
-                self.send_ack(ctx, Some(ts), seq);
-            }
-        }
-    }
-
     fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx) {
         let Payload::Tcp(seg) = pkt.payload else {
             return;
@@ -779,8 +691,6 @@ impl Agent for TcpReceiver {
             return;
         }
         self.segments_received += 1;
-        // Latch CE before any ack path (including the delayed-ack early
-        // return) so no mark is ever lost.
         if pkt.ecn == Ecn::Ce {
             self.ce_pending = true;
             self.ce_received += 1;
@@ -810,30 +720,8 @@ impl Agent for TcpReceiver {
             self.insert_ooo(start, end);
         }
 
-        // Delayed-ack gate: in-order data may wait for a second segment or
-        // the 40 ms timer; anything out of order (or filling a hole) must
-        // be acked immediately so the sender's loss detection stays sharp.
-        self.unacked_segments += 1;
-        let in_order_simple = start <= self.rcv_nxt && self.ooo.is_empty();
-        if self.delayed_acks && in_order_simple && self.unacked_segments < 2 {
-            self.pending_ts = Some(pkt.sent_at);
-            self.pending_recent_seq = start;
-            if !self.delack_timer_armed {
-                self.delack_timer_armed = true;
-                ctx.set_timer(DELACK_TIMEOUT, TOK_DELACK);
-            }
-            return;
-        }
-        self.send_ack(ctx, Some(pkt.sent_at), start);
-    }
-}
-
-impl TcpReceiver {
-    fn send_ack(&mut self, ctx: &mut Ctx, ts: Option<SimTime>, recent_seq: u64) {
-        self.unacked_segments = 0;
-        self.pending_ts = None;
-        let mut ack = TcpSegment::pure_ack(self.rcv_nxt, u64::MAX / 2, ts);
-        ack.sack = self.sack_blocks(recent_seq);
+        let mut ack = TcpSegment::pure_ack(self.rcv_nxt, u64::MAX / 2, Some(pkt.sent_at));
+        ack.sack = self.sack_blocks(start);
         // Echo-and-clear: the simulator's ack path is lossy too, but the
         // sender reacts at most once per round anyway, so a lost ECE costs
         // one gating window, not correctness.
@@ -1174,34 +1062,6 @@ mod tests {
         let blocks = r.sack_blocks(5500);
         assert_eq!(blocks[0], Some((5000, 6000)));
         assert!(blocks[1].is_some() && blocks[2].is_some());
-    }
-
-    #[test]
-    fn app_limited_sender_respects_budget() {
-        let down = LinkSpec::bottleneck(
-            BitRate::from_mbps(50),
-            Bytes(200_000),
-            SimDuration::from_millis(5),
-        );
-        let (mut b, server, client) = NetworkBuilder::dumbbell(41, down);
-        let data = b.flow("d");
-        let acks = b.flow("a");
-        let (sender, _) = connect(&mut b, server, client, data, acks, CcaKind::Cubic, |cfg| {
-            let mut sender = TcpSender::new(cfg);
-            sender.set_app_limited();
-            sender.queue_app_bytes(500_000);
-            sender
-        });
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(10));
-        let s: &TcpSender = sim.net.agent(sender);
-        // Exactly the budget is delivered, nothing more.
-        assert_eq!(s.delivered_bytes(), 500_000);
-        assert_eq!(s.app_budget(), 0);
-        let st = sim.net.monitor().stats(data);
-        // And the sender went idle long before the end (10 s at 50 Mb/s
-        // could carry 60+ MB).
-        assert!(st.sent_bytes.as_u64() < 700_000);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 
 use gsrepro_netsim::link::{LinkId, LinkSpec};
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
-use gsrepro_netsim::wire::FlowId;
+use gsrepro_netsim::wire::{FlowId, TCP_MSS};
 use gsrepro_netsim::ScenarioSpec;
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
-use gsrepro_tcp::{connect, Bbr, CcaKind, TcpReceiver, TcpSender, TcpSenderConfig};
+use gsrepro_tcp::{connect, Bbr, CcaKind, TcpReceiver, TcpSender};
 use proptest::prelude::*;
 
 struct Built {
@@ -138,7 +138,7 @@ fn bbr_cwnd_gain_knob_scales_queueing() {
         let data = b.flow("d");
         let acks = b.flow("a");
         connect(&mut b, s, c, data, acks, CcaKind::Bbr, |cfg| {
-            let bbr = Bbr::with_cwnd_gain(cfg.mss.as_u64(), gain);
+            let bbr = Bbr::with_cwnd_gain(TCP_MSS.as_u64(), gain);
             TcpSender::with_controller(cfg, Box::new(bbr))
         });
         let mut sim = b.build();
@@ -183,47 +183,22 @@ fn sack_recovery_beats_rto_only_behaviour() {
 }
 
 #[test]
-fn delayed_acks_halve_ack_traffic_without_hurting_goodput() {
-    let run = |delack: bool| {
-        let down = LinkSpec::bottleneck(
-            BitRate::from_mbps(20),
-            Bytes(80_000),
-            SimDuration::from_millis(8),
-        );
-        let (mut b, s, c) = NetworkBuilder::dumbbell(55, down);
-        let data = b.flow("d");
-        let acks = b.flow("a");
-        b.add_pair(s, c, |tx, rx| {
-            let cfg = TcpSenderConfig::new(data, c, rx, CcaKind::Cubic);
-            let recv = TcpReceiver::new(acks, s, tx);
-            let recv = if delack {
-                recv.with_delayed_acks()
-            } else {
-                recv
-            };
-            (Box::new(TcpSender::new(cfg)), Box::new(recv))
-        });
-        let mut sim = b.build();
-        sim.run_until(SimTime::from_secs(20));
-        let gp = sim.goodput_mbps(data, SimTime::from_secs(5), SimTime::from_secs(20));
-        let ack_pkts = sim.net.monitor().stats(acks).sent_pkts;
-        let data_pkts = sim.net.monitor().stats(data).sent_pkts;
-        (gp, ack_pkts as f64 / data_pkts as f64)
-    };
-    let (gp_imm, ratio_imm) = run(false);
-    let (gp_del, ratio_del) = run(true);
-    assert!(
-        ratio_imm > 0.95,
-        "immediate acks: ~1 ack/segment, got {ratio_imm}"
+fn receiver_acks_every_data_segment() {
+    let down = LinkSpec::bottleneck(
+        BitRate::from_mbps(20),
+        Bytes(80_000),
+        SimDuration::from_millis(8),
     );
-    assert!(
-        ratio_del < 0.65,
-        "delayed acks should roughly halve ack count, got {ratio_del}"
-    );
-    assert!(
-        gp_del > gp_imm * 0.9,
-        "delayed acks must not tank goodput: {gp_del} vs {gp_imm}"
-    );
+    let (mut b, s, c) = NetworkBuilder::dumbbell(55, down);
+    let data = b.flow("d");
+    let acks = b.flow("a");
+    connect(&mut b, s, c, data, acks, CcaKind::Cubic, TcpSender::new);
+    let mut sim = b.build();
+    sim.run_until(SimTime::from_secs(20));
+    let ack_pkts = sim.net.monitor().stats(acks).sent_pkts;
+    let data_pkts = sim.net.monitor().stats(data).sent_pkts;
+    let ratio = ack_pkts as f64 / data_pkts as f64;
+    assert!(ratio > 0.95, "one ack per segment, got {ratio}");
 }
 
 #[test]
@@ -251,19 +226,19 @@ fn two_bbr_flows_converge_to_fair_share() {
 }
 
 #[test]
-fn every_recovery_path_delivers_an_app_limited_budget_exactly() {
+fn every_recovery_path_drains_the_scoreboard() {
     // One run through everything that mutates the sender's scoreboard:
     // slow-start overflow of a small queue (burst loss, SACK recovery), a
     // heavy loss window (holes that outlive several acks, lost
     // retransmissions), a duplication window (old and duplicate acks), an
     // outage that also empties the queue (RTO blackout, everything marked
-    // lost, go-back retransmission), and an application budget that runs
-    // dry (final runt, idle sender). Under the test profile every step
-    // cross-checks the maintained `pipe` counter and oldest-`sent_at`
+    // lost, go-back retransmission), and the end of the active window
+    // (idle sender, last holes repaired). Under the test profile every
+    // step cross-checks the maintained `pipe` counter and oldest-`sent_at`
     // multiset against a scan of the scoreboard; the assertions below say
     // each path was really taken. Cubic is ack-clocked, BBR adds the pace
     // timer.
-    const BUDGET: u64 = 6_000_000 + 700; // not a whole number of segments
+    let stop = SimTime::from_secs(6);
     for cca in [CcaKind::Cubic, CcaKind::Bbr] {
         let down = LinkSpec::bottleneck(
             BitRate::from_mbps(10),
@@ -275,10 +250,7 @@ fn every_recovery_path_delivers_an_app_limited_budget_exactly() {
         let data = b.flow("d");
         let acks = b.flow("a");
         let (sender, recv) = connect(&mut b, s, c, data, acks, cca, |cfg| {
-            let mut sender = TcpSender::new(cfg);
-            sender.set_app_limited();
-            sender.queue_app_bytes(BUDGET);
-            sender
+            TcpSender::new(cfg.active_during(SimTime::ZERO, stop))
         });
         let mut sim = b.build();
         let ms = SimTime::from_millis;
@@ -294,9 +266,8 @@ fn every_recovery_path_delivers_an_app_limited_budget_exactly() {
 
         let s: &TcpSender = sim.net.agent(sender);
         let r: &TcpReceiver = sim.net.agent(recv);
-        assert_eq!(s.delivered_bytes(), BUDGET, "{cca:?}");
-        assert_eq!(r.bytes_received(), BUDGET, "{cca:?}");
-        assert_eq!(s.app_budget(), 0, "{cca:?}");
+        assert!(s.delivered_bytes() > 0, "{cca:?}");
+        assert_eq!(s.delivered_bytes(), r.bytes_received(), "{cca:?}");
         assert_eq!(s.tracked_segments(), 0, "{cca:?}: scoreboard must drain");
         assert!(
             s.fast_retransmit_events() > 0,

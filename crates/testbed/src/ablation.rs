@@ -16,6 +16,7 @@ use std::fmt;
 use gsrepro_gamestream::profile::ControllerKind;
 use gsrepro_gamestream::SystemKind;
 use gsrepro_netsim::net::NetworkBuilder;
+use gsrepro_netsim::wire::TCP_MSS;
 use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::{connect, Bbr, CcaKind, TcpSender};
@@ -202,7 +203,7 @@ pub fn bbr_cwnd_gain(gains: &[f64], queue_mult: f64, secs: u64, seed: u64) -> Ve
                 TcpSender::new,
             );
             connect(&mut b, s, c, bbr_f, bbr_a, CcaKind::Bbr, |cfg| {
-                let bbr = Bbr::with_cwnd_gain(cfg.mss.as_u64(), gain);
+                let bbr = Bbr::with_cwnd_gain(TCP_MSS.as_u64(), gain);
                 TcpSender::with_controller(cfg, Box::new(bbr))
             });
             let mut sim = b.build();

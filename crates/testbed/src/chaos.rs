@@ -268,6 +268,9 @@ impl Trial {
         let parse_u64 = |what: &str, v: &str| -> Result<u64, String> {
             v.parse::<u64>().map_err(|e| format!("{what} {v:?}: {e}"))
         };
+        let parse_u32 = |what: &str, v: &str| -> Result<u32, String> {
+            u32::try_from(parse_u64(what, v)?).map_err(|e| format!("{what} {v:?}: {e}"))
+        };
         let parse_bits = |what: &str, v: &str| -> Result<f64, String> {
             u64::from_str_radix(v, 16)
                 .map(f64::from_bits)
@@ -302,13 +305,15 @@ impl Trial {
         let wan_jitter =
             SimDuration::from_nanos(parse_u64("wan_jitter_ns", &field("wan_jitter_ns")?)?);
         let scale = parse_bits("scale", &field("scale")?)?;
-        let iter = parse_u64("iter", &field("iter")?)? as u32;
+        let iter = parse_u32("iter", &field("iter")?)?;
         let event_budget = parse_u64("event_budget", &field("event_budget")?)?;
         let livelock_window = parse_u64("livelock_window", &field("livelock_window")?)?;
         let perturb = Perturbation::parse(&field("perturb")?)?;
-        let n_steps = parse_u64("steps", &field("steps")?)? as usize;
+        let n_steps = parse_u64("steps", &field("steps")?)?;
 
-        let mut steps = Vec::with_capacity(n_steps);
+        // Not preallocated from the header: a corrupt count must fail on
+        // its first missing step line, not abort on allocation.
+        let mut steps = Vec::new();
         for _ in 0..n_steps {
             let line = field("step")?;
             let mut tok = line.split_whitespace();
@@ -318,7 +323,7 @@ impl Trial {
                     .ok_or_else(|| format!("step line {line:?}: missing {what}"))
             };
             let at = SimTime::from_nanos(parse_u64("step time", &next("time")?)?);
-            let link = LinkId(parse_u64("step link", &next("link")?)? as u32);
+            let link = LinkId(parse_u32("step link", &next("link")?)?);
             let kind = next("action")?;
             let action = match kind.as_str() {
                 "rate" => {
@@ -896,6 +901,31 @@ mod tests {
         let corrupt = good.replace("aqm", "qam");
         let err = Trial::parse(&corrupt).unwrap_err();
         assert!(err.contains("expected field aqm"), "{err}");
+    }
+
+    /// The pinned repro with one line replaced.
+    fn pinned_repro_with(line: &str, replacement: &str) -> String {
+        let pinned = include_str!("../tests/fixtures/chaos_pinned.repro");
+        assert!(pinned.contains(line), "the pinned repro has no {line:?}");
+        pinned.replace(line, replacement)
+    }
+
+    #[test]
+    fn repro_step_count_past_memory_is_an_error_not_an_abort() {
+        let text = pinned_repro_with("steps 1\n", "steps 18446744073709551615\n");
+        let err = Trial::parse(&text).unwrap_err();
+        assert_eq!(err, "missing field step");
+    }
+
+    #[test]
+    fn repro_iter_and_link_past_u32_are_errors_not_truncations() {
+        // 4294967307 = 2^32 + 11: truncated, it would replay iter 11.
+        let text = pinned_repro_with("iter 11\n", "iter 4294967307\n");
+        let err = Trial::parse(&text).unwrap_err();
+        assert!(err.starts_with("iter \"4294967307\": "), "{err}");
+        let text = pinned_repro_with(" 4 queue ", " 4294967300 queue ");
+        let err = Trial::parse(&text).unwrap_err();
+        assert!(err.starts_with("step link \"4294967300\": "), "{err}");
     }
 
     #[test]

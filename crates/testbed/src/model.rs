@@ -59,6 +59,7 @@
 //! the `model_oracle` snapshot fixture.
 
 use gsrepro_netsim::net::NetworkBuilder;
+use gsrepro_netsim::wire::TCP_MSS;
 use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::rng::{derive_seed, stream_id};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
@@ -344,10 +345,11 @@ pub fn run_bulk_cell(
     let data = b.flow("bbr");
     let acks = b.flow("back");
     connect(&mut b, servers, client, data, acks, CcaKind::Bbr, |cfg| {
-        let mss = cfg.mss.as_u64();
         let cfg = cfg.active_during(SimTime::ZERO, stop);
         match bbr_cwnd_gain {
-            Some(g) => TcpSender::with_controller(cfg, Box::new(Bbr::with_cwnd_gain(mss, g))),
+            Some(g) => {
+                TcpSender::with_controller(cfg, Box::new(Bbr::with_cwnd_gain(TCP_MSS.as_u64(), g)))
+            }
             None => TcpSender::new(cfg),
         }
     });

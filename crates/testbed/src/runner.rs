@@ -417,6 +417,10 @@ impl RunView<'_> {
 /// advertised band. A violated oracle panics with a structured report.
 /// Neither perturbs the simulation: traced and checked runs are
 /// bit-identical to plain ones.
+///
+/// The run is watchdog-guarded like every other: one that trips
+/// [`Watchdog::default`] panics with the [`SimError`] text, which
+/// [`run_jobs`] reports as a named job failure instead of a hang.
 pub fn run_condition_with<R>(
     cond: &Condition,
     iter: u32,
@@ -424,12 +428,9 @@ pub fn run_condition_with<R>(
     checks: bool,
     sink: impl FnOnce(&RunView) -> R,
 ) -> R {
-    // Unguarded runs cannot fail structurally: no chaos schedule to
-    // reject, no watchdog to trip.
-    match run_condition_core(cond, iter, trace, checks, None, sink) {
-        Ok(out) => out,
-        Err(e) => unreachable!("unguarded run returned {e}"),
-    }
+    let (none, dog) = (ScenarioSpec::new(), Watchdog::default());
+    run_condition_core(cond, iter, trace, checks, &none, &dog, sink)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`run_condition_with`] hardened for adversarial trials: applies an
@@ -447,18 +448,19 @@ pub fn run_condition_guarded<R>(
     dog: &Watchdog,
     sink: impl FnOnce(&RunView) -> R,
 ) -> Result<R, SimError> {
-    run_condition_core(cond, iter, None, checks, Some((chaos, dog)), sink)
+    run_condition_core(cond, iter, None, checks, chaos, dog, sink)
 }
 
-/// Shared core of the guarded and unguarded run paths. With `guard`
-/// `None` this is byte-for-byte the old unguarded loop (bit-identity
-/// pinned by the determinism matrix tests).
+/// Shared core of both run entry points: `chaos` is applied on top of the
+/// condition's own scenario (empty for a plain run) and the simulation
+/// runs under `dog`.
 fn run_condition_core<R>(
     cond: &Condition,
     iter: u32,
     trace: Option<&TraceSpec>,
     checks: bool,
-    guard: Option<(&ScenarioSpec, &Watchdog)>,
+    chaos: &ScenarioSpec,
+    dog: &Watchdog,
     sink: impl FnOnce(&RunView) -> R,
 ) -> Result<R, SimError> {
     let started = std::time::Instant::now();
@@ -466,13 +468,8 @@ fn run_condition_core<R>(
     let mut tb = topology::build_full(cond, iter, recorder, checks);
     // Run slightly past the end so the final bins fill.
     let until = cond.timeline.end + SimDuration::from_secs(1);
-    match guard {
-        None => tb.sim.run_until(until),
-        Some((chaos, dog)) => {
-            tb.sim.try_apply_scenario(chaos)?;
-            tb.sim.run_until_guarded(until, dog)?;
-        }
-    }
+    tb.sim.try_apply_scenario(chaos)?;
+    tb.sim.run_until_guarded(until, dog)?;
     let wall_secs = started.elapsed().as_secs_f64();
     let events_processed = tb.sim.events_processed();
     let past_clamps = tb.sim.past_clamps();
