@@ -9,23 +9,23 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy (all targets, warnings are errors)"
-cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (broken or private intra-doc links are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== cargo build --release"
-cargo build --release
+cargo build --release --locked
 # Every gate below that runs the simulator calls this one binary.
 gsrepro=target/release/gsrepro
 
 echo "== cargo test (workspace)"
-cargo test -q --workspace
+cargo test -q --locked --workspace
 
 echo "== digest pins (release)"
 # The pins above ran in the debug profile; users and benchmark/ run optimized
 # code, so the same pins must hold there too.
-cargo test --release -q --test digest_pins
+cargo test --release -q --locked --test digest_pins
 
 echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all five workloads)"
 # benchmark/ is a Cargo workspace of its own that reaches the simulator only
@@ -60,7 +60,7 @@ echo "== oracle-enabled 3-D AQM smoke (scorecard3d with --checks)"
 "$gsrepro" scorecard3d --smoke --iters 1 --checks --quiet
 
 echo "== scorecard snapshot (release, oracle-enabled grids)"
-cargo test --release -q -p gsrepro-testbed --test scorecard_snapshot -- --ignored
+cargo test --release -q --locked -p gsrepro-testbed --test scorecard_snapshot -- --ignored
 
 echo "== EXPERIMENTS.md quotes the committed scorecard artifact"
 # The counts were once typed by hand and drifted from the artifact (and the
@@ -76,7 +76,7 @@ echo "== model-oracle gate (Ware inflight-cap model, smoke grid under --checks)"
 # snapshot diff; the snapshot test then pins the exact per-cell verdicts
 # and the model scorecard matrix against tests/fixtures/model_oracle.txt.
 "$gsrepro" model_oracle --smoke --checks --quiet
-cargo test --release -q -p gsrepro-testbed --test model_snapshot -- --ignored
+cargo test --release -q --locked -p gsrepro-testbed --test model_snapshot -- --ignored
 
 echo "== fleet smoke gate (forced kill/resume must be bit-identical)"
 # A tiny campaign run three ways: (a) straight through, (b) halted after 2

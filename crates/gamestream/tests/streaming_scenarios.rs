@@ -7,9 +7,8 @@ use gsrepro_gamestream::{connect, StreamClient, StreamServer, SystemKind};
 use gsrepro_netsim::link::LinkSpec;
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
 use gsrepro_netsim::wire::FlowId;
-use gsrepro_simcore::rng::stream_id;
+use gsrepro_simcore::rng::{for_each_case, stream_id, Rng};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use proptest::prelude::*;
 
 struct Built {
     sim: Sim,
@@ -194,28 +193,30 @@ fn sparse_duplicates_never_decide_a_frame_twice() {
     assert!(fps <= 60.5 && fps > 57.0, "fps {fps}");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Whatever the capacity and queue, a solo stream never exceeds the
-    /// link and the client's loss estimate stays consistent with the
-    /// monitor's ground truth.
-    #[test]
-    fn solo_stream_invariants(
-        cap in 8u64..40,
-        qmult_pct in 50u64..700,
-        seed in 0u64..200,
-    ) {
+/// Whatever the capacity and queue, a solo stream never exceeds the
+/// link and the client's loss estimate stays consistent with the
+/// monitor's ground truth.
+#[test]
+fn solo_stream_invariants() {
+    for_each_case("solo_stream_invariants", 8, |rng| {
+        let cap = rng.gen_range(8u64..40);
+        let qmult_pct = rng.gen_range(50u64..700);
+        let seed = rng.gen_range(0u64..200);
         let qmult = qmult_pct as f64 / 100.0;
         let mut tb = build_stream(SystemKind::Luna, None, cap, qmult, seed);
         tb.sim.run_until(SimTime::from_secs(12));
         let st = tb.sim.net.monitor().stats(tb.media);
         let gp = st.mean_goodput_mbps(SimTime::from_secs(2), SimTime::from_secs(12));
-        prop_assert!(gp <= cap as f64 * 1.05 + 0.3, "goodput {} > cap {}", gp, cap);
+        assert!(
+            gp <= cap as f64 * 1.05 + 0.3,
+            "goodput {} > cap {}",
+            gp,
+            cap
+        );
         // Client packet count equals monitor delivered count.
         let client: &StreamClient = tb.sim.net.agent(tb.client);
-        prop_assert_eq!(client.total_packets(), st.delivered_pkts);
+        assert_eq!(client.total_packets(), st.delivered_pkts);
         // Displayed + skipped ≈ frames whose chunks were all sent.
-        prop_assert!(client.displayed_frames() > 0);
-    }
+        assert!(client.displayed_frames() > 0);
+    });
 }

@@ -9,8 +9,8 @@
 
 use gsrepro_netsim::apps::{CbrSource, SinkAgent};
 use gsrepro_netsim::{FlowId, LinkSpec, NetworkBuilder, ScenarioSpec, Sim};
+use gsrepro_simcore::rng::{for_each_case, Rng};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
-use proptest::prelude::*;
 
 const QUEUE_LIMIT: u64 = 50_000;
 
@@ -72,18 +72,18 @@ fn digest(seed: u64, scenario: &ScenarioSpec) -> (u64, u64, u64, u64, u64) {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Token-bucket credit is conserved across arbitrary rate re-shapes:
-    /// a random schedule of rate steps (including repeats at the same
-    /// instant) never forges or destroys tokens — the token-conservation
-    /// oracle audits every step and panics on the first discrepancy.
-    #[test]
-    fn rate_steps_conserve_tokens(
-        steps in prop::collection::vec((100u64..9_000, 1u64..30), 1..8),
-        seed in 0u64..1_000,
-    ) {
+/// Token-bucket credit is conserved across arbitrary rate re-shapes:
+/// a random schedule of rate steps (including repeats at the same
+/// instant) never forges or destroys tokens — the token-conservation
+/// oracle audits every step and panics on the first discrepancy.
+#[test]
+fn rate_steps_conserve_tokens() {
+    for_each_case("rate_steps_conserve_tokens", 32, |rng| {
+        let n = rng.gen_range(1..8usize);
+        let steps: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.gen_range(100..9_000), rng.gen_range(1..30)))
+            .collect();
+        let seed = rng.gen_range(0u64..1_000);
         let mut spec = ScenarioSpec::new();
         for &(at_ms, mbps) in &steps {
             spec = spec.rate(
@@ -95,29 +95,36 @@ proptest! {
         let (sent, delivered, dropped, events, performed) = digest(seed, &spec);
         // The oracles ran (clock checks alone are ~1/event) and the run
         // did real work through every re-rate.
-        prop_assert!(performed > 1_000, "only {performed} checks ran");
-        prop_assert!(events > 0);
-        prop_assert!(delivered > 0, "no packets survived the schedule");
+        assert!(performed > 1_000, "only {performed} checks ran");
+        assert!(events > 0);
+        assert!(delivered > 0, "no packets survived the schedule");
         // Endpoint conservation: nothing materializes from nowhere. The
         // strict identity (with in-flight) is the oracle's job per event;
         // at the endpoint the inequality must close without duplication.
-        prop_assert!(
+        assert!(
             delivered + dropped <= sent,
             "delivered {delivered} + dropped {dropped} > sent {sent}"
         );
         // Determinism: the same schedule and seed replays bit-identically.
-        prop_assert_eq!(digest(seed, &spec), (sent, delivered, dropped, events, performed));
-    }
+        assert_eq!(
+            digest(seed, &spec),
+            (sent, delivered, dropped, events, performed)
+        );
+    });
+}
 
-    /// Queue-limit shrinks evict newest-first without losing track of a
-    /// byte: random shrink/restore schedules keep the queue-bound oracle
-    /// (len_bytes ≤ limit, per event) and the packet-conservation oracle
-    /// (evictions counted as queue drops) satisfied throughout.
-    #[test]
-    fn queue_limit_steps_conserve_bytes(
-        steps in prop::collection::vec((100u64..9_000, 2_000u64..60_000), 1..8),
-        seed in 0u64..1_000,
-    ) {
+/// Queue-limit shrinks evict newest-first without losing track of a
+/// byte: random shrink/restore schedules keep the queue-bound oracle
+/// (len_bytes ≤ limit, per event) and the packet-conservation oracle
+/// (evictions counted as queue drops) satisfied throughout.
+#[test]
+fn queue_limit_steps_conserve_bytes() {
+    for_each_case("queue_limit_steps_conserve_bytes", 32, |rng| {
+        let n = rng.gen_range(1..8usize);
+        let steps: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.gen_range(100..9_000), rng.gen_range(2_000..60_000)))
+            .collect();
+        let seed = rng.gen_range(0u64..1_000);
         let mut spec = ScenarioSpec::new();
         for &(at_ms, limit) in &steps {
             spec = spec.queue_limit(
@@ -127,15 +134,15 @@ proptest! {
             );
         }
         let (sent, delivered, dropped, _events, performed) = digest(seed, &spec);
-        prop_assert!(performed > 1_000, "only {performed} checks ran");
+        assert!(performed > 1_000, "only {performed} checks ran");
         // 12 Mb/s into 10 Mb/s keeps a standing queue, so shrinks below
         // the standing depth evict and overload drops occur regardless.
-        prop_assert!(dropped > 0, "overloaded bottleneck never dropped");
-        prop_assert!(
+        assert!(dropped > 0, "overloaded bottleneck never dropped");
+        assert!(
             delivered + dropped <= sent,
             "delivered {delivered} + dropped {dropped} > sent {sent}"
         );
-    }
+    });
 }
 
 /// End-to-end regression for the FQ-CoDel `set_byte_limit` aggregate fix:

@@ -12,9 +12,8 @@ use gsrepro_netsim::apps::{CbrSource, SinkAgent};
 use gsrepro_netsim::{
     FlowId, LinkId, LinkProfile, LinkSpec, NetworkBuilder, ScenarioGen, ScenarioSpec, Sim,
 };
-use gsrepro_simcore::rng::rng_for;
+use gsrepro_simcore::rng::{for_each_case, rng_for, Rng};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimError, SimTime};
-use proptest::prelude::*;
 
 /// 12 Mb/s CBR into a 10 Mb/s bottleneck: a standing queue and steady
 /// deliveries, so every disturbance has traffic to act on.
@@ -191,19 +190,16 @@ fn inverted_windows_are_rejected_at_build_time() {
     let _ = ScenarioSpec::new().outage(SimTime::from_secs(2), SimTime::from_secs(1), LinkId(0));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Chaos-generated schedules are always valid `ScenarioSpec`s: every
-    /// sample passes `validate()`, stays inside the horizon, respects
-    /// per-link capabilities (no rate/queue steps on unshaped links),
-    /// and reproduces bit-identically from its seed.
-    #[test]
-    fn generated_schedules_are_always_valid(
-        seed in 0u64..10_000,
-        horizon_secs in 1u64..60,
-        max_disturbances in 1usize..12,
-    ) {
+/// Chaos-generated schedules are always valid `ScenarioSpec`s: every
+/// sample passes `validate()`, stays inside the horizon, respects
+/// per-link capabilities (no rate/queue steps on unshaped links),
+/// and reproduces bit-identically from its seed.
+#[test]
+fn generated_schedules_are_always_valid() {
+    for_each_case("generated_schedules_are_always_valid", 64, |rng| {
+        let seed = rng.gen_range(0u64..10_000);
+        let horizon_secs = rng.gen_range(1u64..60);
+        let max_disturbances = rng.gen_range(1usize..12);
         let gen = ScenarioGen {
             horizon: SimTime::from_secs(horizon_secs),
             max_disturbances,
@@ -213,13 +209,13 @@ proptest! {
             ],
         };
         let spec = gen.sample(&mut rng_for(seed, 0));
-        prop_assert!(spec.validate().is_ok(), "invalid spec from seed {seed}");
-        prop_assert!(!spec.steps.is_empty());
-        prop_assert!(spec.steps.len() <= 2 * max_disturbances);
+        assert!(spec.validate().is_ok(), "invalid spec from seed {seed}");
+        assert!(!spec.steps.is_empty());
+        assert!(spec.steps.len() <= 2 * max_disturbances);
         for st in &spec.steps {
-            prop_assert!(st.at < SimTime::from_secs(horizon_secs).max(SimTime::from_nanos(2 << 16)));
+            assert!(st.at < SimTime::from_secs(horizon_secs).max(SimTime::from_nanos(2 << 16)));
             if st.link == LinkId(0) {
-                prop_assert!(
+                assert!(
                     !matches!(
                         st.action,
                         gsrepro_netsim::ScenarioAction::Rate(_)
@@ -230,6 +226,6 @@ proptest! {
             }
         }
         // Same seed, same schedule — the repro contract.
-        prop_assert_eq!(gen.sample(&mut rng_for(seed, 0)), spec);
-    }
+        assert_eq!(gen.sample(&mut rng_for(seed, 0)), spec);
+    });
 }

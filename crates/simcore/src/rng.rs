@@ -10,6 +10,8 @@
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+pub use rand::Rng;
+
 /// The RNG type used throughout the simulator.
 ///
 /// `SmallRng` (xoshiro256++ on 64-bit platforms) is fast and, seeded
@@ -61,10 +63,30 @@ pub fn stream_id(label: &str) -> u64 {
     fnv1a(FNV_OFFSET, label.as_bytes())
 }
 
+/// Run the property `name` on `cases` inputs: case `k` gets its own
+/// [`SimRng`], seeded from the name's [`stream_id`] and `k`, so every case
+/// is independent and replays run-to-run. A panicking case is re-raised
+/// with the property name, the case index and the seed in the message.
+/// There is no shrinking: the failing case is reported as drawn.
+pub fn for_each_case(name: &str, cases: u32, mut body: impl FnMut(&mut SimRng)) {
+    for k in 0..cases {
+        let seed = stream_id(name) ^ (u64::from(k) << 32 | u64::from(k));
+        let mut rng = SimRng::seed_from_u64(seed);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
+        if let Err(payload) = run {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            panic!("property {name} failed at case {k} (seed {seed:#018x}): {msg}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn derivation_is_deterministic() {
@@ -104,5 +126,60 @@ mod tests {
     fn label_hashing_distinguishes_labels() {
         assert_ne!(stream_id("stadia"), stream_id("luna"));
         assert_ne!(stream_id(""), stream_id(" "));
+    }
+
+    /// The first three draws of a case, pinned: a property's inputs stay
+    /// the ones its cases were written and last passed against.
+    #[test]
+    fn case_streams_are_pinned() {
+        for (name, case, want) in [
+            (
+                "x",
+                3,
+                [
+                    0x10d3_3fd0_a139_3716,
+                    0x76af_469a_d6db_9806,
+                    0xa5b8_1654_d57a_3a50,
+                ],
+            ),
+            (
+                "engine_delivers_in_order",
+                0,
+                [
+                    0x7dc7_748e_b948_17da,
+                    0x74e6_6238_3f30_5210,
+                    0x6ea4_b1e3_fa41_ed8c,
+                ],
+            ),
+        ] {
+            let mut last = [0u64; 3];
+            for_each_case(name, case + 1, |rng| {
+                last = [rng.gen(), rng.gen(), rng.gen()]
+            });
+            assert_eq!(last, want, "{name} case {case}");
+        }
+    }
+
+    #[test]
+    fn a_failing_case_names_property_case_and_seed() {
+        let mut runs = 0;
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            for_each_case("fails_at_case_2", 4, |_| {
+                runs += 1;
+                assert!(runs < 3, "planted failure");
+            })
+        }))
+        .expect_err("case 2 panics");
+        assert_eq!(runs, 3, "no case runs after the failing one");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        let seed = stream_id("fails_at_case_2") ^ (2 << 32 | 2);
+        for part in [
+            "fails_at_case_2",
+            "case 2",
+            &format!("{seed:#018x}"),
+            "planted failure",
+        ] {
+            assert!(msg.contains(part), "{part:?} missing from {msg:?}");
+        }
     }
 }

@@ -25,8 +25,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use gsrepro_simcore::rng::{for_each_case, Rng};
 use gsrepro_simcore::{Engine, Scheduler, SimDuration, SimTime, TimerHandle, World};
-use proptest::prelude::*;
 
 /// World that records each delivery as `(time ns, tag)`.
 struct Log {
@@ -238,24 +238,29 @@ fn run_differential(ops: &[Op]) {
     assert_eq!(log.fired, model.fired, "drain order diverged");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
-
-    #[test]
-    fn wheel_matches_heap_reference(
-        far in prop::collection::vec((4u64..6, any::<u64>()), 0..4),
-        raw_ops in prop::collection::vec((0u8..17, any::<u64>(), 0u8..64), 1..400),
-    ) {
+#[test]
+fn wheel_matches_heap_reference() {
+    for_each_case("wheel_matches_heap_reference", 192, |rng| {
+        let n = rng.gen_range(0..4usize);
+        let far: Vec<(u64, u64)> = (0..n).map(|_| (rng.gen_range(4..6), rng.gen())).collect();
+        let n = rng.gen_range(1..400usize);
+        let raw_ops: Vec<(u8, u64, u8)> = (0..n)
+            .map(|_| (rng.gen_range(0..17), rng.gen(), rng.gen_range(0..64)))
+            .collect();
         // Seconds-and-beyond events first, so most streams start the way a
         // scenario run does: the wheel holds only what is far ahead.
         let seeded = far.iter().map(|&(class, v)| Op::At {
             dt: delay_of(class, v),
         });
         let ops: Vec<Op> = seeded
-            .chain(raw_ops.iter().map(|&(sel, raw, idx)| decode_op(sel, raw, idx)))
+            .chain(
+                raw_ops
+                    .iter()
+                    .map(|&(sel, raw, idx)| decode_op(sel, raw, idx)),
+            )
             .collect();
         run_differential(&ops);
-    }
+    });
 }
 
 /// Regression shape for the lane/bucket ordering hazard: a wheel entry

@@ -78,7 +78,7 @@ impl<K: Copy + PartialOrd, V: Copy + Ord> WindowedExtremum<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use gsrepro_simcore::rng::{for_each_case, Rng, SimRng};
 
     /// The filters this type replaced: keep every sample, `retain` the
     /// window, rescan for the extremum.
@@ -132,36 +132,50 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Up to `len - 1` steps of `(dk < dk_end, value < value_end, skip)`,
+    /// the count drawn first.
+    fn steps(rng: &mut SimRng, dk_end: u64, value_end: u64, len: usize) -> Vec<(u64, u64, bool)> {
+        let n = rng.gen_range(1..len);
+        (0..n)
+            .map(|_| {
+                (
+                    rng.gen_range(0..dk_end),
+                    rng.gen_range(0..value_end),
+                    rng.gen(),
+                )
+            })
+            .collect()
+    }
 
-        /// Few distinct values and many zero key steps: ties, repeated
-        /// keys and long dominated runs.
-        #[test]
-        fn matches_brute_force_max(
-            window in 0u64..12,
-            steps in prop::collection::vec((0u64..3, 0u64..8, any::<bool>()), 1..200),
-        ) {
+    /// Few distinct values and many zero key steps: ties, repeated
+    /// keys and long dominated runs.
+    #[test]
+    fn matches_brute_force_max() {
+        for_each_case("matches_brute_force_max", 256, |rng| {
+            let window = rng.gen_range(0u64..12);
+            let steps = steps(rng, 3, 8, 200);
             check(true, window, &steps);
-        }
+        });
+    }
 
-        #[test]
-        fn matches_brute_force_min(
-            window in 0u64..12,
-            steps in prop::collection::vec((0u64..3, 0u64..8, any::<bool>()), 1..200),
-        ) {
+    #[test]
+    fn matches_brute_force_min() {
+        for_each_case("matches_brute_force_min", 256, |rng| {
+            let window = rng.gen_range(0u64..12);
+            let steps = steps(rng, 3, 8, 200);
             check(false, window, &steps);
-        }
+        });
+    }
 
-        /// Key jumps longer than the window empty it between samples.
-        #[test]
-        fn matches_brute_force_across_gaps(
-            window in 1u64..6,
-            steps in prop::collection::vec((0u64..20, 0u64..1_000, any::<bool>()), 1..100),
-        ) {
+    /// Key jumps longer than the window empty it between samples.
+    #[test]
+    fn matches_brute_force_across_gaps() {
+        for_each_case("matches_brute_force_across_gaps", 256, |rng| {
+            let window = rng.gen_range(1u64..6);
+            let steps = steps(rng, 20, 1_000, 100);
             check(true, window, &steps);
             check(false, window, &steps);
-        }
+        });
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! `snd_una`, re-advertised), SACK- and dupack-triggered loss marking,
 //! retransmissions and RTOs.
 
+use gsrepro_simcore::rng::{for_each_case, Rng};
 use gsrepro_simcore::{SimDuration, SimTime};
 use gsrepro_tcp::scoreboard::{Acked, Scoreboard, SentSeg};
-use proptest::prelude::*;
 
 const MSS: u64 = 1448;
 const RTT_GATE: SimDuration = SimDuration::from_millis(20);
@@ -239,19 +239,19 @@ fn run_differential(ops: &[Op]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn scoreboard_matches_full_scan_reference(
-        raw_ops in prop::collection::vec((0u8..20, any::<u64>(), any::<u64>()), 1..300),
-    ) {
+#[test]
+fn scoreboard_matches_full_scan_reference() {
+    for_each_case("scoreboard_matches_full_scan_reference", 256, |rng| {
+        let n = rng.gen_range(1..300usize);
+        let raw_ops: Vec<(u8, u64, u64)> = (0..n)
+            .map(|_| (rng.gen_range(0..20), rng.gen(), rng.gen()))
+            .collect();
         let ops: Vec<Op> = raw_ops
             .iter()
             .map(|&(sel, a, b)| decode_op(sel, a, b))
             .collect();
         run_differential(&ops);
-    }
+    });
 }
 
 /// The shapes the shortcuts could get wrong, as a fixed case: a SACK that

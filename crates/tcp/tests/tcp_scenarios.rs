@@ -6,9 +6,9 @@ use gsrepro_netsim::link::{LinkId, LinkSpec};
 use gsrepro_netsim::net::{AgentId, NetworkBuilder, Sim};
 use gsrepro_netsim::wire::{FlowId, TCP_MSS};
 use gsrepro_netsim::ScenarioSpec;
+use gsrepro_simcore::rng::{for_each_case, Rng};
 use gsrepro_simcore::{BitRate, Bytes, SimDuration, SimTime};
 use gsrepro_tcp::{connect, Bbr, CcaKind, TcpReceiver, TcpSender};
-use proptest::prelude::*;
 
 struct Built {
     sim: Sim,
@@ -43,47 +43,56 @@ fn build(
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Reliability: whatever the loss rate and queue size, the receiver's
-    /// in-order byte count equals the sender's delivered counter within
-    /// one window, and both make progress.
-    #[test]
-    fn reliable_delivery_under_random_loss(
-        loss in 0.0f64..0.12,
-        queue in 8_000u64..120_000,
-        rate in 5u64..30,
-        seed in 0u64..500,
-    ) {
+/// Reliability: whatever the loss rate and queue size, the receiver's
+/// in-order byte count equals the sender's delivered counter within
+/// one window, and both make progress.
+#[test]
+fn reliable_delivery_under_random_loss() {
+    for_each_case("reliable_delivery_under_random_loss", 12, |rng| {
+        let loss = rng.gen_range(0.0f64..0.12);
+        let queue = rng.gen_range(8_000u64..120_000);
+        let rate = rng.gen_range(5u64..30);
+        let seed = rng.gen_range(0u64..500);
         let mut tb = build(CcaKind::Cubic, rate, queue, 8, loss, seed);
         tb.sim.run_until(SimTime::from_secs(20));
         let s: &TcpSender = tb.sim.net.agent(tb.sender);
         let r: &TcpReceiver = tb.sim.net.agent(tb.recv);
-        prop_assert!(r.bytes_received() > 100_000, "no progress: {}", r.bytes_received());
+        assert!(
+            r.bytes_received() > 100_000,
+            "no progress: {}",
+            r.bytes_received()
+        );
         let gap = s.delivered_bytes() as i64 - r.bytes_received() as i64;
-        prop_assert!(
+        assert!(
             gap.abs() < 2_000_000,
-            "sender delivered {} vs receiver {}", s.delivered_bytes(), r.bytes_received()
+            "sender delivered {} vs receiver {}",
+            s.delivered_bytes(),
+            r.bytes_received()
         );
         // Receiver never sees a byte twice in-order: rcv_nxt equals the
         // in-order count exactly (stream starts at 0).
-        prop_assert_eq!(r.rcv_nxt(), r.bytes_received());
-    }
+        assert_eq!(r.rcv_nxt(), r.bytes_received());
+    });
+}
 
-    /// Goodput never exceeds the link under any CCA.
-    #[test]
-    fn goodput_bounded(
-        cca_idx in 0usize..4,
-        rate in 5u64..40,
-        seed in 0u64..100,
-    ) {
+/// Goodput never exceeds the link under any CCA.
+#[test]
+fn goodput_bounded() {
+    for_each_case("goodput_bounded", 12, |rng| {
+        let cca_idx = rng.gen_range(0usize..4);
+        let rate = rng.gen_range(5u64..40);
+        let seed = rng.gen_range(0u64..100);
         let cca = [CcaKind::Reno, CcaKind::Cubic, CcaKind::Bbr, CcaKind::Vegas][cca_idx];
         let mut tb = build(cca, rate, 60_000, 8, 0.0, seed);
         tb.sim.run_until(SimTime::from_secs(15));
-        let gp = tb.sim.goodput_mbps(tb.data, SimTime::from_secs(2), SimTime::from_secs(15));
-        prop_assert!(gp <= rate as f64 * 1.03 + 0.3, "{cca:?} goodput {gp} > {rate}");
-    }
+        let gp = tb
+            .sim
+            .goodput_mbps(tb.data, SimTime::from_secs(2), SimTime::from_secs(15));
+        assert!(
+            gp <= rate as f64 * 1.03 + 0.3,
+            "{cca:?} goodput {gp} > {rate}"
+        );
+    });
 }
 
 #[test]

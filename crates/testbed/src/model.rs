@@ -741,7 +741,7 @@ pub fn model_scorecard(report: &OracleReport) -> Scorecard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use gsrepro_simcore::rng::{for_each_case, Rng};
 
     fn input(x: f64) -> ModelInput {
         // 33 ms base RTT: X = 2 already clears the 50 ms drain floor.
@@ -829,16 +829,15 @@ mod tests {
         );
     }
 
-    proptest! {
-        /// For all valid inputs the stable root is a proper share,
-        /// strictly inside (0, 1).
-        #[test]
-        fn share_in_unit_interval(
-            x in 2.0f64..64.0,
-            cap in 5u64..200,
-            rtt_us in 2_000u64..200_000,
-            n in 1u32..8,
-        ) {
+    /// For all valid inputs the stable root is a proper share,
+    /// strictly inside (0, 1).
+    #[test]
+    fn share_in_unit_interval() {
+        for_each_case("share_in_unit_interval", 32, |rng| {
+            let x = rng.gen_range(2.0f64..64.0);
+            let cap = rng.gen_range(5u64..200);
+            let rtt_us = rng.gen_range(2_000u64..200_000);
+            let n = rng.gen_range(1u32..8);
             let i = ModelInput {
                 capacity: BitRate::from_mbps(cap),
                 base_rtt: SimDuration::from_micros(rtt_us),
@@ -847,46 +846,52 @@ mod tests {
                 n_bbr: 1,
             };
             let p = predict(&i).loss_share;
-            prop_assert!(p > 0.0 && p < 1.0, "p = {p}");
-        }
+            assert!(p > 0.0 && p < 1.0, "p = {p}");
+        });
+    }
 
-        /// The solved share is monotone non-decreasing in the queue
-        /// multiple X.
-        #[test]
-        fn share_monotone_in_queue_mult(
-            x in 2.0f64..64.0,
-            dx in 0.0f64..32.0,
-            cap in 5u64..200,
-            rtt_us in 2_000u64..200_000,
-        ) {
+    /// The solved share is monotone non-decreasing in the queue
+    /// multiple X.
+    #[test]
+    fn share_monotone_in_queue_mult() {
+        for_each_case("share_monotone_in_queue_mult", 32, |rng| {
+            let x = rng.gen_range(2.0f64..64.0);
+            let dx = rng.gen_range(0.0f64..32.0);
+            let cap = rng.gen_range(5u64..200);
+            let rtt_us = rng.gen_range(2_000u64..200_000);
             let p_lo = predict(&input_with(cap, rtt_us, x)).loss_share;
             let p_hi = predict(&input_with(cap, rtt_us, x + dx)).loss_share;
-            prop_assert!(p_hi >= p_lo - 1e-12, "p({x}) = {p_lo} > p({}) = {p_hi}", x + dx);
-        }
+            assert!(
+                p_hi >= p_lo - 1e-12,
+                "p({x}) = {p_lo} > p({}) = {p_hi}",
+                x + dx
+            );
+        });
+    }
 
-        /// Plugging the solved share back into the snippet's cap formula
-        /// `2·p·(1−p)·q` reproduces the exposed cap within 1e-9, and the
-        /// two sides of the full equilibrium balance to the same
-        /// precision (relative).
-        #[test]
-        fn cap_roundtrip(
-            x in 2.0f64..64.0,
-            cap in 5u64..200,
-            rtt_us in 2_000u64..200_000,
-        ) {
+    /// Plugging the solved share back into the snippet's cap formula
+    /// `2·p·(1−p)·q` reproduces the exposed cap within 1e-9, and the
+    /// two sides of the full equilibrium balance to the same
+    /// precision (relative).
+    #[test]
+    fn cap_roundtrip() {
+        for_each_case("cap_roundtrip", 32, |rng| {
+            let x = rng.gen_range(2.0f64..64.0);
+            let cap = rng.gen_range(5u64..200);
+            let rtt_us = rng.gen_range(2_000u64..200_000);
             let i = input_with(cap, rtt_us, x);
             let pred = predict(&i);
             let (p, q, b) = (pred.loss_share, i.queue_bytes(), i.bdp_bytes());
             let cap_again = 2.0 * p * (1.0 - p) * q;
-            prop_assert!(
+            assert!(
                 (cap_again - pred.inflight_cap_bytes).abs()
                     <= 1e-9 * pred.inflight_cap_bytes.max(1.0)
             );
             // Full equilibrium: 2(1−p)(b + pq) = (1−p)(q + b).
             let lhs = 2.0 * (1.0 - p) * (b + p * q);
             let rhs = (1.0 - p) * (q + b);
-            prop_assert!((lhs - rhs).abs() <= 1e-9 * rhs.max(1.0), "{lhs} vs {rhs}");
-        }
+            assert!((lhs - rhs).abs() <= 1e-9 * rhs.max(1.0), "{lhs} vs {rhs}");
+        });
     }
 
     fn input_with(cap: u64, rtt_us: u64, x: f64) -> ModelInput {

@@ -59,7 +59,7 @@ impl FleetArgs {
         FleetArgs {
             sessions: args.positive("--sessions").unwrap_or(sessions),
             scale: args.scale("--scale").unwrap_or(0.02),
-            shard_size: args.value("--shard-size").unwrap_or(shard_size),
+            shard_size: args.positive("--shard-size").unwrap_or(shard_size),
             threads: args
                 .value("--threads")
                 .unwrap_or_else(gsrepro_testbed::runner::default_threads),

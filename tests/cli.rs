@@ -38,6 +38,7 @@ fn bad_invocations_exit_2_with_usage() {
         &["table3", "--no-such-flag"],
         &["table2", "stray"],
         &["fleet", "--sessions"],
+        &["fleet", "--smoke", "--shard-size", "0"],
         &["chaos", "--trials", "0"],
         &["ablation", "--checks"],
         &["multiflow", "--iters", "1"],
