@@ -57,7 +57,7 @@ echo "== oracle-enabled smoke (figure2 grid with --checks)"
 "$gsrepro" figure2 --smoke --iters 1 --checks
 
 echo "== oracle-enabled 3-D AQM smoke (scorecard3d with --checks)"
-"$gsrepro" scorecard3d --smoke --iters 1 --checks --quiet
+"$gsrepro" scorecard3d --smoke --iters 1 --checks
 
 echo "== scorecard snapshot (release, oracle-enabled grids)"
 cargo test --release -q --locked -p gsrepro-testbed --test scorecard_snapshot -- --ignored
@@ -75,7 +75,7 @@ echo "== model-oracle gate (Ware inflight-cap model, smoke grid under --checks)"
 # model-applicable cell, so a CCA regression fails CI even before the
 # snapshot diff; the snapshot test then pins the exact per-cell verdicts
 # and the model scorecard matrix against tests/fixtures/model_oracle.txt.
-"$gsrepro" model_oracle --smoke --checks --quiet
+"$gsrepro" model_oracle --smoke --checks
 cargo test --release -q --locked -p gsrepro-testbed --test model_snapshot -- --ignored
 
 echo "== fleet smoke gate (forced kill/resume must be bit-identical)"

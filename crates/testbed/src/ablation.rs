@@ -21,9 +21,9 @@ use gsrepro_netsim::LinkSpec;
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::{connect, Bbr, CcaKind, TcpSender};
 
-use crate::config::{Aqm, Condition, Timeline, EQUALIZED_RTT};
+use crate::config::{Aqm, Condition, EQUALIZED_RTT};
+use crate::experiments::ExperimentOpts;
 use crate::report::TextTable;
-use crate::runner::run_many;
 
 /// One cell of the controller-swap ablation.
 pub struct SwapCell {
@@ -44,7 +44,7 @@ pub struct ControllerSwap {
 }
 
 /// Run the controller-swap ablation.
-pub fn controller_swap(timeline: Timeline, iterations: u32, threads: usize) -> ControllerSwap {
+pub fn controller_swap(opts: &ExperimentOpts) -> ControllerSwap {
     let controllers = [
         ControllerKind::Gcc,
         ControllerKind::DelayConservative,
@@ -54,14 +54,15 @@ pub fn controller_swap(timeline: Timeline, iterations: u32, threads: usize) -> C
     for &cca in &[CcaKind::Cubic, CcaKind::Bbr] {
         for &profile in &SystemKind::ALL {
             for &ctrl in &controllers {
-                let mut c = Condition::new(profile, Some(cca), 25, 2.0).with_timeline(timeline);
+                let mut c =
+                    Condition::new(profile, Some(cca), 25, 2.0).with_timeline(opts.timeline);
                 c.controller_override = Some(ctrl);
                 conditions.push(c);
             }
         }
     }
-    let results = run_many(&conditions, iterations, threads);
-    let cells = results
+    let cells = opts
+        .run(&conditions)
         .iter()
         .map(|cr| SwapCell {
             profile: cr.condition.system,
@@ -236,19 +237,18 @@ pub struct AqmCell {
 }
 
 /// Run the AQM ablation for all systems vs Cubic at 7×-BDP.
-pub fn aqm_sweep(timeline: Timeline, iterations: u32, threads: usize) -> Vec<AqmCell> {
+pub fn aqm_sweep(opts: &ExperimentOpts) -> Vec<AqmCell> {
     let mut conditions = Vec::new();
     for &aqm in &[Aqm::DropTail, Aqm::CoDel, Aqm::FqCoDel] {
         for &sys in &SystemKind::ALL {
             conditions.push(
                 Condition::new(sys, Some(CcaKind::Cubic), 25, 7.0)
                     .with_aqm(aqm)
-                    .with_timeline(timeline),
+                    .with_timeline(opts.timeline),
             );
         }
     }
-    let results = run_many(&conditions, iterations, threads);
-    results
+    opts.run(&conditions)
         .iter()
         .map(|cr| AqmCell {
             aqm: cr.condition.aqm,
@@ -284,7 +284,10 @@ mod tests {
 
     #[test]
     fn controller_swap_smoke() {
-        let swap = controller_swap(Timeline::scaled(0.06), 1, crate::runner::default_threads());
+        let mut opts = ExperimentOpts::smoke();
+        opts.iterations = 1;
+        opts.timeline = crate::config::Timeline::scaled(0.06);
+        let swap = controller_swap(&opts);
         assert_eq!(swap.cells.len(), 18);
         // Every (profile, controller, cca) cell exists.
         for &p in &SystemKind::ALL {

@@ -37,7 +37,7 @@ use gsrepro_tcp::conformance::ALL_KINDS;
 use gsrepro_tcp::CcaKind;
 
 use crate::config::{Aqm, Condition, Timeline, AQMS};
-use crate::runner::{default_threads, panic_message, run_condition_guarded, run_jobs, RunView};
+use crate::runner::{default_threads, panic_message, run_condition_core, run_jobs, RunView};
 use crate::topology::{BOTTLENECK_LINK, WAN_GAME_LINK};
 
 /// How one chaos trial ended.
@@ -517,7 +517,7 @@ fn run_leg(
     dog: &Watchdog,
 ) -> Result<u64, ChaosVerdict> {
     let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_condition_guarded(cond, iter, true, schedule, dog, digest)
+        run_condition_core(cond, iter, None, true, schedule, dog, digest)
     }));
     match caught {
         Ok(Ok(d)) => Ok(d),

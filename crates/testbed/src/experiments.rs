@@ -1,13 +1,14 @@
 //! One entry point per table and figure of the paper.
 //!
-//! Each function runs (or reuses) the relevant condition grid and reduces
-//! it to the paper's artifact. The returned structs carry the numbers; the
-//! `Display`/`csv` methods render them for terminals and plotting scripts.
+//! Table 1 runs its own grid; every other function reduces a grid the
+//! caller ran once with [`ExperimentOpts::run`] to the paper's artifact.
+//! The returned structs carry the numbers; the `Display`/`csv` methods
+//! render them for terminals and plotting scripts.
 //!
 //! | paper artifact | function | grid |
 //! |---|---|---|
 //! | Table 1 (unconstrained bitrates) | [`table1`] | [`Grid::table1`] |
-//! | Figure 2 (bitrate vs time, B25) | [`figure2`] | [`Grid::figure2`] |
+//! | Figure 2 (bitrate vs time, B25) | [`figure2`] | [`Grid::figure2`] or full grid |
 //! | Figure 3 (fairness heatmaps) | [`figure3`] | full grid |
 //! | Figure 4 (adaptiveness vs fairness) | [`figure4`] | full grid |
 //! | Table 3 (RTT, solo) | [`table3`] | solo grid |
@@ -16,6 +17,8 @@
 //! | Tech-report loss tables | [`loss_tables`] | solo + full grid |
 
 use std::fmt;
+use std::path::PathBuf;
+use std::time::Instant;
 
 use gsrepro_gamestream::SystemKind;
 use gsrepro_simcore::stats::{mean_ci95, Samples};
@@ -24,7 +27,7 @@ use gsrepro_tcp::CcaKind;
 use crate::config::{Aqm, Condition, Grid, Timeline, CAPACITIES_MBPS, CCAS, QUEUE_MULTS};
 use crate::metrics;
 use crate::report::{heat_glyph, mean_sd, mean_sd2, Csv, TextTable};
-use crate::runner::{run_many_full, ConditionResult, TraceSpec};
+use crate::runner::{run_many_full, ConditionResult};
 
 /// How much work to spend: iteration count, parallelism, timeline.
 #[derive(Clone, Debug)]
@@ -35,24 +38,13 @@ pub struct ExperimentOpts {
     pub threads: usize,
     /// Timeline (full paper timeline, or scaled for smoke tests).
     pub timeline: Timeline,
-    /// Export per-run flight-recorder traces (`--trace <dir>`).
-    pub trace: Option<TraceSpec>,
+    /// Export per-run flight-recorder traces into this directory, one
+    /// `<label>-i<iter>.csv` per run (`--trace <dir>`).
+    pub trace: Option<PathBuf>,
     /// Run with invariant oracles enabled (`--checks`): every run audits
     /// packet/token conservation, queue bounds and encoder-rate sanity,
     /// panicking with a structured report on the first violation.
     pub checks: bool,
-}
-
-impl Default for ExperimentOpts {
-    fn default() -> Self {
-        ExperimentOpts {
-            iterations: 15,
-            threads: crate::runner::default_threads(),
-            timeline: Timeline::paper(),
-            trace: None,
-            checks: false,
-        }
-    }
 }
 
 impl ExperimentOpts {
@@ -78,15 +70,35 @@ impl ExperimentOpts {
         }
     }
 
-    /// Run every condition with these options ([`run_many_full`]).
+    /// Run every condition with these options ([`run_many_full`]), then
+    /// log the grid's throughput to stderr: runs, engine events, wall time
+    /// and events per second of summed run time. Every CLI sweep runs
+    /// through here, so a collapse shows in normal use.
     pub fn run(&self, conditions: &[Condition]) -> Vec<ConditionResult> {
-        run_many_full(
+        let started = Instant::now();
+        let results = run_many_full(
             conditions,
             self.iterations,
             self.threads,
-            self.trace.as_ref(),
+            self.trace.as_deref(),
             self.checks,
-        )
+        );
+        let runs = results.iter().flat_map(|cr| &cr.runs);
+        let events: u64 = runs.clone().map(|r| r.events_processed).sum();
+        let run_wall: f64 = runs.clone().map(|r| r.wall_secs).sum();
+        let per_sec = if run_wall > 0.0 {
+            events as f64 / run_wall
+        } else {
+            0.0
+        };
+        eprintln!(
+            "grid: {} runs, {} events in {:.2} s wall ({:.2}M events/s)",
+            runs.count(),
+            events,
+            started.elapsed().as_secs_f64(),
+            per_sec / 1e6,
+        );
+        results
     }
 }
 
@@ -225,15 +237,15 @@ pub struct Figure2 {
     pub timeline: Timeline,
 }
 
-/// Run Figure 2's slice of the grid.
-pub fn figure2(opts: ExperimentOpts) -> Figure2 {
-    let results = opts.run(&Grid::figure2(opts.timeline));
+/// Reduce a grid to Figure 2. Only its 25 Mb/s slice is read, so the
+/// bare [`Grid::figure2`] slice and the full grid give the same figure.
+pub fn figure2(grid: &GridResults) -> Figure2 {
     let mut panels = Vec::new();
     for &cca in &CCAS {
         for &sys in &SystemKind::ALL {
             let mut series = Vec::new();
             for &q in &QUEUE_MULTS {
-                if let Some(cr) = find_cell(&results, sys, Some(cca), 25, q) {
+                if let Some(cr) = grid.get(sys, Some(cca), 25, q) {
                     series.push((q, cr.game_series_ci()));
                 }
             }
@@ -246,7 +258,7 @@ pub fn figure2(opts: ExperimentOpts) -> Figure2 {
     }
     Figure2 {
         panels,
-        timeline: opts.timeline,
+        timeline: grid.opts.timeline,
     }
 }
 
@@ -1076,6 +1088,35 @@ mod tests {
                 assert!(find_cell(&grid.results, c.system, c.cca, cap + 1, q).is_none());
             }
         }
+    }
+
+    #[test]
+    fn figure2_reads_only_its_slice() {
+        let mut opts = ExperimentOpts::smoke();
+        opts.iterations = 1;
+        opts.timeline = Timeline::scaled(0.02);
+        let slice = GridResults {
+            results: opts.run(&Grid::figure2(opts.timeline)),
+            opts: opts.clone(),
+        };
+        // The full grid's other capacities, with no runs: a figure that
+        // read one of them would lose that cell's series.
+        let off_slice = Grid::full(opts.timeline)
+            .into_iter()
+            .filter(|c| c.capacity != gsrepro_simcore::BitRate::from_mbps(25))
+            .map(|condition| ConditionResult {
+                condition,
+                runs: Vec::new(),
+            });
+        let padded = GridResults {
+            results: slice.results.iter().cloned().chain(off_slice).collect(),
+            opts: opts.clone(),
+        };
+        assert_eq!(padded.results.len(), 18 + 36);
+        let (bare, wide) = (figure2(&slice), figure2(&padded));
+        assert_eq!(bare.to_string(), wide.to_string());
+        assert_eq!(bare.csv(), wide.csv());
+        assert!(bare.panels.iter().all(|p| p.series.len() == 3));
     }
 
     #[test]

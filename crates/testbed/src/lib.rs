@@ -12,13 +12,17 @@
 //! * [`topology`] — builds the testbed network for one condition (game
 //!   server, iperf server, router with the shaped bottleneck, clients,
 //!   RTT equalized at 16.5 ms as in the paper);
-//! * [`runner`] — executes conditions for many seeded iterations, in
-//!   parallel across OS threads, collecting per-run series;
+//! * [`runner`] — runs one seeded iteration of a condition
+//!   ([`runner::run_condition_with`]) or a whole grid of them in parallel
+//!   across OS threads ([`runner::run_many_full`]), collecting per-run
+//!   series;
 //! * [`metrics`] — response time, recovery time, adaptiveness *A*,
 //!   fairness (normalized bitrate difference), plus the harm metric from
 //!   the paper's future-work section;
-//! * [`experiments`] — one entry point per table/figure (Table 1, Figure
-//!   2, Figure 3, Figure 4, Tables 3-5, the tech-report loss tables);
+//! * [`experiments`] — [`ExperimentOpts::run`](experiments::ExperimentOpts::run),
+//!   the sized grid run every CLI sweep goes through, and one entry point
+//!   per table/figure (Table 1, Figure 2, Figure 3, Figure 4, Tables 3-5,
+//!   the tech-report loss tables);
 //! * [`ablation`] — the DESIGN.md ablations: controller-archetype swap,
 //!   BBR in-flight-cap sweep, AQM sweep;
 //! * [`report`] — ASCII tables/heatmaps and CSV emission;
@@ -54,5 +58,5 @@ pub use config::{Aqm, Condition, Grid, Timeline};
 pub use gsrepro_gamestream::SystemKind;
 pub use gsrepro_tcp::CcaKind;
 pub use model::{model_scorecard, run_model_oracle, CellVerdict, OracleReport, OracleSpec};
-pub use runner::{run_condition, run_many, ConditionResult, RunResult};
+pub use runner::{run_condition_with, run_many_full, ConditionResult, RunResult};
 pub use sketch::MetricSketch;

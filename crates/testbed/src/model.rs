@@ -427,7 +427,7 @@ pub struct OracleSpec {
     pub duration: SimDuration,
     /// Run with the invariant oracles auditing every cell.
     pub checks: bool,
-    /// Worker threads (0 = all available).
+    /// Worker threads.
     pub threads: usize,
     /// Perturbed BBR `cwnd_gain` (`None` = stock 2.0).
     pub bbr_cwnd_gain: Option<f64>,
@@ -447,7 +447,7 @@ impl OracleSpec {
             ],
             duration: SimDuration::from_secs(120),
             checks: false,
-            threads: 0,
+            threads: runner::default_threads(),
             bbr_cwnd_gain: None,
         }
     }
@@ -514,14 +514,9 @@ pub fn grade_cell(cell: &BulkCell, measured: BulkMeasurement) -> OracleCell {
 /// seeds derive from cell labels and grading is pure arithmetic.
 pub fn run_model_oracle(spec: &OracleSpec) -> OracleReport {
     let cells = spec.cells();
-    let threads = if spec.threads == 0 {
-        runner::default_threads()
-    } else {
-        spec.threads
-    };
     let results = runner::run_jobs(
         cells.len(),
-        threads,
+        spec.threads,
         |i| {
             let m = run_bulk_cell(&cells[i], spec.duration, spec.checks, spec.bbr_cwnd_gain);
             grade_cell(&cells[i], m)

@@ -7,8 +7,8 @@
 //! Iteration `i` of a condition always uses the same derived seed, so any
 //! run can be reproduced in isolation.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use gsrepro_gamestream::client::StreamClient;
 use gsrepro_gamestream::server::StreamServer;
@@ -245,32 +245,11 @@ impl ConditionResult {
     }
 }
 
-/// Where per-run telemetry traces are exported.
-#[derive(Clone, Debug)]
-pub struct TraceSpec {
-    /// Directory receiving one `<label>-i<iter>.csv` per run.
-    pub dir: PathBuf,
-}
-
-impl TraceSpec {
-    /// Trace into `dir` with the default recorder configuration.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        TraceSpec { dir: dir.into() }
-    }
-}
-
-/// Run a single iteration of a condition to completion: the plain form
-/// of [`run_condition_with`] (no tracing, no oracles, everything cloned
-/// into a [`RunResult`]).
-pub fn run_condition(cond: &Condition, iter: u32) -> RunResult {
-    run_condition_with(cond, iter, None, false, |view| view.to_result())
-}
-
 /// Borrowed view over a finished run: everything a metrics consumer needs,
 /// still inside the live testbed, with **no per-bin vector cloned**.
 ///
-/// [`run_condition`] materializes a full [`RunResult`] from it (and pays
-/// the clones); the fleet campaign layer ([`crate::campaign`])
+/// [`RunView::to_result`] materializes a full [`RunResult`] from it (and
+/// pays the clones); the fleet campaign layer ([`crate::campaign`])
 /// instead reduces the view to a handful of per-session scalars and lets
 /// the whole simulation drop — that is what keeps a 100k-session sweep
 /// memory-flat.
@@ -404,12 +383,13 @@ impl RunView<'_> {
 /// Run one iteration of a condition and reduce it through `sink` while the
 /// testbed is still alive. The sink receives a [`RunView`] borrowing the
 /// simulation state; whatever it returns is the run's only retained
-/// output. This is the primitive both [`run_condition`] (sink = "clone
-/// everything into a [`RunResult`]") and the fleet campaign layer (sink =
-/// "stream a few scalars into bounded sketches") build on.
+/// output. This is the one-run primitive both [`run_many_full`] (sink =
+/// `|v| v.to_result()`, "clone everything into a [`RunResult`]") and the
+/// fleet campaign layer (sink = "stream a few scalars into bounded
+/// sketches") build on.
 ///
 /// With `trace` set, the flight recorder observes the run and its per-flow
-/// rings are flushed to `<trace.dir>/<label>-i<iter>.csv` before
+/// rings are flushed to `<trace>/<label>-i<iter>.csv` before
 /// returning. With `checks` on, the network audits packet/token
 /// conservation, queue bounds and telemetry agreement throughout the run,
 /// and the runner adds a testbed-level oracle on top: every encoder rate
@@ -424,7 +404,7 @@ impl RunView<'_> {
 pub fn run_condition_with<R>(
     cond: &Condition,
     iter: u32,
-    trace: Option<&TraceSpec>,
+    trace: Option<&Path>,
     checks: bool,
     sink: impl FnOnce(&RunView) -> R,
 ) -> R {
@@ -433,31 +413,16 @@ pub fn run_condition_with<R>(
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_condition_with`] hardened for adversarial trials: applies an
-/// extra chaos [`ScenarioSpec`] on top of the condition's own scenario,
-/// and runs the whole simulation under a [`Watchdog`]. Invalid schedules
-/// and runaway or livelocked runs come back as structured
-/// [`SimError`]s instead of panicking or hanging the fleet; invariant-
-/// oracle violations still panic (the campaign layer catches and
-/// classifies those).
-pub fn run_condition_guarded<R>(
+/// [`run_condition_with`] with an extra chaos [`ScenarioSpec`] applied on
+/// top of the condition's own scenario (empty for a plain run) and the
+/// whole simulation under `dog`. Invalid schedules and runaway or
+/// livelocked runs come back as structured [`SimError`]s instead of
+/// panicking or hanging; invariant-oracle violations still panic (the
+/// chaos campaign catches and classifies those).
+pub(crate) fn run_condition_core<R>(
     cond: &Condition,
     iter: u32,
-    checks: bool,
-    chaos: &ScenarioSpec,
-    dog: &Watchdog,
-    sink: impl FnOnce(&RunView) -> R,
-) -> Result<R, SimError> {
-    run_condition_core(cond, iter, None, checks, chaos, dog, sink)
-}
-
-/// Shared core of both run entry points: `chaos` is applied on top of the
-/// condition's own scenario (empty for a plain run) and the simulation
-/// runs under `dog`.
-fn run_condition_core<R>(
-    cond: &Condition,
-    iter: u32,
-    trace: Option<&TraceSpec>,
+    trace: Option<&Path>,
     checks: bool,
     chaos: &ScenarioSpec,
     dog: &Watchdog,
@@ -553,9 +518,9 @@ fn run_condition_core<R>(
         sink(&view)
     };
 
-    if let Some(spec) = trace {
+    if let Some(dir) = trace {
         if let Some(tel) = tb.sim.net.telemetry_mut().telemetry_mut() {
-            let path = spec.dir.join(format!("{}-i{}.csv", cond.label(), iter));
+            let path = dir.join(format!("{}-i{}.csv", cond.label(), iter));
             std::fs::write(&path, tel.to_csv())
                 .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
         }
@@ -563,81 +528,32 @@ fn run_condition_core<R>(
     Ok(out)
 }
 
-/// Aggregate engine-throughput numbers for one grid of runs.
-#[derive(Clone, Copy, Debug)]
-pub struct GridPerf {
-    /// Total (condition × iteration) runs.
-    pub runs: usize,
-    /// Engine events handled across all runs.
-    pub events_processed: u64,
-    /// Sum of per-run wall times (CPU-seconds of simulation, roughly).
-    pub run_wall_secs: f64,
-    /// Wall-clock seconds for the whole grid (less than `run_wall_secs`
-    /// when runs execute in parallel).
-    pub grid_wall_secs: f64,
-}
-
-impl GridPerf {
-    /// Engine events per wall second, summed over workers.
-    pub fn events_per_sec(&self) -> f64 {
-        if self.run_wall_secs > 0.0 {
-            self.events_processed as f64 / self.run_wall_secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Sum the perf counters of already-collected results. `grid_wall_secs` is
-/// taken by the caller; [`run_many`] fills it with the grid's elapsed time.
-pub fn grid_perf(results: &[ConditionResult], grid_wall_secs: f64) -> GridPerf {
-    let mut runs = 0;
-    let mut events = 0u64;
-    let mut wall = 0.0;
-    for cr in results {
-        for r in &cr.runs {
-            runs += 1;
-            events += r.events_processed;
-            wall += r.wall_secs;
-        }
-    }
-    GridPerf {
-        runs,
-        events_processed: events,
-        run_wall_secs: wall,
-        grid_wall_secs,
-    }
-}
-
 /// Run `iterations` seeded runs of every condition, using up to `threads`
-/// OS threads. Results preserve the input condition order. After the grid
-/// completes, an aggregate throughput line (total events, events/sec, wall
-/// time) is logged to stderr; use [`grid_perf`] to recompute it from the
-/// returned results.
-pub fn run_many(conditions: &[Condition], iterations: u32, threads: usize) -> Vec<ConditionResult> {
-    run_many_full(conditions, iterations, threads, None, false)
-}
-
-/// [`run_many`] with optional flight-recorder tracing (every run exports
-/// its per-flow trace into `trace.dir`, created if missing) and optional
-/// runtime invariant oracles in every run (see [`run_condition_with`]).
+/// OS threads. Results preserve the input condition order. With `trace`
+/// set, every run exports its per-flow trace into that directory (created
+/// if missing); with `checks` on, every run arms the runtime invariant
+/// oracles (see [`run_condition_with`]).
 ///
 /// A run that panics (an oracle violation, an internal bug) no longer
 /// takes the whole grid down opaquely: every job runs under
 /// [`run_jobs`]'s panic isolation, the remaining jobs finish, and the
 /// final panic names each failing `(condition, iteration)` pair.
+///
+/// It prints nothing: [`ExperimentOpts::run`], the CLI's way in, logs the
+/// grid's throughput line.
+///
+/// [`ExperimentOpts::run`]: crate::experiments::ExperimentOpts::run
 pub fn run_many_full(
     conditions: &[Condition],
     iterations: u32,
     threads: usize,
-    trace: Option<&TraceSpec>,
+    trace: Option<&Path>,
     checks: bool,
 ) -> Vec<ConditionResult> {
-    if let Some(spec) = trace {
-        std::fs::create_dir_all(&spec.dir)
-            .unwrap_or_else(|e| panic!("creating trace dir {}: {e}", spec.dir.display()));
+    if let Some(dir) = trace {
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| panic!("creating trace dir {}: {e}", dir.display()));
     }
-    let grid_started = std::time::Instant::now();
     let jobs: Vec<(usize, u32)> = (0..conditions.len())
         .flat_map(|c| (0..iterations).map(move |i| (c, i)))
         .collect();
@@ -672,38 +588,13 @@ pub fn run_many_full(
     // `jobs` is condition-major with the iteration innermost and
     // `run_jobs` preserves job order, so results regroup by simple takes.
     let mut it = runs.into_iter();
-    let out: Vec<ConditionResult> = conditions
+    conditions
         .iter()
         .map(|cond| ConditionResult {
             condition: cond.clone(),
             runs: it.by_ref().take(iterations as usize).collect(),
         })
-        .collect();
-    let perf = grid_perf(&out, grid_started.elapsed().as_secs_f64());
-    if grid_log_enabled() {
-        eprintln!(
-            "grid: {} runs, {} events in {:.2} s wall ({:.2}M events/s)",
-            perf.runs,
-            perf.events_processed,
-            perf.grid_wall_secs,
-            perf.events_per_sec() / 1e6,
-        );
-    }
-    out
-}
-
-/// Whether [`run_many_full`] logs its aggregate throughput line. Off by
-/// default so `cargo test -q` output and fleet campaigns (thousands of
-/// grids) stay clean; the `gsrepro` CLI switches it on.
-static GRID_LOG: AtomicBool = AtomicBool::new(false);
-
-/// Enable or disable the per-grid stderr throughput line.
-pub fn set_grid_log(on: bool) {
-    GRID_LOG.store(on, Ordering::Relaxed);
-}
-
-fn grid_log_enabled() -> bool {
-    GRID_LOG.load(Ordering::Relaxed)
+        .collect()
 }
 
 /// One job that panicked inside [`run_jobs`].
@@ -819,28 +710,18 @@ mod tests {
     }
 
     #[test]
-    fn run_is_deterministic() {
-        let cond = quick_cond();
-        let a = run_condition(&cond, 0);
-        let b = run_condition(&cond, 0);
-        assert_eq!(a.game_bins_mbps, b.game_bins_mbps);
-        assert_eq!(a.iperf_bins_mbps, b.iperf_bins_mbps);
-        assert_eq!(a.rtt, b.rtt);
-    }
-
-    #[test]
     fn iterations_differ() {
         let cond = quick_cond();
-        let a = run_condition(&cond, 0);
-        let b = run_condition(&cond, 1);
+        let a = run_condition_with(&cond, 0, None, false, |v| v.to_result());
+        let b = run_condition_with(&cond, 1, None, false, |v| v.to_result());
         assert_ne!(a.game_bins_mbps, b.game_bins_mbps);
     }
 
     #[test]
     fn parallel_matches_serial() {
         let cond = quick_cond();
-        let serial = run_condition(&cond, 0);
-        let many = run_many(&[cond], 2, 4);
+        let serial = run_condition_with(&cond, 0, None, false, |v| v.to_result());
+        let many = run_many_full(&[cond], 2, 4, None, false);
         assert_eq!(many.len(), 1);
         assert_eq!(many[0].runs.len(), 2);
         assert_eq!(many[0].runs[0].game_bins_mbps, serial.game_bins_mbps);
@@ -885,7 +766,7 @@ mod tests {
         // The sink API must observe exactly what the materialized
         // RunResult records — same borrowed series, no perturbation.
         let cond = quick_cond();
-        let full = run_condition(&cond, 0);
+        let full = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         let (goodput_bins, rtt_mean, fps_sum, encoder_mean, events) =
             run_condition_with(&cond, 0, None, false, |v| {
                 (
@@ -906,7 +787,7 @@ mod tests {
 
     #[test]
     fn fps_window_respects_bin_width() {
-        let mut r = run_condition(&quick_cond(), 0);
+        let mut r = run_condition_with(&quick_cond(), 0, None, false, |v| v.to_result());
         assert!(r.fps_bin_width > SimDuration::ZERO);
         // Re-bin by hand: with 500 ms bins, [0, 2 s) must select exactly 4.
         r.fps_bins = vec![60.0; 10];
@@ -937,12 +818,17 @@ mod tests {
         use gsrepro_simcore::telemetry::validate_events;
 
         let cond = quick_cond();
-        let plain = run_condition(&cond, 0);
+        let plain = run_condition_with(&cond, 0, None, false, |v| v.to_result());
 
         let dir = std::env::temp_dir().join(format!("gsrepro-trace-test-{}", std::process::id()));
-        let spec = TraceSpec::new(&dir);
         let traced = {
-            let out = run_many_full(std::slice::from_ref(&cond), 1, 1, Some(&spec), false);
+            let out = run_many_full(
+                std::slice::from_ref(&cond),
+                1,
+                1,
+                Some(dir.as_path()),
+                false,
+            );
             out.into_iter().next().unwrap().runs.remove(0)
         };
 
@@ -974,13 +860,12 @@ mod tests {
         let cond = Condition::new(SystemKind::Luna, Some(CcaKind::Bbr2), 15, 2.0)
             .with_timeline(Timeline::scaled(0.06))
             .with_aqm(Aqm::CoDel);
-        let plain = run_condition(&cond, 0);
+        let plain = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         assert!(plain.tcp_ce_marked > 0, "run produced no CE marks");
 
         let dir = std::env::temp_dir().join(format!("gsrepro-ecn-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = TraceSpec::new(&dir);
-        let traced = run_condition_with(&cond, 0, Some(&spec), false, |v| v.to_result());
+        let traced = run_condition_with(&cond, 0, Some(dir.as_path()), false, |v| v.to_result());
 
         // The recorder observes marks; it must not change them (or any
         // other deterministic output of the run).
@@ -1050,8 +935,8 @@ mod tests {
             });
 
         // Deterministic: two untraced runs are bit-identical.
-        let plain = run_condition(&cond, 0);
-        let again = run_condition(&cond, 0);
+        let plain = run_condition_with(&cond, 0, None, false, |v| v.to_result());
+        let again = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         assert_eq!(plain.game_bins_mbps, again.game_bins_mbps);
         assert_eq!(plain.rtt, again.rtt);
         assert_eq!(plain.events_processed, again.events_processed);
@@ -1061,8 +946,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("gsrepro-scenario-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let spec = TraceSpec::new(&dir);
-        let traced = run_condition_with(&cond, 0, Some(&spec), false, |v| v.to_result());
+        let traced = run_condition_with(&cond, 0, Some(dir.as_path()), false, |v| v.to_result());
         assert_eq!(plain.game_bins_mbps, traced.game_bins_mbps);
         assert_eq!(plain.rtt, traced.rtt);
         assert_eq!(plain.events_processed, traced.events_processed);
@@ -1091,7 +975,7 @@ mod tests {
     #[test]
     fn window_helpers() {
         let cond = quick_cond();
-        let r = run_condition(&cond, 0);
+        let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         let t = cond.timeline;
         // The game streams before the competitor arrives.
         let orig = r.game_window(t.original_window.0, t.original_window.1);

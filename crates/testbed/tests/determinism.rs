@@ -9,9 +9,7 @@ use gsrepro_gamestream::SystemKind;
 use gsrepro_simcore::{BitRate, SimTime};
 use gsrepro_tcp::CcaKind;
 use gsrepro_testbed::config::{Condition, PathScenario, Timeline};
-use gsrepro_testbed::runner::{
-    run_condition, run_condition_with, run_many, run_many_full, RunResult,
-};
+use gsrepro_testbed::runner::{run_condition_with, run_many_full, RunResult};
 
 fn quick_cond(system: SystemKind, cca: CcaKind) -> Condition {
     Condition::new(system, Some(cca), 15, 2.0).with_timeline(Timeline::scaled(0.06))
@@ -53,8 +51,8 @@ fn assert_runs_identical(a: &RunResult, b: &RunResult, what: &str) {
 #[test]
 fn same_seed_is_bit_identical() {
     let cond = quick_cond(SystemKind::Luna, CcaKind::Cubic);
-    let a = run_condition(&cond, 0);
-    let b = run_condition(&cond, 0);
+    let a = run_condition_with(&cond, 0, None, false, |v| v.to_result());
+    let b = run_condition_with(&cond, 0, None, false, |v| v.to_result());
     assert_runs_identical(&a, &b, "repeat run, iter 0");
     assert!(a.events_processed > 0, "run must process events");
     assert!(a.wall_secs > 0.0, "run must record wall time");
@@ -68,8 +66,8 @@ fn thread_count_never_changes_results() {
         quick_cond(SystemKind::Luna, CcaKind::Cubic),
         quick_cond(SystemKind::Stadia, CcaKind::Bbr),
     ];
-    let serial = run_many(&conditions, 2, 1);
-    let parallel = run_many(&conditions, 2, 4);
+    let serial = run_many_full(&conditions, 2, 1, None, false);
+    let parallel = run_many_full(&conditions, 2, 4, None, false);
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {
         assert_eq!(s.condition.label(), p.condition.label());

@@ -7,7 +7,7 @@
 //! ```
 
 use gsrepro_testbed::config::{Condition, Timeline};
-use gsrepro_testbed::{metrics, run_condition, CcaKind, SystemKind};
+use gsrepro_testbed::{metrics, run_condition_with, CcaKind, SystemKind};
 
 fn main() {
     // A 1/4-length timeline keeps this example under a few seconds while
@@ -25,7 +25,8 @@ fn main() {
         cond.queue_mult
     );
 
-    let run = run_condition(&cond, 0);
+    // No trace, no invariant oracles; keep the whole run as a `RunResult`.
+    let run = run_condition_with(&cond, 0, None, false, |v| v.to_result());
 
     let tl = &cond.timeline;
     let before = run.game_window(tl.original_window.0, tl.original_window.1);

@@ -18,7 +18,6 @@ use std::fmt::Display;
 use std::str::FromStr;
 
 use gsrepro_testbed::experiments::ExperimentOpts;
-use gsrepro_testbed::runner::TraceSpec;
 
 use crate::cmd::{chaos, dynamic_paths, fleet, multiflow, paper, studies, verify};
 
@@ -34,7 +33,7 @@ pub struct Command {
 }
 
 /// Flags of a command that sizes a sweep of runs (see [`sweep_opts`]).
-const SWEEP: &[&str] = &["--full", "--smoke", "--iters N", "--threads N", "--quiet"];
+const SWEEP: &[&str] = &["--full", "--smoke", "--iters N", "--threads N"];
 
 /// [`SWEEP`] plus the per-run instruments, for a command whose runs go
 /// through [`ExperimentOpts::run`] (see [`traced_opts`]).
@@ -45,7 +44,6 @@ const TRACED: &[&str] = &[
     "--threads N",
     "--trace DIR",
     "--checks",
-    "--quiet",
 ];
 
 /// [`TRACED`] plus `--csv`, for a grid command with a table or series to
@@ -58,7 +56,6 @@ const GRID: &[&str] = &[
     "--csv PATH",
     "--trace DIR",
     "--checks",
-    "--quiet",
 ];
 
 const fn grid(name: &'static str, about: &'static str, run: fn(Args)) -> Command {
@@ -161,13 +158,7 @@ pub const COMMANDS: &[Command] = &[
     Command {
         name: "model_oracle",
         about: "Cubic-vs-BBR shares graded against the Ware inflight-cap model",
-        flags: &[
-            "--smoke",
-            "--threads N",
-            "--csv PATH",
-            "--checks",
-            "--quiet",
-        ],
+        flags: &["--smoke", "--threads N", "--csv PATH", "--checks"],
         run: studies::model_oracle,
     },
     Command {
@@ -416,12 +407,9 @@ pub(crate) fn sweep_opts(args: &Args) -> ExperimentOpts {
     if let Some(n) = args.positive("--iters") {
         opts.iterations = n;
     }
-    if let Some(n) = args.value("--threads") {
+    if let Some(n) = args.positive("--threads") {
         opts.threads = n;
     }
-    // The CLI keeps the per-grid throughput line on stderr; library users
-    // (tests, the fleet engine) default to silence.
-    gsrepro_testbed::runner::set_grid_log(!args.flag("--quiet"));
     opts
 }
 
@@ -434,7 +422,7 @@ pub(crate) fn traced_opts(args: &Args) -> ExperimentOpts {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             args.usage_error(format_args!("cannot create --trace dir {dir}: {e}"));
         }
-        opts.trace = Some(TraceSpec::new(dir));
+        opts.trace = Some(dir.into());
     }
     opts.checks = args.flag("--checks");
     opts

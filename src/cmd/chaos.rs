@@ -18,7 +18,6 @@
 //! across invocations — `ci.sh` pins this).
 
 use gsrepro_testbed::chaos::{run_trial, ChaosSpec, ChaosVerdict, Perturbation, Trial};
-use gsrepro_testbed::runner::default_threads;
 
 use crate::cli::Args;
 
@@ -46,7 +45,7 @@ pub fn chaos(args: Args) {
     let spec = ChaosSpec {
         trials: args.positive("--trials").unwrap_or(d.trials),
         seed: args.value("--seed").unwrap_or(d.seed),
-        threads: args.value("--threads").unwrap_or_else(default_threads),
+        threads: args.positive("--threads").unwrap_or(d.threads),
         scale: args.scale("--scale").unwrap_or(d.scale),
         max_disturbances: args.positive("--max-steps").unwrap_or(d.max_disturbances),
         perturb: match args.value::<String>("--perturb") {

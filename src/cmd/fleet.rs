@@ -61,7 +61,7 @@ impl FleetArgs {
             scale: args.scale("--scale").unwrap_or(0.02),
             shard_size: args.positive("--shard-size").unwrap_or(shard_size),
             threads: args
-                .value("--threads")
+                .positive("--threads")
                 .unwrap_or_else(gsrepro_testbed::runner::default_threads),
             manifest: args.value("--manifest"),
             halt_after_shards: args.value("--halt-after-shards"),
@@ -109,7 +109,6 @@ fn json_condition(label: &str, agg: &CondAggregate) -> String {
 
 pub fn fleet(args: Args) {
     let fa = FleetArgs::parse(args);
-    gsrepro_testbed::runner::set_grid_log(false);
 
     // The paper's central contested bottleneck, all systems × both CCAs.
     let tl = Timeline::scaled(fa.scale);

@@ -3,7 +3,7 @@
 //! recovery times, harm, the scorecards, the one-shot full reproduction).
 
 use gsrepro_testbed::experiments as ex;
-use gsrepro_testbed::{report, scorecard as sc};
+use gsrepro_testbed::{report, scorecard as sc, Grid};
 
 use crate::cli::{experiment_opts, traced_opts, write_csv, Args};
 
@@ -40,7 +40,8 @@ pub fn table5(args: Args) {
 
 pub fn figure2(args: Args) {
     let (opts, csv) = experiment_opts(args);
-    let fig = ex::figure2(opts);
+    let results = opts.run(&Grid::figure2(opts.timeline));
+    let fig = ex::figure2(&ex::GridResults { results, opts });
     println!("{fig}");
     write_csv(&csv, &fig.csv());
     if let Some(path) = &csv {
@@ -123,13 +124,13 @@ pub fn full_reproduction(args: Args) {
 
     println!("{}", ex::table2_text());
 
-    eprintln!("[1/4] Table 1 (unconstrained bitrates)...");
+    eprintln!("[1/3] Table 1 (unconstrained bitrates)...");
     println!("\n{}", ex::table1(opts.clone()));
 
-    eprintln!("[2/4] solo grid (Table 3, solo loss)...");
+    eprintln!("[2/3] solo grid (Table 3, solo loss)...");
     let solo = ex::run_solo_grid(opts.clone());
-    eprintln!("[3/4] full competing grid (Figures 2-4, Tables 4-5)...");
-    let grid = ex::run_full_grid(opts.clone());
+    eprintln!("[3/3] full competing grid (Figures 2-4, Tables 4-5)...");
+    let grid = ex::run_full_grid(opts);
 
     println!("\n{}", ex::table3(&solo));
     println!("\n{}", ex::table4(&grid));
@@ -138,7 +139,6 @@ pub fn full_reproduction(args: Args) {
     println!("\n{l1}\n{l2}");
     println!("\n{}", ex::figure3(&grid));
     println!("\n{}", ex::figure4(&grid));
-
-    eprintln!("[4/4] Figure 2 (bitrate time series)...");
-    println!("\n{}", ex::figure2(opts));
+    // Figure 2 is the full grid's 25 Mb/s slice: reduced, not re-run.
+    println!("\n{}", ex::figure2(&grid));
 }

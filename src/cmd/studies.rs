@@ -6,7 +6,7 @@ use gsrepro_testbed::config::Condition;
 use gsrepro_testbed::experiments::find_cell;
 use gsrepro_testbed::model::{self, OracleSpec};
 use gsrepro_testbed::report::TextTable;
-use gsrepro_testbed::{ablation as abl, run_many, CcaKind, SystemKind};
+use gsrepro_testbed::{ablation as abl, CcaKind, SystemKind};
 
 use crate::cli::{sweep_opts, write_csv, Args};
 
@@ -19,7 +19,7 @@ pub fn ablation(args: Args) {
     let opts = sweep_opts(&args);
 
     eprintln!("[1/3] D2 controller swap (18 conditions)...");
-    let swap = abl::controller_swap(opts.timeline, opts.iterations, opts.threads);
+    let swap = abl::controller_swap(&opts);
     println!("{swap}");
 
     eprintln!("[2/3] D3 BBR cwnd-gain sweep...");
@@ -37,7 +37,7 @@ pub fn ablation(args: Args) {
     println!("{}", t.render());
 
     eprintln!("[3/3] D1 AQM sweep (9 conditions)...");
-    let aqm = abl::aqm_sweep(opts.timeline, opts.iterations, opts.threads);
+    let aqm = abl::aqm_sweep(&opts);
     println!("\nD1 ablation — queue discipline at 25 Mb/s, 7x BDP, vs Cubic\n");
     let mut t = TextTable::new(vec!["qdisc", "system", "fairness", "RTT (ms)"]);
     for c in &aqm {
@@ -81,7 +81,7 @@ pub fn sensitivity(args: Args) {
         conditions.len(),
         opts.iterations
     );
-    let results = run_many(&conditions, opts.iterations, opts.threads);
+    let results = opts.run(&conditions);
 
     println!("fairness vs WAN jitter (25 Mb/s slice of Figure 3)\n");
     let mut t = TextTable::new(vec!["condition", "0 ms", "2 ms", "5 ms"]);
@@ -105,9 +105,7 @@ pub fn sensitivity(args: Args) {
 ///
 /// Exits non-zero if any model-applicable cell diverges, so CI can gate on
 /// it directly. `--smoke` runs the CI-sized grid, `--checks` audits every
-/// cell with the invariant oracles, `--csv` dumps the table. The oracle has
-/// its own grid sizes and never runs a paper grid, so `--quiet` (accepted
-/// because CI passes it) has no grid line to silence.
+/// cell with the invariant oracles, `--csv` dumps the table.
 pub fn model_oracle(args: Args) {
     let mut spec = if args.flag("--smoke") {
         OracleSpec::smoke()
@@ -115,7 +113,7 @@ pub fn model_oracle(args: Args) {
         OracleSpec::paper()
     };
     spec.checks = args.flag("--checks");
-    if let Some(n) = args.value("--threads") {
+    if let Some(n) = args.positive("--threads") {
         spec.threads = n;
     }
     let csv = args.csv();

@@ -40,6 +40,11 @@ fn bad_invocations_exit_2_with_usage() {
         &["fleet", "--sessions"],
         &["fleet", "--smoke", "--shard-size", "0"],
         &["chaos", "--trials", "0"],
+        &["chaos", "--threads", "0"],
+        &["model_oracle", "--threads", "0"],
+        &["model_oracle", "--quiet"],
+        &["fleet", "--smoke", "--threads", "0"],
+        &["table3", "--threads", "0"],
         &["ablation", "--checks"],
         &["multiflow", "--iters", "1"],
         &["model_oracle", "--full"],
@@ -87,6 +92,18 @@ fn every_command_accepts_every_flag_its_usage_declares() {
         assert!(out.status.success(), "{line:?}: {}", text(&out.stderr));
         assert_eq!(out.stdout, usage.stdout, "{line:?}");
     }
+}
+
+#[test]
+fn a_sweep_prints_one_grid_line() {
+    // The throughput line comes from `ExperimentOpts::run` alone, once per
+    // grid the command runs; Table 1 runs one.
+    let out = gsrepro(&["table1", "--smoke", "--iters", "1"]);
+    assert!(out.status.success(), "{}", text(&out.stderr));
+    let stderr = text(&out.stderr);
+    let lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with("grid: ")).collect();
+    assert_eq!(lines.len(), 1, "{stderr}");
+    assert!(lines[0].starts_with("grid: 3 runs, "), "{stderr}");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use gsrepro_simcore::SimTime;
 use gsrepro_testbed::config::{Condition, Timeline};
-use gsrepro_testbed::{metrics, run_condition, CcaKind, SystemKind};
+use gsrepro_testbed::{metrics, run_condition_with, CcaKind, SystemKind};
 
 /// Shared short timeline: 54 s runs, competitor during the middle third.
 fn tl() -> Timeline {
@@ -16,7 +16,7 @@ fn game_yields_when_tcp_arrives_and_recovers_after() {
     // Luna is the clear yielder-and-recoverer vs Cubic (Stadia, per the
     // paper and our Figure 3, barely yields at a 2x queue).
     let cond = Condition::new(SystemKind::Luna, Some(CcaKind::Cubic), 25, 2.0).with_timeline(tl());
-    let r = run_condition(&cond, 0);
+    let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
     let t = cond.timeline;
 
     let before = r
@@ -43,7 +43,7 @@ fn game_yields_when_tcp_arrives_and_recovers_after() {
 #[test]
 fn tcp_flow_gets_capacity_while_active_only() {
     let cond = Condition::new(SystemKind::Luna, Some(CcaKind::Cubic), 25, 2.0).with_timeline(tl());
-    let r = run_condition(&cond, 0);
+    let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
     let t = cond.timeline;
 
     let before = r
@@ -66,7 +66,7 @@ fn link_is_never_overfilled() {
     // (plus one bin of slack for burst alignment).
     for cca in [CcaKind::Cubic, CcaKind::Bbr] {
         let cond = Condition::new(SystemKind::Stadia, Some(cca), 15, 0.5).with_timeline(tl());
-        let r = run_condition(&cond, 0);
+        let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         for i in 0..r.game_bins_mbps.len() {
             let total = r.game_bins_mbps[i] + r.iperf_bins_mbps.get(i).copied().unwrap_or(0.0);
             assert!(
@@ -81,7 +81,7 @@ fn link_is_never_overfilled() {
 fn rtt_rises_under_cubic_competition_with_big_queue() {
     let cond =
         Condition::new(SystemKind::GeForce, Some(CcaKind::Cubic), 25, 7.0).with_timeline(tl());
-    let r = run_condition(&cond, 0);
+    let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
     let t = cond.timeline;
     let solo = r
         .rtt_window(t.original_window.0, t.original_window.1)
@@ -100,7 +100,7 @@ fn rtt_rises_under_cubic_competition_with_big_queue() {
 fn bbr_limits_queueing_relative_to_cubic_at_7x() {
     let mk = |cca| {
         let cond = Condition::new(SystemKind::GeForce, Some(cca), 25, 7.0).with_timeline(tl());
-        let r = run_condition(&cond, 0);
+        let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         let t = cond.timeline;
         r.rtt_window(t.iperf_start, t.iperf_stop).mean()
     };
@@ -116,7 +116,7 @@ fn bbr_limits_queueing_relative_to_cubic_at_7x() {
 #[test]
 fn frame_rate_near_60_without_competition() {
     let cond = Condition::new(SystemKind::Luna, None, 35, 2.0).with_timeline(tl());
-    let r = run_condition(&cond, 0);
+    let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
     let t = cond.timeline;
     let fps = r.fps_window(t.original_window.0, t.iperf_stop).mean();
     assert!(fps > 57.0, "uncontested fps {fps}");
@@ -126,7 +126,7 @@ fn frame_rate_near_60_without_competition() {
 fn loss_near_zero_without_competition() {
     for sys in SystemKind::ALL {
         let cond = Condition::new(sys, None, 25, 2.0).with_timeline(tl());
-        let r = run_condition(&cond, 0);
+        let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         // Paper: "loss rates are near 0 when there is no competing TCP
         // flow" (after stream settles to the constraint).
         let t = cond.timeline;
@@ -140,7 +140,7 @@ fn fairness_signs_match_paper_at_small_queue() {
     // 0.5x BDP, 25 Mb/s: paper Figure 3's starkest column.
     let fair = |sys, cca| {
         let cond = Condition::new(sys, Some(cca), 25, 0.5).with_timeline(tl());
-        let r = run_condition(&cond, 0);
+        let r = run_condition_with(&cond, 0, None, false, |v| v.to_result());
         metrics::fairness(&r, &cond)
     };
     // vs Cubic: Stadia takes more than fair; GeForce much less.
@@ -162,8 +162,8 @@ fn fairness_signs_match_paper_at_small_queue() {
 fn deterministic_across_identical_runs() {
     let cond = Condition::new(SystemKind::Stadia, Some(CcaKind::Bbr), 35, 7.0)
         .with_timeline(Timeline::scaled(0.05));
-    let a = run_condition(&cond, 3);
-    let b = run_condition(&cond, 3);
+    let a = run_condition_with(&cond, 3, None, false, |v| v.to_result());
+    let b = run_condition_with(&cond, 3, None, false, |v| v.to_result());
     assert_eq!(a.game_bins_mbps, b.game_bins_mbps);
     assert_eq!(a.iperf_bins_mbps, b.iperf_bins_mbps);
     assert_eq!(a.rtt, b.rtt);
