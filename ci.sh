@@ -35,11 +35,11 @@ echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all fiv
 cargo test -q --manifest-path benchmark/Cargo.toml --offline --locked
 bash benchmark/run.sh --smoke
 
-echo "== CCA conformance kit (golden step-response fixtures)"
-"$gsrepro" conformance
-
 echo "== smoke reproduction"
 "$gsrepro" full_reproduction --smoke
+
+echo "== committed multiflow artifact regenerates byte for byte"
+"$gsrepro" multiflow 2>&1 | cmp - artifacts_multiflow.txt
 
 echo "== traced smoke run + trace schema validation"
 trace_dir="$(mktemp -d)"

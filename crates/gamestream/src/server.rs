@@ -98,8 +98,7 @@ impl StreamServer {
         let frame = self.source.next_frame(target);
         self.frames_sent += 1;
 
-        let mtu = MEDIA_MTU.as_u64();
-        let chunk_count = frame.size.as_u64().div_ceil(mtu).max(1) as u16;
+        let chunk_count = chunks_for(frame.size);
         let now = ctx.now();
         ctx.telemetry()
             .frame(now, self.flow.0, frame.size.as_u64(), chunk_count as u64);
@@ -212,8 +211,8 @@ impl Agent for StreamServer {
     }
 }
 
-/// Expected chunk count for a frame of `size` (exposed for tests).
-pub fn chunks_for(size: Bytes) -> u16 {
+/// Media chunks a frame of `size` is split into (at least one).
+fn chunks_for(size: Bytes) -> u16 {
     size.as_u64().div_ceil(MEDIA_MTU.as_u64()).max(1) as u16
 }
 

@@ -18,7 +18,6 @@ use crate::wire::{Ecn, FlowId, Packet, Payload, PingEcho};
 #[derive(Default)]
 pub struct SinkAgent {
     pkts: u64,
-    bytes: Bytes,
 }
 
 impl SinkAgent {
@@ -31,17 +30,11 @@ impl SinkAgent {
     pub fn received_pkts(&self) -> u64 {
         self.pkts
     }
-
-    /// Bytes received.
-    pub fn received_bytes(&self) -> Bytes {
-        self.bytes
-    }
 }
 
 impl Agent for SinkAgent {
-    fn on_packet(&mut self, pkt: Packet, _ctx: &mut Ctx) {
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx) {
         self.pkts += 1;
-        self.bytes += pkt.size;
     }
 }
 
@@ -173,15 +166,6 @@ impl PingAgent {
     pub fn received(&self) -> u64 {
         self.received
     }
-
-    /// Fraction of probes lost.
-    pub fn probe_loss(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            1.0 - self.received as f64 / self.sent as f64
-        }
-    }
 }
 
 impl Agent for PingAgent {
@@ -277,7 +261,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(30));
         let p: &PingAgent = sim.net.agent(pinger);
         assert!(p.sent() >= 29);
-        assert_eq!(p.probe_loss(), 0.0);
         // RTT = 2 x 8.25 ms = 16.5 ms, the paper's equalized path.
         assert!(
             (p.rtt_samples().mean() - 16.5).abs() < 0.01,
@@ -339,6 +322,5 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let sk: &SinkAgent = sim.net.agent(sink);
         assert!(sk.received_pkts() >= 99 && sk.received_pkts() <= 101);
-        assert_eq!(sk.received_bytes().as_u64(), sk.received_pkts() * 100);
     }
 }

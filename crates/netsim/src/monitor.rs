@@ -107,12 +107,6 @@ impl FlowStats {
         let scale = 8.0 / self.delivered_bins.width().as_secs_f64() / 1e6;
         self.delivered_bins.mean_over(from, to, scale)
     }
-
-    /// Goodput of bin `idx` in Mb/s.
-    pub fn bin_goodput_mbps(&self, idx: usize) -> f64 {
-        let scale = 8.0 / self.delivered_bins.width().as_secs_f64() / 1e6;
-        self.delivered_bins.bin_or_zero(idx) * scale
-    }
 }
 
 /// Registry of flows and their statistics.
@@ -239,8 +233,6 @@ mod tests {
             );
         }
         let s = m.stats(f);
-        assert!((s.bin_goodput_mbps(0) - 10.0).abs() < 1e-9);
-        assert_eq!(s.bin_goodput_mbps(1), 0.0);
         let mean = s.mean_goodput_mbps(SimTime::ZERO, SimTime::from_millis(500));
         assert!((mean - 10.0).abs() < 1e-9);
     }

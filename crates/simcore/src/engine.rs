@@ -287,7 +287,7 @@ impl<E> Scheduler<E> {
     /// clamped to `now` (so it still fires, in FIFO order with other events
     /// at `now`) and the occurrence is counted in
     /// [`Scheduler::past_schedules`]. Harnesses surface that count per run
-    /// (e.g. as the `past_clamps` telemetry counter) rather than writing
+    /// (e.g. as the runner's `past_clamps` field) rather than writing
     /// to stderr, which would interleave across parallel workers.
     /// Deterministic outputs are never affected by the build profile.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {

@@ -159,8 +159,10 @@ pub struct TelemetryEvent {
     pub b: u64,
 }
 
-/// Sampled aggregate counters, cheap enough to keep even for events the
-/// rings throttle or evict.
+/// Running counters kept beside the rings, so they also count events the
+/// rings throttle or evict: the ring tallies themselves, and the drop and
+/// mark totals the network's telemetry cross-check compares with its
+/// monitor.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Events stored in a ring.
@@ -173,39 +175,8 @@ pub struct Counters {
     pub queue_drops: u64,
     /// Link-impairment drops observed.
     pub link_drops: u64,
-    /// Retransmission timeouts observed.
-    pub rtos: u64,
-    /// Fast retransmits observed.
-    pub fast_retransmits: u64,
-    /// Controller backoff decisions observed.
-    pub backoffs: u64,
-    /// TFRC loss-interval closes observed.
-    pub loss_intervals: u64,
-    /// Link-scenario steps applied (live path reconfigurations).
-    pub scenario_steps: u64,
     /// CE marks applied by ECN-capable AQMs (mark-instead-of-drop).
     pub ecn_marks: u64,
-    /// Events the scheduler clamped from the past to `now` (see
-    /// [`crate::engine::Scheduler::past_schedules`]).
-    pub past_clamps: u64,
-}
-
-impl Counters {
-    /// Accumulate another run's counters (condition-level aggregation).
-    pub fn merge(&mut self, o: &Counters) {
-        self.recorded += o.recorded;
-        self.throttled += o.throttled;
-        self.evicted += o.evicted;
-        self.queue_drops += o.queue_drops;
-        self.link_drops += o.link_drops;
-        self.rtos += o.rtos;
-        self.fast_retransmits += o.fast_retransmits;
-        self.backoffs += o.backoffs;
-        self.loss_intervals += o.loss_intervals;
-        self.scenario_steps += o.scenario_steps;
-        self.ecn_marks += o.ecn_marks;
-        self.past_clamps += o.past_clamps;
-    }
 }
 
 /// Ring sizing and sampling cadence.
@@ -273,21 +244,11 @@ impl Telemetry {
         self.counters
     }
 
-    /// Mutable counters (the runner stamps `past_clamps` here at export).
-    pub fn counters_mut(&mut self) -> &mut Counters {
-        &mut self.counters
-    }
-
     /// Record one event, applying sampling and ring eviction.
     pub fn record(&mut self, ev: TelemetryEvent) {
         match ev.kind {
             EventKind::QueueDrop => self.counters.queue_drops += 1,
             EventKind::LinkDrop => self.counters.link_drops += 1,
-            EventKind::Rto => self.counters.rtos += 1,
-            EventKind::FastRetransmit => self.counters.fast_retransmits += 1,
-            EventKind::CtrlBackoff => self.counters.backoffs += 1,
-            EventKind::LossInterval => self.counters.loss_intervals += 1,
-            EventKind::LinkScenario => self.counters.scenario_steps += 1,
             EventKind::EcnMark => self.counters.ecn_marks += 1,
             _ => {}
         }
@@ -335,14 +296,6 @@ impl Telemetry {
         all
     }
 
-    /// Retained event count for one flow (0 if the flow never recorded).
-    pub fn flow_len(&self, flow: u32) -> usize {
-        self.flows
-            .iter()
-            .find(|f| f.flow == flow)
-            .map_or(0, |f| f.ring.len())
-    }
-
     /// Export the merged trace as CSV (see [`CSV_HEADER`]).
     pub fn to_csv(&self) -> String {
         events_to_csv(&self.events())
@@ -376,11 +329,6 @@ impl Recorder {
     /// The underlying bus, when enabled.
     pub fn telemetry(&self) -> Option<&Telemetry> {
         self.0.as_deref()
-    }
-
-    /// Mutable access to the bus, when enabled.
-    pub fn telemetry_mut(&mut self) -> Option<&mut Telemetry> {
-        self.0.as_deref_mut()
     }
 
     /// Counter snapshot (zeros when disabled).
@@ -638,7 +586,9 @@ mod tests {
 
     #[test]
     fn decision_grade_kinds_never_throttle() {
-        let mut t = small();
+        // The default 10 ms interval, with a ring deep enough that every
+        // recorded event is still there to count.
+        let mut t = Telemetry::new(TelemetryConfig::default());
         for i in 0..3 {
             t.record(ev(i, 1, EventKind::QueueDrop, 0, 1500));
             t.record(ev(i, 1, EventKind::Rto, 1, 0));
@@ -646,7 +596,12 @@ mod tests {
         let c = t.counters();
         assert_eq!(c.throttled, 0);
         assert_eq!(c.queue_drops, 3);
-        assert_eq!(c.rtos, 3);
+        let rtos = t
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::Rto)
+            .count();
+        assert_eq!(rtos, 3);
     }
 
     #[test]
@@ -659,7 +614,6 @@ mod tests {
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].a, 2, "oldest two evicted");
         assert_eq!(t.counters().evicted, 2);
-        assert_eq!(t.flow_len(7), 4);
     }
 
     #[test]
@@ -746,7 +700,12 @@ mod tests {
         r.ctrl_backoff(t0, 0, 12_000_000, 1);
         let tel = r.telemetry().unwrap();
         assert_eq!(tel.events().len(), 4);
-        assert_eq!(tel.counters().backoffs, 1);
+        let backoffs = tel
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::CtrlBackoff)
+            .count();
+        assert_eq!(backoffs, 1);
         let global: Vec<_> = tel
             .events()
             .into_iter()
@@ -754,25 +713,5 @@ mod tests {
             .collect();
         assert_eq!(global.len(), 1);
         assert_eq!(global[0].kind, EventKind::QueueDepth);
-    }
-
-    #[test]
-    fn counters_merge_adds() {
-        let mut a = Counters {
-            recorded: 1,
-            queue_drops: 2,
-            past_clamps: 3,
-            ..Counters::default()
-        };
-        let b = Counters {
-            recorded: 10,
-            queue_drops: 20,
-            past_clamps: 30,
-            ..Counters::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.recorded, 11);
-        assert_eq!(a.queue_drops, 22);
-        assert_eq!(a.past_clamps, 33);
     }
 }

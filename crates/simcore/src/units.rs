@@ -18,12 +18,6 @@ impl Bytes {
     /// Zero bytes.
     pub const ZERO: Bytes = Bytes(0);
 
-    /// Construct from kilobytes (1 kB = 1000 B, SI as used by `tc`).
-    #[inline]
-    pub const fn from_kb(kb: u64) -> Self {
-        Bytes(kb * 1_000)
-    }
-
     /// The raw count.
     #[inline]
     pub const fn as_u64(self) -> u64 {
@@ -235,7 +229,6 @@ mod tests {
         assert_eq!(Bytes(100) + Bytes(50), Bytes(150));
         assert_eq!(Bytes(100) - Bytes(50), Bytes(50));
         assert_eq!(Bytes(10).saturating_sub(Bytes(20)), Bytes::ZERO);
-        assert_eq!(Bytes::from_kb(510).as_u64(), 510_000);
         assert_eq!(Bytes(1000).bits(), 8000);
         assert_eq!(Bytes(100).mul_f64(0.5), Bytes(50));
     }

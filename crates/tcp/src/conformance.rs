@@ -34,9 +34,8 @@
 //! [`Bbr2::with_beta`](crate::Bbr2::with_beta)) and assert the fixture
 //! check *fails*.
 //!
-//! Regenerate fixtures with `GSREPRO_BLESS=1 cargo test -p gsrepro-tcp`,
-//! or `gsrepro conformance --bless`, then review the diff like
-//! any other code change.
+//! Regenerate fixtures with `GSREPRO_BLESS=1 cargo test -p gsrepro-tcp
+//! --test conformance`, then review the diff like any other code change.
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -15,14 +15,12 @@ use std::fmt;
 
 use gsrepro_gamestream::profile::ControllerKind;
 use gsrepro_gamestream::SystemKind;
-use gsrepro_netsim::net::NetworkBuilder;
-use gsrepro_netsim::wire::TCP_MSS;
-use gsrepro_netsim::LinkSpec;
-use gsrepro_simcore::{BitRate, SimDuration, SimTime};
-use gsrepro_tcp::{connect, Bbr, CcaKind, TcpSender};
+use gsrepro_simcore::SimTime;
+use gsrepro_tcp::CcaKind;
 
 use crate::config::{Aqm, Condition, EQUALIZED_RTT};
 use crate::experiments::ExperimentOpts;
+use crate::model::{bulk_sim, BulkCell};
 use crate::report::TextTable;
 
 /// One cell of the controller-swap ablation.
@@ -181,43 +179,28 @@ pub struct CwndGainCell {
 }
 
 /// Run the D3 ablation: two TCP flows (Cubic vs BBR-with-gain) on the
-/// testbed bottleneck at `queue_mult` × BDP.
+/// testbed bottleneck at `queue_mult` × BDP — the model oracle's bulk
+/// dumbbell with one Cubic flow, measured over `[secs/3, secs)`.
 pub fn bbr_cwnd_gain(gains: &[f64], queue_mult: f64, secs: u64, seed: u64) -> Vec<CwndGainCell> {
-    let capacity = BitRate::from_mbps(25);
-    let queue = capacity.bdp(EQUALIZED_RTT).mul_f64(queue_mult);
+    let cell = BulkCell {
+        capacity_mbps: 25,
+        base_rtt: EQUALIZED_RTT,
+        queue_mult,
+        n_cubic: 1,
+    };
+    let stop = SimTime::from_secs(secs);
     gains
         .iter()
         .map(|&gain| {
-            let down = LinkSpec::bottleneck(capacity, queue, SimDuration::from_micros(8_250));
-            let (mut b, s, c) = NetworkBuilder::dumbbell(seed, down);
-            let cubic_f = b.flow("cubic");
-            let cubic_a = b.flow("cubic-ack");
-            let bbr_f = b.flow("bbr");
-            let bbr_a = b.flow("bbr-ack");
-            connect(
-                &mut b,
-                s,
-                c,
-                cubic_f,
-                cubic_a,
-                CcaKind::Cubic,
-                TcpSender::new,
-            );
-            connect(&mut b, s, c, bbr_f, bbr_a, CcaKind::Bbr, |cfg| {
-                let bbr = Bbr::with_cwnd_gain(TCP_MSS.as_u64(), gain);
-                TcpSender::with_controller(cfg, Box::new(bbr))
-            });
-            let mut sim = b.build();
-            sim.run_until(SimTime::from_secs(secs));
-            let from = SimTime::from_secs(secs / 3);
-            let to = SimTime::from_secs(secs);
-            let bbr_gp = sim.goodput_mbps(bbr_f, from, to);
+            let (sim, flows) = bulk_sim(&cell, seed, stop, false, Some(gain));
+            let (cubic_f, bbr_f) = (flows[0], flows[1]);
+            let bbr_gp = sim.goodput_mbps(bbr_f, SimTime::from_secs(secs / 3), stop);
             // RTT = downstream OWD (queueing happens there) + clean
             // 8.25 ms return path.
             let rtt = sim.net.monitor().stats(cubic_f).owd.mean() + 8.25;
             CwndGainCell {
                 gain,
-                bbr_share: bbr_gp / capacity.as_mbps(),
+                bbr_share: bbr_gp / cell.capacity_mbps as f64,
                 rtt_ms: rtt,
             }
         })

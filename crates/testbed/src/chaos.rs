@@ -744,11 +744,6 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// `true` when every verdict was clean.
-    pub fn all_clean(&self) -> bool {
-        self.counts[0] == self.trials
-    }
-
     /// `tag count` pairs with non-zero counts, histogram order.
     pub fn histogram(&self) -> Vec<(&'static str, u32)> {
         ChaosVerdict::TAGS
@@ -1027,15 +1022,6 @@ mod tests {
         };
         let report = run_chaos(&spec);
         assert_eq!(report.trials, 6);
-        assert!(
-            report.all_clean(),
-            "unexpected failures: {:?}",
-            report
-                .failures
-                .iter()
-                .map(|f| (f.trial, f.verdict.tag()))
-                .collect::<Vec<_>>()
-        );
         assert_eq!(report.histogram(), vec![("clean", 6)]);
     }
 }

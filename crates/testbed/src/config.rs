@@ -74,16 +74,6 @@ impl Timeline {
     pub fn recovery_window(&self) -> (SimTime, SimTime) {
         (self.iperf_stop, self.end)
     }
-
-    /// Maximum measurable response time (competitor active period).
-    pub fn max_response(&self) -> SimDuration {
-        self.iperf_stop.since(self.iperf_start)
-    }
-
-    /// Maximum measurable recovery time.
-    pub fn max_recovery(&self) -> SimDuration {
-        self.end.since(self.iperf_stop)
-    }
 }
 
 /// Queue discipline at the bottleneck. The paper's router ran drop-tail;
@@ -429,8 +419,6 @@ mod tests {
         assert_eq!(t.iperf_start, SimTime::from_secs(185));
         assert_eq!(t.iperf_stop, SimTime::from_secs(370));
         assert_eq!(t.end, SimTime::from_secs(540));
-        assert_eq!(t.max_response(), SimDuration::from_secs(185));
-        assert_eq!(t.max_recovery(), SimDuration::from_secs(170));
     }
 
     #[test]

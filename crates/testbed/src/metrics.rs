@@ -207,7 +207,6 @@ mod tests {
             past_clamps: 0,
             sched: Default::default(),
             checks_performed: 0,
-            telemetry: Default::default(),
             wall_secs: 0.0,
         }
     }

@@ -60,7 +60,7 @@
 
 use gsrepro_netsim::net::NetworkBuilder;
 use gsrepro_netsim::wire::TCP_MSS;
-use gsrepro_netsim::LinkSpec;
+use gsrepro_netsim::{FlowId, LinkSpec, Sim};
 use gsrepro_simcore::rng::{derive_seed, stream_id};
 use gsrepro_simcore::{BitRate, SimDuration, SimTime};
 use gsrepro_tcp::cca::bbr::Bbr;
@@ -312,27 +312,25 @@ pub struct BulkMeasurement {
     pub checks_performed: u64,
 }
 
-/// Run one bulk cell for `duration` and measure converged shares over
-/// the second half (BBR's PROBE_RTT cycle is 10 s, so the window must
-/// cover several cycles — [`OracleSpec::paper`] uses 120 s runs).
-/// `bbr_cwnd_gain` injects a perturbed controller in place of stock
-/// BBR (`None` = stock `cwnd_gain = 2`); the regression tests use it to
-/// prove the oracle catches a mis-tuned CCA.
-pub fn run_bulk_cell(
+/// Build `cell`'s dumbbell on `seed` and run it to `stop`: the Cubic
+/// flows first, the BBR flow last, all active from t = 0 to `stop`.
+/// `bbr_cwnd_gain` is [`run_bulk_cell`]'s. The oracle and ablation D3
+/// measure the returned data flows over their own windows.
+pub(crate) fn bulk_sim(
     cell: &BulkCell,
-    duration: SimDuration,
+    seed: u64,
+    stop: SimTime,
     checks: bool,
     bbr_cwnd_gain: Option<f64>,
-) -> BulkMeasurement {
+) -> (Sim, Vec<FlowId>) {
     let capacity = BitRate::from_mbps(cell.capacity_mbps);
     let queue = capacity.bdp(cell.base_rtt).mul_f64(cell.queue_mult);
     let one_way = cell.base_rtt.mul_f64(0.5);
 
     let down = LinkSpec::bottleneck(capacity, queue, one_way);
-    let (b, servers, client) = NetworkBuilder::dumbbell(cell.seed(), down);
+    let (b, servers, client) = NetworkBuilder::dumbbell(seed, down);
     let mut b = b.checks(checks);
 
-    let stop = SimTime::ZERO + duration;
     let mut flows = Vec::new();
     for i in 0..cell.n_cubic {
         let data = b.flow(format!("cubic{i}"));
@@ -357,6 +355,23 @@ pub fn run_bulk_cell(
 
     let mut sim = b.build();
     sim.run_until(stop);
+    (sim, flows)
+}
+
+/// Run one bulk cell for `duration` and measure converged shares over
+/// the second half (BBR's PROBE_RTT cycle is 10 s, so the window must
+/// cover several cycles — [`OracleSpec::paper`] uses 120 s runs).
+/// `bbr_cwnd_gain` injects a perturbed controller in place of stock
+/// BBR (`None` = stock `cwnd_gain = 2`); the regression tests use it to
+/// prove the oracle catches a mis-tuned CCA.
+pub fn run_bulk_cell(
+    cell: &BulkCell,
+    duration: SimDuration,
+    checks: bool,
+    bbr_cwnd_gain: Option<f64>,
+) -> BulkMeasurement {
+    let stop = SimTime::ZERO + duration;
+    let (sim, flows) = bulk_sim(cell, cell.seed(), stop, checks, bbr_cwnd_gain);
 
     let from = SimTime::ZERO + duration.mul_f64(0.5);
     let goodputs: Vec<f64> = flows
@@ -366,6 +381,7 @@ pub fn run_bulk_cell(
     let bbr = *goodputs.last().expect("bbr flow present");
     let cubic: f64 = goodputs[..goodputs.len() - 1].iter().sum();
     let total = (cubic + bbr).max(f64::MIN_POSITIVE);
+    let capacity = BitRate::from_mbps(cell.capacity_mbps);
     BulkMeasurement {
         loss_share: cubic / total,
         bbr_share: bbr / total,
@@ -429,8 +445,6 @@ pub struct OracleSpec {
     pub checks: bool,
     /// Worker threads.
     pub threads: usize,
-    /// Perturbed BBR `cwnd_gain` (`None` = stock 2.0).
-    pub bbr_cwnd_gain: Option<f64>,
 }
 
 impl OracleSpec {
@@ -448,7 +462,6 @@ impl OracleSpec {
             duration: SimDuration::from_secs(120),
             checks: false,
             threads: runner::default_threads(),
-            bbr_cwnd_gain: None,
         }
     }
 
@@ -518,7 +531,7 @@ pub fn run_model_oracle(spec: &OracleSpec) -> OracleReport {
         cells.len(),
         spec.threads,
         |i| {
-            let m = run_bulk_cell(&cells[i], spec.duration, spec.checks, spec.bbr_cwnd_gain);
+            let m = run_bulk_cell(&cells[i], spec.duration, spec.checks, None);
             grade_cell(&cells[i], m)
         },
         |i| cells[i].label(),

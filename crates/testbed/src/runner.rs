@@ -16,7 +16,6 @@ use gsrepro_netsim::apps::PingAgent;
 use gsrepro_netsim::monitor::FlowStats;
 use gsrepro_netsim::ScenarioSpec;
 use gsrepro_simcore::stats::{Samples, TimeBinned};
-use gsrepro_simcore::telemetry::Counters;
 use gsrepro_simcore::{SchedStats, SimDuration, SimError, SimTime, TelemetryConfig, Watchdog};
 use gsrepro_tcp::TcpSender;
 
@@ -72,8 +71,6 @@ pub struct RunResult {
     /// panics with a structured report instead of completing — so this
     /// counts evidence, not failures.
     pub checks_performed: u64,
-    /// Telemetry counters for this run (all zero when tracing is off).
-    pub telemetry: Counters,
     /// Wall-clock seconds the simulation took (NOT deterministic; excluded
     /// from reproducibility comparisons).
     pub wall_secs: f64,
@@ -208,15 +205,6 @@ impl ConditionResult {
         self.mean_over_runs(|r| r.game_loss_window(from, to))
     }
 
-    /// Telemetry counters merged across all runs of the condition.
-    pub fn telemetry(&self) -> Counters {
-        let mut c = Counters::default();
-        for r in &self.runs {
-            c.merge(&r.telemetry);
-        }
-        c
-    }
-
     /// Cross-run mean ± 95% CI of the game bitrate for each time bin
     /// (Figure 2's plotted series).
     pub fn game_series_ci(&self) -> Vec<(f64, f64, f64)> {
@@ -267,8 +255,6 @@ pub struct RunView<'a> {
     pub sched: SchedStats,
     /// Invariant-oracle evaluations performed (0 when checks are off).
     pub checks_performed: u64,
-    /// Telemetry counters (all zero when tracing is off).
-    pub telemetry: Counters,
     /// Wall-clock seconds the simulation took (not deterministic).
     pub wall_secs: f64,
 }
@@ -374,7 +360,6 @@ impl RunView<'_> {
             past_clamps: self.past_clamps,
             sched: self.sched,
             checks_performed: self.checks_performed,
-            telemetry: self.telemetry,
             wall_secs: self.wall_secs,
         }
     }
@@ -441,17 +426,6 @@ pub(crate) fn run_condition_core<R>(
     let sched = tb.sim.sched_stats();
     let checks_performed = tb.sim.net.checks().performed();
 
-    // Stamp `past_clamps` into the recorder's counters *before* the sink
-    // takes its immutable borrows; the export files are written after the
-    // sink returns, so the recorder never races a read.
-    let mut telemetry = Counters::default();
-    if trace.is_some() {
-        if let Some(tel) = tb.sim.net.telemetry_mut().telemetry_mut() {
-            tel.counters_mut().past_clamps = past_clamps;
-            telemetry = tel.counters();
-        }
-    }
-
     if checks {
         // Controller-sanity oracle: whatever the rate controller did under
         // congestion, every target it set must stay inside the profile's
@@ -503,23 +477,19 @@ pub(crate) fn run_condition_core<R>(
         }
     }
 
-    let out = {
-        let view = RunView {
-            cond,
-            iter,
-            tb: &tb,
-            events_processed,
-            past_clamps,
-            sched,
-            checks_performed,
-            telemetry,
-            wall_secs,
-        };
-        sink(&view)
-    };
+    let out = sink(&RunView {
+        cond,
+        iter,
+        tb: &tb,
+        events_processed,
+        past_clamps,
+        sched,
+        checks_performed,
+        wall_secs,
+    });
 
     if let Some(dir) = trace {
-        if let Some(tel) = tb.sim.net.telemetry_mut().telemetry_mut() {
+        if let Some(tel) = tb.sim.net.telemetry().telemetry() {
             let path = dir.join(format!("{}-i{}.csv", cond.label(), iter));
             std::fs::write(&path, tel.to_csv())
                 .unwrap_or_else(|e| panic!("writing trace {}: {e}", path.display()));
@@ -839,7 +809,6 @@ mod tests {
         assert_eq!(plain.rtt, traced.rtt);
         assert_eq!(plain.fps_bins, traced.fps_bins);
         assert_eq!(plain.events_processed, traced.events_processed);
-        assert!(traced.telemetry.recorded > 0, "traced run recorded nothing");
 
         // And the exported file parses and validates.
         let from_csv = only_trace(&dir, &cond);
@@ -877,9 +846,7 @@ mod tests {
         assert_eq!(plain.tcp_queue_drops, traced.tcp_queue_drops);
         assert_eq!(plain.events_processed, traced.events_processed);
 
-        // Telemetry's mark counter agrees with the monitor-derived field,
-        // and every mark made it into the exported trace.
-        assert_eq!(traced.telemetry.ecn_marks, traced.tcp_ce_marked);
+        // Every mark made it into the exported trace.
         let marks = only_trace(&dir, &cond)
             .iter()
             .filter(|e| e.kind == EventKind::EcnMark)
@@ -952,7 +919,6 @@ mod tests {
         assert_eq!(plain.events_processed, traced.events_processed);
 
         // Both schedule applications were recorded in the trace.
-        assert_eq!(traced.telemetry.scenario_steps, 2);
         let steps = only_trace(&dir, &cond)
             .iter()
             .filter(|e| e.kind == EventKind::LinkScenario)

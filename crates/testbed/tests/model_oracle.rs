@@ -65,7 +65,6 @@ fn tiny_spec() -> OracleSpec {
         duration: SimDuration::from_secs(15),
         checks: true,
         threads: 2,
-        bbr_cwnd_gain: None,
     }
 }
 

@@ -33,12 +33,11 @@ pub struct Command {
 }
 
 /// Flags of a command that sizes a sweep of runs (see [`sweep_opts`]).
-const SWEEP: &[&str] = &["--full", "--smoke", "--iters N", "--threads N"];
+const SWEEP: &[&str] = &["--smoke", "--iters N", "--threads N"];
 
 /// [`SWEEP`] plus the per-run instruments, for a command whose runs go
 /// through [`ExperimentOpts::run`] (see [`traced_opts`]).
 const TRACED: &[&str] = &[
-    "--full",
     "--smoke",
     "--iters N",
     "--threads N",
@@ -49,7 +48,6 @@ const TRACED: &[&str] = &[
 /// [`TRACED`] plus `--csv`, for a grid command with a table or series to
 /// dump (see [`experiment_opts`]).
 const GRID: &[&str] = &[
-    "--full",
     "--smoke",
     "--iters N",
     "--threads N",
@@ -203,12 +201,6 @@ pub const COMMANDS: &[Command] = &[
             "--replay FILE",
         ],
         run: chaos::chaos,
-    },
-    Command {
-        name: "conformance",
-        about: "diff every CCA against its golden step-response fixture",
-        flags: &["--bless"],
-        run: verify::conformance,
     },
     Command {
         name: "validate_trace",
@@ -401,9 +393,6 @@ pub(crate) fn sweep_opts(args: &Args) -> ExperimentOpts {
     } else {
         ExperimentOpts::quick()
     };
-    if args.flag("--full") {
-        opts.iterations = 15;
-    }
     if let Some(n) = args.positive("--iters") {
         opts.iterations = n;
     }

@@ -1,42 +1,11 @@
-//! The two verification tools CI calls between experiment runs: the CCA
-//! conformance kit and the exported-trace validator.
+//! The exported-trace validator CI calls after a traced smoke grid.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use gsrepro_simcore::telemetry::{parse_csv, validate_events, EventKind, TelemetryEvent};
-use gsrepro_tcp::conformance::{check_fixture, ALL_KINDS};
 
 use crate::cli::Args;
-
-/// Run the CCA conformance kit against the committed golden fixtures.
-///
-/// Drives every congestion controller (Reno, Cubic, BBR v1, BBR v2, Vegas)
-/// through its standard scripted-ack step-response and diffs the
-/// trajectory against the fixture under `crates/tcp/tests/fixtures/cca/`.
-/// Exits non-zero on the first divergence — CI runs this as the "are the
-/// control laws still the control laws" gate. With `--bless`, rewrites the
-/// fixtures from the current implementation instead (review the diff
-/// before committing).
-pub fn conformance(args: Args) {
-    let bless = args.flag("--bless");
-
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/tcp/tests/fixtures/cca");
-    for kind in ALL_KINDS {
-        match check_fixture(kind, &dir, bless) {
-            Ok(()) if bless => println!("conformance: {kind} fixture blessed"),
-            Ok(()) => println!("conformance: {kind} OK"),
-            Err(e) => {
-                eprintln!("conformance: {kind} FAILED\n{e}");
-                exit(1);
-            }
-        }
-    }
-    println!(
-        "conformance: {} controllers match their golden fixtures",
-        ALL_KINDS.len()
-    );
-}
 
 fn fail(msg: String) -> ! {
     eprintln!("validate_trace: {msg}");
