@@ -22,10 +22,11 @@ gsrepro=target/release/gsrepro
 echo "== cargo test (workspace)"
 cargo test -q --locked --workspace
 
-echo "== digest pins (release)"
-# The pins above ran in the debug profile; users and benchmark/ run optimized
-# code, so the same pins must hold there too.
+echo "== digest pins and scheduler differential fuzz (release)"
+# The pins and the fuzz above ran in the debug profile; users and benchmark/
+# run optimized code, so the same checks must hold there too.
 cargo test --release -q --locked --test digest_pins
+cargo test --release -q --locked -p gsrepro-simcore --test wheel_vs_heap
 
 echo "== repo benchmark (benchmark/: its own tests, then a smoke pass of all five workloads)"
 # benchmark/ is a Cargo workspace of its own that reaches the simulator only

@@ -47,87 +47,48 @@ pub enum QueueSpec {
         /// Maximum queued bytes (the `tbf limit`).
         limit: Bytes,
     },
-    /// CoDel (RFC 8289) with a byte-limited backstop.
+    /// CoDel (RFC 8289) with a byte-limited backstop and the RFC's
+    /// parameters.
     CoDel {
         /// Hard byte limit (CoDel still needs a finite buffer).
         limit: Bytes,
-        /// Sojourn-time target (RFC default 5 ms).
-        target: SimDuration,
-        /// Sliding interval (RFC default 100 ms).
-        interval: SimDuration,
-        /// Path MTU: the below-target backlog guard (RFC 8289 § 4.2 "one
-        /// maximum packet's worth").
-        mtu: Bytes,
     },
-    /// FQ-CoDel (RFC 8290): per-flow queues with DRR and CoDel each.
+    /// FQ-CoDel (RFC 8290): per-flow queues with DRR and CoDel each, with
+    /// the RFC's parameters.
     FqCoDel {
         /// Hard byte limit across all flow queues.
         limit: Bytes,
-        /// CoDel target.
-        target: SimDuration,
-        /// CoDel interval.
-        interval: SimDuration,
-        /// DRR quantum (RFC default 1514 bytes).
-        quantum: Bytes,
-        /// Path MTU for each sub-queue's below-target guard.
-        mtu: Bytes,
     },
 }
 
-/// Default path MTU for the AQM below-target guard: a full Ethernet frame,
-/// matching the testbed's 1500-byte paths.
-pub const DEFAULT_MTU: Bytes = Bytes(1514);
+/// CoDel sojourn-time target (RFC 8289 default).
+const TARGET: SimDuration = SimDuration::from_millis(5);
+/// CoDel sliding interval (RFC 8289 default).
+const INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// CoDel's below-target backlog guard, "one maximum packet's worth"
+/// (RFC 8289 § 4.2): a full Ethernet frame, matching the testbed's
+/// 1500-byte paths.
+const MTU: Bytes = Bytes(1514);
+/// FQ-CoDel's DRR quantum (RFC 8290 default).
+const QUANTUM: Bytes = Bytes(1514);
 
 impl QueueSpec {
-    /// Drop-tail with the RFC-default CoDel parameters filled in.
+    /// CoDel with a `limit`-byte backstop.
     pub fn codel_default(limit: Bytes) -> Self {
-        QueueSpec::CoDel {
-            limit,
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            mtu: DEFAULT_MTU,
-        }
+        QueueSpec::CoDel { limit }
     }
 
-    /// FQ-CoDel with RFC-default parameters.
+    /// FQ-CoDel with a shared `limit`-byte backstop.
     pub fn fq_codel_default(limit: Bytes) -> Self {
-        QueueSpec::FqCoDel {
-            limit,
-            target: SimDuration::from_millis(5),
-            interval: SimDuration::from_millis(100),
-            quantum: Bytes(1514),
-            mtu: DEFAULT_MTU,
-        }
-    }
-
-    /// Override the AQM path MTU (no-op for drop-tail variants).
-    pub fn with_mtu(mut self, new_mtu: Bytes) -> Self {
-        match &mut self {
-            QueueSpec::CoDel { mtu, .. } | QueueSpec::FqCoDel { mtu, .. } => *mtu = new_mtu,
-            QueueSpec::DropTail { .. } => {}
-        }
-        self
+        QueueSpec::FqCoDel { limit }
     }
 
     /// Instantiate the queue.
     pub fn build(&self) -> Discipline {
         match *self {
             QueueSpec::DropTail { limit } => Discipline::DropTail(DropTailQueue::bytes(limit)),
-            QueueSpec::CoDel {
-                limit,
-                target,
-                interval,
-                mtu,
-            } => Discipline::CoDel(CoDelQueue::new(limit, target, interval).with_mtu(mtu)),
-            QueueSpec::FqCoDel {
-                limit,
-                target,
-                interval,
-                quantum,
-                mtu,
-            } => Discipline::FqCoDel(
-                FqCoDelQueue::new(limit, target, interval, quantum).with_mtu(mtu),
-            ),
+            QueueSpec::CoDel { limit } => Discipline::CoDel(CoDelQueue::new(limit)),
+            QueueSpec::FqCoDel { limit } => Discipline::FqCoDel(FqCoDelQueue::new(limit)),
         }
     }
 }
@@ -298,23 +259,16 @@ impl DropTailQueue {
 
 /// Controlled-delay AQM (RFC 8289).
 ///
-/// Tracks packet sojourn time; once sojourn exceeds `target` continuously
-/// for `interval`, CoDel enters the dropping state and drops head packets at
-/// intervals shrinking with the square root of the drop count. ECN-capable
-/// packets ([`Ecn::Ect`]) are CE-marked and delivered instead of dropped,
-/// with the control law advancing exactly as if they had been dropped
-/// (RFC 8289 § 4.1, as in Linux `codel_impl.h`).
+/// Tracks packet sojourn time; once sojourn exceeds the 5 ms target
+/// continuously for the 100 ms interval, CoDel enters the dropping state and
+/// drops head packets at intervals shrinking with the square root of the
+/// drop count. ECN-capable packets ([`Ecn::Ect`]) are CE-marked and
+/// delivered instead of dropped, with the control law advancing exactly as
+/// if they had been dropped (RFC 8289 § 4.1, as in Linux `codel_impl.h`).
 pub struct CoDelQueue {
     q: VecDeque<QueuedPkt>,
     bytes: Bytes,
     limit: Bytes,
-    target: SimDuration,
-    interval: SimDuration,
-    /// Below-target guard: CoDel never drops while the backlog is under one
-    /// maximum packet (RFC 8289 § 4.2). Configurable because the guard must
-    /// track the *path's* MTU — at small MTUs a 1514-byte constant keeps the
-    /// queue permanently "nearly empty" and dropping never engages.
-    mtu: Bytes,
 
     // Control-law state, names per RFC 8289 pseudocode.
     first_above_time: Option<SimTime>,
@@ -325,17 +279,12 @@ pub struct CoDelQueue {
 }
 
 impl CoDelQueue {
-    /// New CoDel queue with a hard byte limit and the given target/interval.
-    /// The below-target guard defaults to [`DEFAULT_MTU`]; override with
-    /// [`CoDelQueue::with_mtu`] for non-Ethernet paths.
-    pub fn new(limit: Bytes, target: SimDuration, interval: SimDuration) -> Self {
+    /// New CoDel queue with a hard byte limit.
+    pub fn new(limit: Bytes) -> Self {
         CoDelQueue {
             q: VecDeque::new(),
             bytes: Bytes::ZERO,
             limit,
-            target,
-            interval,
-            mtu: DEFAULT_MTU,
             first_above_time: None,
             drop_next: SimTime::ZERO,
             count: 0,
@@ -344,16 +293,10 @@ impl CoDelQueue {
         }
     }
 
-    /// Set the path MTU used by the below-target backlog guard.
-    pub fn with_mtu(mut self, mtu: Bytes) -> Self {
-        self.mtu = mtu;
-        self
-    }
-
     fn control_law(&self, t: SimTime) -> SimTime {
         // interval / sqrt(count)
         let denom = (self.count.max(1) as f64).sqrt();
-        t + SimDuration::from_secs_f64(self.interval.as_secs_f64() / denom)
+        t + SimDuration::from_secs_f64(INTERVAL.as_secs_f64() / denom)
     }
 
     /// Pop the head and decide whether it should be dropped (sojourn above
@@ -362,12 +305,12 @@ impl CoDelQueue {
         let item = self.q.pop_front()?;
         self.bytes -= item.size;
         let sojourn = now.saturating_since(item.enqueued_at);
-        if sojourn < self.target || self.bytes < self.mtu {
+        if sojourn < TARGET || self.bytes < MTU {
             // Went below target (or queue nearly empty): reset the clock.
             self.first_above_time = None;
             Some((item, true))
         } else {
-            let fat = *self.first_above_time.get_or_insert(now + self.interval);
+            let fat = *self.first_above_time.get_or_insert(now + INTERVAL);
             Some((item, now < fat))
         }
     }
@@ -422,7 +365,7 @@ impl CoDelQueue {
             self.dropping = true;
             // RFC: if we recently dropped, resume from a higher count.
             let delta = self.count.saturating_sub(self.last_count);
-            self.count = if delta > 1 && now.saturating_since(self.drop_next) < self.interval * 16 {
+            self.count = if delta > 1 && now.saturating_since(self.drop_next) < INTERVAL * 16 {
                 delta
             } else {
                 1
@@ -493,7 +436,6 @@ pub struct FqCoDelQueue {
     in_old: BucketMask,
     bytes: Bytes,
     limit: Bytes,
-    quantum: Bytes,
     pkts: usize,
 }
 
@@ -502,10 +444,10 @@ impl FqCoDelQueue {
     /// admission; sub-queue CoDels get an unlimited backstop so no
     /// per-flow copy of the shared limit can drift out of sync with it
     /// (per-flow byte accounting stays purely aggregate).
-    pub fn new(limit: Bytes, target: SimDuration, interval: SimDuration, quantum: Bytes) -> Self {
+    pub fn new(limit: Bytes) -> Self {
         let flows = (0..FQ_BUCKETS)
             .map(|_| FqFlow {
-                codel: CoDelQueue::new(Bytes(u64::MAX), target, interval),
+                codel: CoDelQueue::new(Bytes(u64::MAX)),
                 deficit: 0,
             })
             .collect();
@@ -517,17 +459,8 @@ impl FqCoDelQueue {
             in_old: 0,
             bytes: Bytes::ZERO,
             limit,
-            quantum,
             pkts: 0,
         }
-    }
-
-    /// Set the path MTU used by every sub-queue's below-target guard.
-    pub fn with_mtu(mut self, mtu: Bytes) -> Self {
-        for f in &mut self.flows {
-            f.codel.mtu = mtu;
-        }
-        self
     }
 
     fn bucket(flow: FlowId) -> usize {
@@ -547,7 +480,7 @@ impl FqCoDelQueue {
         self.pkts += 1;
         if (self.in_new | self.in_old) & (1 << b) == 0 {
             self.in_new |= 1 << b;
-            self.flows[b].deficit = self.quantum.as_u64() as i64;
+            self.flows[b].deficit = QUANTUM.as_u64() as i64;
             self.new_flows.push_back(b);
         }
         Ok(())
@@ -566,7 +499,7 @@ impl FqCoDelQueue {
 
             if self.flows[b].deficit <= 0 {
                 // Refill and rotate to the old list.
-                self.flows[b].deficit += self.quantum.as_u64() as i64;
+                self.flows[b].deficit += QUANTUM.as_u64() as i64;
                 if from_new {
                     self.new_flows.pop_front();
                     self.in_new &= !(1 << b);
@@ -739,11 +672,7 @@ mod tests {
 
     #[test]
     fn codel_passes_packets_below_target() {
-        let mut q = CoDelQueue::new(
-            Bytes(100_000),
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(100),
-        );
+        let mut q = CoDelQueue::new(Bytes(100_000));
         let mut dropped = vec![];
         // Packets that sit for < 5 ms are never dropped.
         for i in 0..100 {
@@ -757,11 +686,7 @@ mod tests {
 
     #[test]
     fn codel_drops_under_persistent_delay() {
-        let mut q = CoDelQueue::new(
-            Bytes(1_000_000),
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(100),
-        );
+        let mut q = CoDelQueue::new(Bytes(1_000_000));
         let mut dropped = vec![];
         // Fill a standing queue, then dequeue slowly so sojourn stays high.
         let mut now;
@@ -809,13 +734,7 @@ mod tests {
 
     #[test]
     fn codel_marks_ect_instead_of_dropping() {
-        let mk = || {
-            CoDelQueue::new(
-                Bytes(1_000_000),
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(100),
-            )
-        };
+        let mk = || CoDelQueue::new(Bytes(1_000_000));
         let (_, drops, marks) = run_standing_queue(mk(), 1000, Ecn::NotEct);
         assert!(drops > 0, "non-ECT traffic must be dropped");
         assert_eq!(marks, 0);
@@ -834,50 +753,30 @@ mod tests {
     #[test]
     fn codel_mtu_guard_gates_dropping_at_small_mtus() {
         // A standing queue of 300-byte packets that never exceeds ~1200 B
-        // backlog: sojourn sits far above target, but the old hardcoded
-        // 1514-byte guard reads the queue as "nearly empty" and dropping
-        // never engages. With the guard at the path MTU, CoDel drops.
-        let run = |mtu: Option<Bytes>| {
-            let mut q = CoDelQueue::new(
-                Bytes(100_000),
-                SimDuration::from_millis(5),
-                SimDuration::from_millis(100),
-            );
-            if let Some(m) = mtu {
-                q = q.with_mtu(m);
-            }
-            let mut dropped = vec![];
-            // Prime a 3-packet backlog, then 1-in-1-out forever: each
-            // packet waits ~3 service intervals (30 ms >> 5 ms target).
-            for _ in 0..3 {
-                q.enqueue(pkt(1, 300), SimTime::ZERO).unwrap();
-            }
-            for step in 0..300u64 {
-                let now = SimTime::from_millis(step * 10);
-                q.enqueue(pkt(1, 300), now).unwrap();
-                q.dequeue(now, &mut dropped);
-            }
-            dropped.len()
-        };
+        // backlog: sojourn sits far above target, but the 1514-byte guard
+        // reads the queue as "nearly empty" and dropping never engages.
+        let mut q = CoDelQueue::new(Bytes(100_000));
+        let mut dropped = vec![];
+        // Prime a 3-packet backlog, then 1-in-1-out forever: each packet
+        // waits ~3 service intervals (30 ms >> 5 ms target).
+        for _ in 0..3 {
+            q.enqueue(pkt(1, 300), SimTime::ZERO).unwrap();
+        }
+        for step in 0..300u64 {
+            let now = SimTime::from_millis(step * 10);
+            q.enqueue(pkt(1, 300), now).unwrap();
+            q.dequeue(now, &mut dropped);
+        }
         assert_eq!(
-            run(None),
+            dropped.len(),
             0,
             "Ethernet-MTU guard treats a sub-1514 B backlog as empty"
-        );
-        assert!(
-            run(Some(Bytes(300))) > 0,
-            "with the configured MTU the same persistent delay must drop"
         );
     }
 
     #[test]
     fn fq_codel_isolates_flows() {
-        let mut q = FqCoDelQueue::new(
-            Bytes(1_000_000),
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(100),
-            Bytes(1514),
-        );
+        let mut q = FqCoDelQueue::new(Bytes(1_000_000));
         let now = SimTime::ZERO;
         // Flow 1 floods; flow 2 sends one packet.
         for _ in 0..50 {
@@ -901,12 +800,7 @@ mod tests {
 
     #[test]
     fn fq_codel_byte_accounting_with_drops() {
-        let mut q = FqCoDelQueue::new(
-            Bytes(1_000_000),
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(10),
-            Bytes(1514),
-        );
+        let mut q = FqCoDelQueue::new(Bytes(1_000_000));
         let mut dropped = vec![];
         let mut now = SimTime::ZERO;
         for step in 0..1_000u64 {
@@ -924,12 +818,7 @@ mod tests {
 
     #[test]
     fn fq_codel_marks_ect_instead_of_dropping() {
-        let mut q = FqCoDelQueue::new(
-            Bytes(1_000_000),
-            SimDuration::from_millis(1),
-            SimDuration::from_millis(10),
-            Bytes(1514),
-        );
+        let mut q = FqCoDelQueue::new(Bytes(1_000_000));
         let mut dropped = vec![];
         let mut marked = 0u64;
         let mut now = SimTime::ZERO;
@@ -962,12 +851,7 @@ mod tests {
         // shrink evictions must come from the fattest flow, and per-bucket
         // accounting must stay exact so admission after the step is still
         // governed purely by the shared limit.
-        let mut q = FqCoDelQueue::new(
-            Bytes(100_000),
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(100),
-            Bytes(1514),
-        );
+        let mut q = FqCoDelQueue::new(Bytes(100_000));
         // Flow 1 queues 8 kB, flow 2 queues 2 kB (distinct buckets).
         for i in 0..8u32 {
             q.enqueue(qpkt(i, 1, 1000), SimTime::ZERO).unwrap();

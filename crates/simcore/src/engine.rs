@@ -15,7 +15,7 @@
 //! # Data layout (the hot path)
 //!
 //! Events are parked in a slab of `Entry`s (payload + timestamp + seq +
-//! intrusive chain links, plus a free list); the ordering structures move
+//! intrusive chain link, plus a free list); the ordering structures move
 //! only fixed-size `Key`s — `(SimTime, seq, slot)`, 24 bytes regardless of
 //! how large the event type is.
 //!
@@ -61,12 +61,14 @@
 //! # Cancellation
 //!
 //! [`Scheduler::schedule_cancellable_at`] returns a [`TimerHandle`];
-//! [`Scheduler::cancel`] removes the event in O(1). A wheel-chained timer is
-//! unlinked from its slot's doubly-linked chain and its slab entry freed on
-//! the spot (the dominant pattern — RTO timers re-armed on every ack — never
-//! accumulates garbage). A timer whose key currently rides `cur` is
-//! tombstoned instead and reclaimed when the key surfaces; its slab slot is
-//! not reused until then, so a key in `cur` always refers to its own entry.
+//! [`Scheduler::cancel`] takes the event out of its slab entry in O(1) and
+//! leaves the entry as a tombstone wherever its key is filed, wheel chain or
+//! `cur`. The key moves on like a live one and the slot is reclaimed when it
+//! surfaces in `cur`; the slot is not reused until then, so a key always
+//! refers to its own entry. No simulator component cancels (agents ignore
+//! stale timer tokens instead), so a caller that arms and cancels without
+//! advancing the clock grows the slab by one slot per timer until the
+//! cancelled timers' ticks are reached.
 
 use crate::time::{SimDuration, SimTime};
 use crate::watchdog::{SimError, Watchdog};
@@ -143,13 +145,8 @@ impl Ord for Key {
     }
 }
 
-/// Chain-link sentinel: no next/prev entry, or an empty slot head.
+/// Chain-link sentinel: no next entry, or an empty slot head.
 const NIL: u32 = u32::MAX;
-/// `Entry::bucket` value while the entry's key rides `cur` (no wheel chain
-/// to unlink from).
-const NOT_CHAINED: u32 = u32::MAX;
-/// `Entry::bucket` value for a vacated slab slot (on the free list).
-const FREE: u32 = u32::MAX - 1;
 
 /// One slab slot: the event payload plus everything the wheel needs to
 /// chain, identify, and re-file it. Keys carry `(time, seq)` too, purely so
@@ -159,14 +156,8 @@ struct Entry<E> {
     time: SimTime,
     /// Next entry in this wheel slot's chain (`NIL` at the tail).
     next: u32,
-    /// Previous entry in the chain (`NIL` at the head) — makes `cancel` an
-    /// O(1) unlink instead of a lazy tombstone.
-    prev: u32,
-    /// Wheel bucket (`level * SLOTS + slot`) this entry is chained in, or
-    /// [`NOT_CHAINED`] / [`FREE`].
-    bucket: u32,
-    /// `None` = tombstone: cancelled while riding `cur`, reclaimed when the
-    /// key surfaces.
+    /// `None` on a free slot, or on a tombstone: a cancelled timer whose key
+    /// is still filed and is reclaimed when it surfaces in `cur`.
     event: Option<E>,
 }
 
@@ -198,7 +189,8 @@ pub struct SchedStats {
     pub cascaded: u64,
     /// Timers removed via [`Scheduler::cancel`].
     pub cancelled: u64,
-    /// Largest slab size (slots) reached during the run.
+    /// Largest slab size (slots) reached during the run. The slab grows only
+    /// when no freed slot is left and never shrinks, so this is its size.
     pub slab_high_watermark: u64,
 }
 
@@ -225,9 +217,9 @@ pub struct Scheduler<E> {
     /// Per-level occupancy bitmap: bit `s` (bit `s % 64` of word `s / 64`)
     /// set iff the chain at `heads[level*SLOTS+s]` is non-empty.
     occupied: [[u64; OCC_WORDS]; LEVELS],
-    /// Slab backing the queue: keys and chains index into here. Free slots
-    /// are marked [`FREE`] and listed in `free`; trailing free entries are
-    /// truncated so bursts don't pin memory.
+    /// Slab backing the queue: keys and chains index into here. Freed slots
+    /// are listed in `free` and reused first; the slab never shrinks, so its
+    /// length is the run's peak of filed keys, tombstones included.
     slab: Vec<Entry<E>>,
     free: Vec<u32>,
     /// Live (not cancelled) slab entries; `pending()` = this + lane length.
@@ -269,13 +261,6 @@ impl<E> Scheduler<E> {
     #[inline]
     pub fn stats(&self) -> SchedStats {
         self.stats
-    }
-
-    /// Current slab size in slots (shrinks after bursts; the peak is
-    /// [`SchedStats::slab_high_watermark`]).
-    #[inline]
-    pub fn slab_len(&self) -> usize {
-        self.slab.len()
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -375,22 +360,16 @@ impl<E> Scheduler<E> {
     }
 
     /// Cancel a pending timer, returning its event. Returns `None` if the
-    /// timer already fired or was already cancelled. O(1): a wheel-chained
-    /// timer is unlinked and its slot freed immediately; one riding
-    /// `cur` is tombstoned and reclaimed when its key surfaces.
+    /// timer already fired or was already cancelled. O(1): the entry becomes
+    /// a tombstone that `prepare` reclaims when its key surfaces in `cur`.
     pub fn cancel(&mut self, handle: TimerHandle) -> Option<E> {
         let entry = self.slab.get_mut(handle.slot as usize)?;
-        if entry.seq != handle.seq || entry.event.is_none() {
-            return None; // already fired, cancelled, or slot recycled
+        if entry.seq != handle.seq {
+            return None; // slot recycled
         }
-        let event = entry.event.take().unwrap();
-        let bucket = entry.bucket;
+        let event = entry.event.take()?; // already fired or cancelled
         self.live -= 1;
         self.stats.cancelled += 1;
-        if bucket != NOT_CHAINED {
-            self.unlink(handle.slot, bucket);
-            self.release_slot(handle.slot);
-        }
         Some(event)
     }
 
@@ -454,7 +433,7 @@ impl<E> Scheduler<E> {
                 .take()
                 .expect("slab slot empty");
             self.live -= 1;
-            self.release_slot(k.slot);
+            self.free.push(k.slot);
             Some((k.time, event))
         }
     }
@@ -473,18 +452,17 @@ impl<E> Scheduler<E> {
             tick_of(self.now)
         };
         loop {
-            // Reclaim tombstones (cancelled while riding `cur`) as they
-            // surface. A key in `cur` always references its own entry — the
-            // slot cannot have been recycled while the key was live here.
+            // Reclaim tombstones (cancelled timers) as they surface. A key
+            // in `cur` always references its own entry — a slot is not
+            // recycled until its key is popped or reclaimed here.
             while let Some(k) = self.cur.last() {
                 let entry = &self.slab[k.slot as usize];
                 debug_assert_eq!(entry.seq, k.seq, "cur key references recycled slot");
                 if entry.event.is_some() {
                     break;
                 }
-                let slot = k.slot;
+                self.free.push(k.slot);
                 self.cur.pop();
-                self.release_slot(slot);
             }
             if !self.cur.is_empty() {
                 return true;
@@ -535,17 +513,16 @@ impl<E> Scheduler<E> {
             self.occupied[level][word] &= !bit;
             self.cur_tick = base;
             let idx = level * SLOTS + slot as usize;
-            // Walk the chain. Every chained entry is live (cancel unlinks
-            // wheel entries eagerly), and `place`/`cur_push` rewrite the
-            // links, so the successor is read before re-filing each node.
+            // Walk the chain. Tombstones are re-filed like live entries and
+            // reclaimed from `cur`; `place` rewrites the link, so the
+            // successor is read before re-filing each node.
             let mut s = self.heads[idx];
             self.heads[idx] = NIL;
             if level == 0 {
                 // Every entry in a level-0 slot shares the slot's exact tick.
                 while s != NIL {
-                    let e = &mut self.slab[s as usize];
+                    let e = &self.slab[s as usize];
                     let nxt = e.next;
-                    e.bucket = NOT_CHAINED;
                     let k = Key {
                         time: e.time,
                         seq: e.seq,
@@ -596,7 +573,6 @@ impl<E> Scheduler<E> {
     fn place(&mut self, k: Key) -> Placed {
         let t = tick_of(k.time);
         if t <= self.cur_tick {
-            self.slab[k.slot as usize].bucket = NOT_CHAINED;
             Self::cur_push(&mut self.cur, k);
             return Placed::Cur;
         }
@@ -604,39 +580,11 @@ impl<E> Scheduler<E> {
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
         let slot = ((t >> (level as u32 * LEVEL_BITS)) & (SLOTS as u64 - 1)) as usize;
         let idx = level * SLOTS + slot;
-        let head = self.heads[idx];
-        let e = &mut self.slab[k.slot as usize];
-        e.next = head;
-        e.prev = NIL;
-        e.bucket = idx as u32;
-        if head != NIL {
-            self.slab[head as usize].prev = k.slot;
-        }
+        self.slab[k.slot as usize].next = self.heads[idx];
         self.heads[idx] = k.slot;
         let (word, bit) = occ_bit(slot);
         self.occupied[level][word] |= bit;
         Placed::Wheel
-    }
-
-    /// Remove a wheel-chained entry from its slot chain in O(1), clearing
-    /// the occupancy bit when the chain empties.
-    fn unlink(&mut self, slot: u32, bucket: u32) {
-        let (prev, next) = {
-            let e = &self.slab[slot as usize];
-            (e.prev, e.next)
-        };
-        if prev != NIL {
-            self.slab[prev as usize].next = next;
-        } else {
-            self.heads[bucket as usize] = next;
-            if next == NIL {
-                let (word, bit) = occ_bit(bucket as usize % SLOTS);
-                self.occupied[bucket as usize / SLOTS][word] &= !bit;
-            }
-        }
-        if next != NIL {
-            self.slab[next as usize].prev = prev;
-        }
     }
 
     #[inline]
@@ -652,45 +600,16 @@ impl<E> Scheduler<E> {
             seq,
             time,
             next: NIL,
-            prev: NIL,
-            bucket: NOT_CHAINED,
             event: Some(event),
         };
-        while let Some(s) = self.free.pop() {
-            // Truncation may have orphaned free-list entries; `release_slot`
-            // purges them, so this guard is belt-and-braces.
-            if (s as usize) < self.slab.len() {
-                debug_assert_eq!(self.slab[s as usize].bucket, FREE);
-                self.slab[s as usize] = entry;
-                return s;
-            }
+        if let Some(s) = self.free.pop() {
+            self.slab[s as usize] = entry;
+            return s;
         }
         let s = self.slab.len() as u32;
         self.slab.push(entry);
-        if self.slab.len() as u64 > self.stats.slab_high_watermark {
-            self.stats.slab_high_watermark = self.slab.len() as u64;
-        }
+        self.stats.slab_high_watermark = self.slab.len() as u64;
         s
-    }
-
-    /// Return a slab slot to the pool. When the slab is large and mostly
-    /// dead (a drained burst), the trailing `None` run is truncated so the
-    /// peak size is not pinned forever; free-list indices past the new
-    /// length are purged (they would otherwise alias re-grown slots). The
-    /// occupancy gate keeps compaction off the steady-state hot path.
-    fn release_slot(&mut self, slot: u32) {
-        self.slab[slot as usize].bucket = FREE;
-        self.free.push(slot);
-        if self.slab.len() >= 64
-            && self.live * 2 <= self.slab.len()
-            && self.slab.last().is_some_and(|e| e.bucket == FREE)
-        {
-            while self.slab.last().is_some_and(|e| e.bucket == FREE) {
-                self.slab.pop();
-            }
-            let len = self.slab.len();
-            self.free.retain(|&s| (s as usize) < len);
-        }
     }
 }
 
@@ -1041,38 +960,32 @@ mod tests {
             eng.run_until(&mut w, SimTime::from_millis(i + 2));
         }
         assert_eq!(w.log.len(), 1000);
-        assert!(
-            eng.scheduler().slab_len() <= 2,
-            "slab grew to {} slots for serial traffic",
-            eng.scheduler().slab_len()
-        );
+        let slots = eng.sched_stats().slab_high_watermark;
+        assert!(slots <= 2, "slab grew to {slots} slots for serial traffic");
     }
 
     #[test]
-    fn slab_shrinks_after_a_burst() {
+    fn slab_reuses_burst_slots_without_shrinking() {
         let mut w = Recorder { log: vec![] };
         let mut eng = Engine::new();
-        // A 10k-event burst inflates the slab; after delivery it must
-        // contract instead of pinning the peak forever.
+        // A 10k-event burst inflates the slab to 10k slots.
         for i in 0..10_000u64 {
             eng.scheduler()
                 .schedule_at(SimTime::from_millis(1 + i), Ev::Tag(i as u32));
         }
-        eng.run_to_completion(&mut w);
+        // Not `run_to_completion`: it parks the clock at `SimTime::MAX`, and
+        // the timers below would clamp into the lane instead of the slab.
+        eng.run_until(&mut w, SimTime::from_secs(20));
         assert_eq!(w.log.len(), 10_000);
         assert_eq!(eng.sched_stats().slab_high_watermark, 10_000);
-        assert!(
-            eng.scheduler().slab_len() <= 2,
-            "slab stayed at {} slots after the burst drained",
-            eng.scheduler().slab_len()
-        );
-        // Post-burst traffic reuses low slots without re-inflating.
+        // Post-burst traffic reuses freed slots without growing the slab.
         for i in 0..100u64 {
             eng.scheduler()
                 .schedule_at(SimTime::from_secs(20 + i), Ev::Tag(i as u32));
             eng.run_until(&mut w, SimTime::from_secs(21 + i));
         }
-        assert!(eng.scheduler().slab_len() <= 2);
+        assert_eq!(w.log.len(), 10_100);
+        assert_eq!(eng.sched_stats().slab_high_watermark, 10_000);
     }
 
     #[test]

@@ -299,12 +299,26 @@ impl Trial {
             "solo" => None,
             other => Some(by_label("cca", &ALL_KINDS, CcaKind::label, other)?),
         };
+        // Out-of-range values are rejected here, naming the field: past this
+        // point they would abort the replay or read as a simulator panic.
         let capacity_mbps = parse_u64("capacity_mbps", &field("capacity_mbps")?)?;
+        if capacity_mbps == 0 || capacity_mbps.checked_mul(1_000_000).is_none() {
+            return Err(format!(
+                "capacity_mbps {capacity_mbps}: want 1 to {} Mb/s",
+                u64::MAX / 1_000_000
+            ));
+        }
         let queue_mult = parse_bits("queue_mult", &field("queue_mult")?)?;
+        if !(queue_mult.is_finite() && queue_mult >= 0.0) {
+            return Err(format!("queue_mult {queue_mult}: want a finite value >= 0"));
+        }
         let aqm = by_label("aqm", &AQMS, Aqm::label, &field("aqm")?)?;
         let wan_jitter =
             SimDuration::from_nanos(parse_u64("wan_jitter_ns", &field("wan_jitter_ns")?)?);
         let scale = parse_bits("scale", &field("scale")?)?;
+        if !(scale > 0.0 && scale <= 1.0) {
+            return Err(format!("scale {scale}: must be in (0, 1]"));
+        }
         let iter = parse_u32("iter", &field("iter")?)?;
         let event_budget = parse_u64("event_budget", &field("event_budget")?)?;
         let livelock_window = parse_u64("livelock_window", &field("livelock_window")?)?;
@@ -921,6 +935,24 @@ mod tests {
         let text = pinned_repro_with(" 4 queue ", " 4294967300 queue ");
         let err = Trial::parse(&text).unwrap_err();
         assert!(err.starts_with("step link \"4294967300\": "), "{err}");
+        // Values that parse but that `condition()` or the simulator cannot
+        // take: each is an error that names its field.
+        let pinned = include_str!("../tests/fixtures/chaos_pinned.repro");
+        for bad in [
+            "scale 0000000000000000",
+            "scale 7ff8000000000000",
+            "scale 3ff0000000000001",
+            "capacity_mbps 0",
+            "capacity_mbps 18446744073709551615",
+            "queue_mult 7ff8000000000000",
+            "queue_mult 7ff0000000000000",
+            "queue_mult bff0000000000000",
+        ] {
+            let field = bad.split_once(' ').unwrap().0;
+            let good = pinned.lines().find(|l| l.starts_with(field)).unwrap();
+            let err = Trial::parse(&pinned_repro_with(good, bad)).unwrap_err();
+            assert!(err.starts_with(&format!("{field} ")), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -882,6 +882,12 @@ mod tests {
             "{} of {placements} schedules bypassed the wheel",
             s.cur_scheduled
         );
+        assert_eq!(
+            s.cancelled, 0,
+            "a cancelled timer's tombstone holds its slab slot until its key's \
+             tick is reached; a component that cancels must revisit \
+             `Scheduler::cancel`"
+        );
     }
 
     #[test]
