@@ -42,6 +42,13 @@ echo "== smoke reproduction"
 echo "== committed multiflow artifact regenerates byte for byte"
 "$gsrepro" multiflow 2>&1 | cmp - artifacts_multiflow.txt
 
+echo "== committed sensitivity artifact regenerates, its grid: line aside"
+# Its jittered WAN links draw from the network's one shared RNG, so a
+# same-instant reordering of events shows here first. The `grid:` line
+# carries host time and the event count and is left out on both sides.
+"$gsrepro" sensitivity 2>&1 | grep -v '^grid: ' \
+    | cmp - <(grep -v '^grid: ' artifacts_sensitivity.txt)
+
 echo "== traced smoke run + trace schema validation"
 trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT

@@ -9,13 +9,19 @@
 //! Simulated equivalent:
 //!
 //! ```text
-//!  game_server ──4ms──▸ router ══bottleneck (rate, queue, 4.25ms)══▸ switch ──0──▸ game_client
-//!  iperf_server ─4ms──▸ router                                        switch ──0──▸ iperf_client
-//!  (upstream links are unshaped with matching delays: RTT = 16.5 ms)
+//!  game_server ──4ms──▸ router ══bottleneck (rate, queue, 4.25ms)══▸ switch
+//!  iperf_server ─4ms──▸ router                                        (game client,
+//!  (upstream links are unshaped with matching delays: RTT = 16.5 ms)   ping, iperf client)
 //! ```
 //!
 //! The downstream bottleneck is the only shaped link, shared by both
 //! flows — exactly the contended resource of the paper's experiments.
+//!
+//! The client-side LAN is not modelled: the clients' agents live on
+//! `switch`. The paper checked that its 1 Gb/s LAN was never the
+//! bottleneck, so a hop standing in for it would be unshaped, zero-delay,
+//! lossless and jitter-free — it would deliver every packet the instant it
+//! arrived, changing no output but the count of engine events.
 
 use gsrepro_gamestream::{self as gamestream, StreamServer};
 use gsrepro_netsim::apps::{EchoTo, PingAgent};
@@ -88,9 +94,9 @@ pub fn build_full(
     let game_server = b.add_node("game-server");
     let iperf_server = b.add_node("iperf-server");
     let router = b.add_node("router");
+    // The clients' agents live on `switch`, the far end of the bottleneck
+    // (see the module doc for why the LAN behind it is not modelled).
     let switch = b.add_node("switch");
-    let game_client = b.add_node("game-client");
-    let iperf_client = b.add_node("iperf-client");
 
     // Server-side paths: 4 ms each way (campus/Internet padding), with
     // optional jitter standing in for Internet weather.
@@ -123,10 +129,6 @@ pub fn build_full(
         "link wiring changed: update the id map"
     );
 
-    // LAN segments to the clients: negligible delay, never the bottleneck.
-    b.duplex(switch, game_client, LinkSpec::lan(SimDuration::ZERO));
-    b.duplex(switch, iperf_client, LinkSpec::lan(SimDuration::ZERO));
-
     // Flows.
     let game_flow = b.flow(format!("{}-media", cond.system.label()));
     let feedback_flow = b.flow("feedback");
@@ -143,19 +145,18 @@ pub fn build_full(
     if let Some(ctrl) = cond.controller_override {
         profile.controller = ctrl;
     }
-    let (client, server) =
-        gamestream::connect(&mut b, game_client, game_server, feedback_flow, |c| {
-            StreamServer::new(
-                game_flow,
-                game_client,
-                c,
-                profile.build_source(seed, stream_id("frames")),
-                profile.build_controller(),
-            )
-        });
+    let (client, server) = gamestream::connect(&mut b, switch, game_server, feedback_flow, |c| {
+        StreamServer::new(
+            game_flow,
+            switch,
+            c,
+            profile.build_source(seed, stream_id("frames")),
+            profile.build_controller(),
+        )
+    });
 
     // The paper pings the game server from the game client.
-    let (ping, _) = b.add_pair(game_client, game_server, |ping, echo| {
+    let (ping, _) = b.add_pair(switch, game_server, |ping, echo| {
         (
             Box::new(PingAgent::new(ping_flow, game_server, echo, PING_INTERVAL)),
             Box::new(EchoTo::new(ping_flow, ping)),
@@ -166,10 +167,9 @@ pub fn build_full(
     let tcp_sender = match (cond.cca, iperf_flow, ack_flow) {
         (Some(cca), Some(data), Some(acks)) => {
             let tl = &cond.timeline;
-            let (sender, _) =
-                tcp::connect(&mut b, iperf_server, iperf_client, data, acks, cca, |cfg| {
-                    TcpSender::new(cfg.active_during(tl.iperf_start, tl.iperf_stop))
-                });
+            let (sender, _) = tcp::connect(&mut b, iperf_server, switch, data, acks, cca, |cfg| {
+                TcpSender::new(cfg.active_during(tl.iperf_start, tl.iperf_stop))
+            });
             Some(sender)
         }
         _ => None,
@@ -204,6 +204,7 @@ mod tests {
     use super::*;
     use crate::config::Timeline;
     use gsrepro_gamestream::{StreamClient, SystemKind};
+    use gsrepro_netsim::scenario::ScenarioSpec;
     use gsrepro_simcore::SimTime;
     use gsrepro_tcp::CcaKind;
 
@@ -220,6 +221,35 @@ mod tests {
             (mean - 16.5).abs() < 3.0,
             "equalized RTT should be ≈16.5 ms, got {mean}"
         );
+    }
+
+    #[test]
+    fn no_link_is_an_identity_hop() {
+        // An unshaped zero-delay hop delivers every packet the instant it
+        // arrives: it costs an event per packet and changes nothing else.
+        let cond = super::super::config::Condition::new(SystemKind::Luna, None, 25, 2.0)
+            .with_timeline(Timeline::scaled(0.05));
+        let mut tb = build_full(&cond, 0, None, false);
+        tb.sim.run_until(SimTime::from_secs(5));
+        let net = &tb.sim.net;
+        for id in (0..6).map(LinkId) {
+            let l = net.link(id);
+            assert!(l.rate().is_some() || !l.delay().is_zero(), "link {id:?}");
+        }
+        let seventh =
+            ScenarioSpec::new().delay(SimTime::from_secs(9), LinkId(6), SimDuration::ZERO);
+        assert!(
+            tb.sim.try_apply_scenario(&seventh).is_err(),
+            "more than 6 links"
+        );
+        // The client agents live on the bottleneck's far node: everything
+        // they send enters its return link the instant it is sent.
+        let net = &tb.sim.net;
+        let (down, up) = (net.link(BOTTLENECK_LINK), net.link(LinkId(5)));
+        assert_eq!(down.to(), up.from());
+        let ping: &PingAgent = net.agent(tb.ping);
+        let feedback = net.monitor().stats(tb.feedback_flow).sent_pkts;
+        assert_eq!(up.delivered_pkts(), feedback + ping.sent());
     }
 
     #[test]

@@ -36,6 +36,15 @@ use crate::cli::{write_csv, Args};
 /// Bump when the JSON layout changes shape (consumers: ci.sh).
 const SCHEMA: u32 = 1;
 
+/// The competitors each system meets; the sweep is `SystemKind::ALL` × these.
+const CCAS: [CcaKind; 2] = [CcaKind::Cubic, CcaKind::Bbr];
+
+/// Seeded iterations of each condition: `sessions` split over the sweep's
+/// conditions, rounded up; `None` when that does not fit the run index.
+fn per_condition(sessions: u64) -> Option<u32> {
+    u32::try_from(sessions.div_ceil((SystemKind::ALL.len() * CCAS.len()) as u64)).ok()
+}
+
 /// What the command line asked for.
 pub struct FleetArgs {
     pub sessions: u64,
@@ -56,8 +65,15 @@ impl FleetArgs {
         } else {
             (100_002, 64) // divisible by the 6 conditions
         };
+        let sessions = args.positive("--sessions").unwrap_or(sessions);
+        if per_condition(sessions).is_none() {
+            args.usage_error(format_args!(
+                "--sessions {sessions}: over {} sessions per condition",
+                u32::MAX
+            ));
+        }
         FleetArgs {
-            sessions: args.positive("--sessions").unwrap_or(sessions),
+            sessions,
             scale: args.scale("--scale").unwrap_or(0.02),
             shard_size: args.positive("--shard-size").unwrap_or(shard_size),
             threads: args
@@ -112,15 +128,11 @@ pub fn fleet(args: Args) {
 
     // The paper's central contested bottleneck, all systems × both CCAs.
     let tl = Timeline::scaled(fa.scale);
-    let conditions: Vec<Condition> = [SystemKind::Stadia, SystemKind::GeForce, SystemKind::Luna]
+    let conditions: Vec<Condition> = SystemKind::ALL
         .into_iter()
-        .flat_map(|sys| {
-            [CcaKind::Cubic, CcaKind::Bbr]
-                .into_iter()
-                .map(move |cca| Condition::new(sys, Some(cca), 25, 2.0).with_timeline(tl))
-        })
+        .flat_map(|sys| CCAS.map(|cca| Condition::new(sys, Some(cca), 25, 2.0).with_timeline(tl)))
         .collect();
-    let iterations = (fa.sessions as usize).div_ceil(conditions.len()) as u32;
+    let iterations = per_condition(fa.sessions).expect("FleetArgs::parse bounds --sessions");
 
     let mut spec = CampaignSpec::new(conditions, iterations);
     spec.shard_size = fa.shard_size;

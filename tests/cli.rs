@@ -39,6 +39,8 @@ fn bad_invocations_exit_2_with_usage() {
         &["table2", "stray"],
         &["fleet", "--sessions"],
         &["fleet", "--smoke", "--shard-size", "0"],
+        // 99 999 999 999 / 6 sessions per condition overflow a u32.
+        &["fleet", "--sessions", "99999999999"],
         &["chaos", "--trials", "0"],
         &["chaos", "--threads", "0"],
         &["model_oracle", "--threads", "0"],
